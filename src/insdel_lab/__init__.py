@@ -25,7 +25,6 @@ from .codes import (
     Code,
     CodeSizeError,
     EvalPointSearchResult,
-    HelbergWeights,
     PrimeField,
     helberg,
     helberg_weights,

@@ -29,6 +29,8 @@ Exact = Union[int, str, Fraction]
 
 def as_fraction(value: Exact | float) -> Fraction:
     """Coerce to an exact rational; floats go through their decimal repr."""
+    if isinstance(value, Fraction):  # immutable, so no copy is needed
+        return value
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, Rational):

@@ -97,17 +97,26 @@ def bound() -> None:
     """Evaluate and compare decodability bounds."""
 
 
-def _write_bound_csv(delta: Fraction, list_size: int, csv: str | None, points: int) -> None:
-    if csv is not None:
-        figures.write_rows(figures.bound_table_rows(delta, list_size, points), csv)
+def _csv_options(fn):
+    """The --csv/--points option pair shared by the bound commands."""
+    fn = click.option("--points", type=int, default=figures.DEFAULT_POINTS, show_default=True)(fn)
+    return click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)(fn)
+
+
+def _write_bound_csv(
+    payload: dict, delta: Fraction, list_size: int, csv_path: str | None, points: int
+) -> None:
+    """Write the bound table when --csv is given and record its path in the payload."""
+    if csv_path is not None:
+        figures.write_rows(figures.bound_table_rows(delta, list_size, points), csv_path)
+        payload["csv"] = csv_path
 
 
 @bound.command("rho")
 @click.option("--delta", "delta_text", required=True, help="relative distance in (0,1)")
 @click.option("--list-size", type=int, required=True)
 @click.option("--tau-d", "tau_text", default=None, help="deletion fraction to evaluate at")
-@click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--points", type=int, default=figures.DEFAULT_POINTS, show_default=True)
+@_csv_options
 @_guarded
 def bound_rho(delta_text, list_size, tau_text, csv_path, points) -> None:
     """Piecewise-linear insertion bound: pieces, or the value at one tau_d."""
@@ -141,9 +150,7 @@ def bound_rho(delta_text, list_size, tau_text, csv_path, points) -> None:
                 for p in pieces.pieces
             ],
         }
-    _write_bound_csv(delta, list_size, csv_path, points)
-    if csv_path is not None:
-        payload["csv"] = csv_path
+    _write_bound_csv(payload, delta, list_size, csv_path, points)
     _echo_json(payload)
 
 
@@ -152,8 +159,7 @@ def bound_rho(delta_text, list_size, tau_text, csv_path, points) -> None:
 @click.option("--list-size", type=int, required=True)
 @click.option("--tau-d", "tau_text", default="0")
 @click.option("--tau-i", "tau_ins_text", default=None, help="insertion fraction for the list-size formula")
-@click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--points", type=int, default=figures.DEFAULT_POINTS, show_default=True)
+@_csv_options
 @_guarded
 def bound_hy(delta_text, list_size, tau_text, tau_ins_text, csv_path, points) -> None:
     """HY quadratic bound values, and its guaranteed list size if --tau-i is given."""
@@ -172,17 +178,14 @@ def bound_hy(delta_text, list_size, tau_text, tau_ins_text, csv_path, points) ->
     if tau_ins_text is not None:
         tau_ins = _parse_exact(tau_ins_text, "tau-i")
         payload["hy_list_size"] = hy_list_size(delta, tau_ins, tau)
-    _write_bound_csv(delta, list_size, csv_path, points)
-    if csv_path is not None:
-        payload["csv"] = csv_path
+    _write_bound_csv(payload, delta, list_size, csv_path, points)
     _echo_json(payload)
 
 
 @bound.command("compare")
 @click.option("--delta", "delta_text", required=True)
 @click.option("--list-size", type=int, required=True)
-@click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--points", type=int, default=figures.DEFAULT_POINTS, show_default=True)
+@_csv_options
 @_guarded
 def bound_compare(delta_text, list_size, csv_path, points) -> None:
     """Where the piecewise-linear bound beats the HY quadratic."""
@@ -198,9 +201,7 @@ def bound_compare(delta_text, list_size, csv_path, points) -> None:
         "p2": list(report.p2) if report.p2 else None,
         "extra_crossings": report.extra_crossings,
     }
-    _write_bound_csv(delta, list_size, csv_path, points)
-    if csv_path is not None:
-        payload["csv"] = csv_path
+    _write_bound_csv(payload, delta, list_size, csv_path, points)
     _echo_json(payload)
 
 

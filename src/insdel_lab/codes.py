@@ -15,7 +15,7 @@ from math import comb, perm
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .words import Word, lcs_length
+from .words import Word, _min_distance
 
 DEFAULT_CODE_CAP = 10**6
 
@@ -66,7 +66,7 @@ def is_prime(p: int) -> bool:
 
 
 class PrimeField:
-    """Arithmetic modulo a prime p; elements are the integers 0..p-1."""
+    """The prime field F_p; elements are the integers 0..p-1."""
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -76,31 +76,8 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
     def elements(self) -> range:
         return range(self.p)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return pow(a, self.p - 2, self.p)
 
     def poly_eval(self, coefficients: Sequence[int], x: int) -> int:
         """Evaluate sum_i coefficients[i] * x^i by Horner's rule."""
@@ -172,19 +149,6 @@ class EvalPointSearchResult:
     exhaustive: bool
 
 
-def _min_insdel_distance_at_least(words: list[Word], floor_value: int) -> int:
-    """Pairwise minimum Levenshtein distance, aborting early below floor_value."""
-    best = None
-    for i, a in enumerate(words):
-        for b in words[i + 1 :]:
-            d = len(a) + len(b) - 2 * lcs_length(a, b)
-            if best is None or d < best:
-                best = d
-                if best <= floor_value:
-                    return best
-    return best if best is not None else 0
-
-
 def rs_search_eval_points(
     field: PrimeField,
     n: int,
@@ -221,8 +185,8 @@ def rs_search_eval_points(
     examined = 0
     for alpha in candidates:
         examined += 1
-        words = list(rs_codewords(field, n, k, alpha))
-        d = _min_insdel_distance_at_least(words, best_distance)
+        words = [w.symbols for w in rs_codewords(field, n, k, alpha)]
+        d = _min_distance(words, best_distance)
         if d > best_distance:
             best_alpha, best_distance = alpha, d
             if best_distance >= target:
@@ -301,26 +265,6 @@ def helberg_weights(q: int, s: int, count: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class HelbergWeights:
-    """Weight vector and modulus defining a Helberg code."""
-
-    q: int
-    s: int
-    weights: tuple[int, ...]
-    modulus: int
-
-    def __post_init__(self) -> None:
-        n = len(self.weights)
-        expected = helberg_weights(self.q, self.s, n + 1)
-        if self.weights != expected[:n]:
-            raise ValueError("weights do not follow the Helberg recursion")
-        if self.modulus < expected[n]:
-            raise ValueError(
-                f"modulus {self.modulus} below the required v_(n+1) = {expected[n]}"
-            )
-
-
 def helberg(
     q: int,
     n: int,
@@ -338,19 +282,17 @@ def helberg(
     if not 1 <= s < n:
         raise ValueError(f"need 1 <= s < n, got s={s}, n={n}")
     through_next = helberg_weights(q, s, n + 1)
-    weights = HelbergWeights(
-        q=q,
-        s=s,
-        weights=through_next[:n],
-        modulus=through_next[n] if m is None else m,
-    )
-    if not 0 <= a < weights.modulus:
-        raise ValueError(f"residue a must lie in 0..{weights.modulus - 1}, got {a}")
+    weights, least_modulus = through_next[:n], through_next[n]
+    modulus = least_modulus if m is None else m
+    if modulus < least_modulus:
+        raise ValueError(f"modulus {modulus} below the required v_(n+1) = {least_modulus}")
+    if not 0 <= a < modulus:
+        raise ValueError(f"residue a must lie in 0..{modulus - 1}, got {a}")
     if q**n > cap:
         raise CodeSizeError(f"{q}^{n} words exceed cap {cap}")
     members = []
     for x in itertools.product(range(q), repeat=n):
-        if sum(v * xi for v, xi in zip(weights.weights, x)) % weights.modulus == a:
+        if sum(v * xi for v, xi in zip(weights, x)) % modulus == a:
             members.append(x)
     if not members:
         raise ValueError(f"Helberg code (q={q}, n={n}, s={s}, a={a}) is empty")
@@ -380,7 +322,10 @@ def read_code(path: str | Path) -> Code:
         q, n = int(fields["q"]), int(fields["n"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed header {lines[0]!r}") from exc
-    codewords = frozenset(Word.from_text(line, q) for line in lines[1:])
+    words = [Word.from_text(line, q) for line in lines[1:]]
+    codewords = frozenset(words)
     if not codewords:
         raise ValueError(f"{path}: no codewords")
+    if len(codewords) != len(words):
+        raise ValueError(f"{path}: {len(words) - len(codewords)} duplicate codeword line(s)")
     return Code(q=q, n=n, codewords=codewords)

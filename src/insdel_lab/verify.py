@@ -14,6 +14,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .bounds import insertion_bound
@@ -21,11 +22,13 @@ from .codes import Code, vt_binary
 from .words import (
     BallSizeError,
     Word,
+    _ball,
+    _min_distance,
     all_words,
     in_insdel_ball,
     insdel_ball,
+    insdel_ball_size_bound,
     levenshtein_ball,
-    levenshtein_distance,
 )
 
 DEFAULT_OUTPUT_CAP = 10_000_000
@@ -35,12 +38,8 @@ def min_levenshtein_distance(code: Code) -> int:
     """Minimum pairwise Levenshtein distance of a code with >= 2 codewords."""
     if code.size < 2:
         raise ValueError("minimum distance needs at least two codewords")
-    words = code.sorted_words()
-    return min(
-        levenshtein_distance(a, b)
-        for i, a in enumerate(words)
-        for b in words[i + 1 :]
-    )
+    # distinct words of equal length are at least 2 apart: a pair at 2 settles it
+    return _min_distance([w.symbols for w in code.sorted_words()], 2)
 
 
 @dataclass(frozen=True)
@@ -66,13 +65,20 @@ class Verdict:
             raise ValueError("a decodable verdict cannot carry a witness")
 
 
-def _channel_tally(args: tuple[list[tuple[int, ...]], int, int, int]) -> dict:
-    """Worker: tally channel outputs for one chunk of codewords."""
-    chunk, q, t_ins, t_del = args
+def _channel_tally(
+    chunk: list[tuple[int, ...]], q: int, t_ins: int, t_del: int, stop_above: int
+) -> dict[tuple[int, ...], int]:
+    """Count, per channel output, the codewords of `chunk` that reach it.
+
+    Returns the partial tally as soon as some count exceeds stop_above.
+    """
     tally: dict[tuple[int, ...], int] = {}
     for symbols in chunk:
-        for y in insdel_ball(Word(symbols, q), t_ins, t_del):
-            tally[y.symbols] = tally.get(y.symbols, 0) + 1
+        for y in _ball(symbols, t_ins, t_del, q):
+            count = tally.get(y, 0) + 1
+            tally[y] = count
+            if count > stop_above:
+                return tally
     return tally
 
 
@@ -96,8 +102,9 @@ def list_decodable(
     With want_witness the full census runs and the witness is the shortlex
     smallest offending received word, its codeword list re-derived through the
     decoder-ball membership predicate (swapped radii) as an independent check.
-    Without it, a single-worker run may stop at the first offender.  Verdicts
-    are identical for any worker count.
+    Without it, each worker's tally stops at its first offender.  Verdicts are
+    identical for any worker count.  The ball-size cap is checked once, before
+    any enumeration.
     """
     if list_size < 1:
         raise ValueError("list size must be at least 1")
@@ -105,25 +112,29 @@ def list_decodable(
         raise ValueError("radii must be nonnegative")
     if t_del > code.n:
         raise ValueError(f"deletion radius {t_del} exceeds block length {code.n}")
+    # every codeword has length n, so one estimate covers every ball
+    estimate = insdel_ball_size_bound(code.n, t_ins, t_del, code.q)
+    if estimate > cap:
+        raise BallSizeError(estimate, cap)
     sorted_words = code.sorted_words()
-    tally: dict[tuple[int, ...], int] = {}
+    symbols = [w.symbols for w in sorted_words]
+    # a witness needs the full census, and no count can exceed the code size
+    stop_above = code.size if want_witness else list_size
     if workers <= 1:
-        for w in sorted_words:
-            for y in insdel_ball(w, t_ins, t_del, cap=cap):
-                count = tally.get(y.symbols, 0) + 1
-                tally[y.symbols] = count
-                if count > list_size and not want_witness:
-                    return Verdict(False, t_ins, t_del, list_size)
+        tally = _channel_tally(symbols, code.q, t_ins, t_del, stop_above)
     else:
-        chunks: list[list[tuple[int, ...]]] = [[] for _ in range(workers)]
-        for i, w in enumerate(sorted_words):
-            chunks[i % workers].append(w.symbols)
-        jobs = [(chunk, code.q, t_ins, t_del) for chunk in chunks if chunk]
-        # probe the cap up front so worker processes cannot die mid-merge
-        if sorted_words:
-            insdel_ball(sorted_words[0], t_ins, t_del, cap=cap)
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            for partial in pool.map(_channel_tally, jobs):
+        chunks = [symbols[i::workers] for i in range(min(workers, len(symbols)))]
+        tally = {}
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            partials = pool.map(
+                _channel_tally,
+                chunks,
+                repeat(code.q),
+                repeat(t_ins),
+                repeat(t_del),
+                repeat(stop_above),
+            )
+            for partial in partials:
                 for key, value in partial.items():
                     tally[key] = tally.get(key, 0) + value
     offenders = sorted(

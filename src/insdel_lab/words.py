@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_BALL_CAP = 10_000_000
 
@@ -92,10 +92,8 @@ def _require_same_alphabet(a: Word, b: Word) -> None:
         raise AlphabetMismatchError(f"alphabet sizes differ: {a.q} vs {b.q}")
 
 
-def lcs_length(a: Word, b: Word) -> int:
-    """Length of a longest common subsequence, by the standard quadratic DP."""
-    _require_same_alphabet(a, b)
-    s, t = a.symbols, b.symbols
+def _lcs(s: tuple[int, ...], t: tuple[int, ...]) -> int:
+    """Length of a longest common subsequence of two symbol tuples (quadratic DP)."""
     if len(s) < len(t):
         s, t = t, s
     prev = [0] * (len(t) + 1)
@@ -107,6 +105,12 @@ def lcs_length(a: Word, b: Word) -> int:
     return prev[-1]
 
 
+def lcs_length(a: Word, b: Word) -> int:
+    """Length of a longest common subsequence, by the standard quadratic DP."""
+    _require_same_alphabet(a, b)
+    return _lcs(a.symbols, b.symbols)
+
+
 def levenshtein_distance(a: Word, b: Word) -> int:
     """Minimum number of insertions plus deletions transforming `a` into `b`.
 
@@ -115,6 +119,23 @@ def levenshtein_distance(a: Word, b: Word) -> int:
     rest.
     """
     return len(a) + len(b) - 2 * lcs_length(a, b)
+
+
+def _min_distance(words: Sequence[tuple[int, ...]], stop_at: int) -> int:
+    """Minimum pairwise insdel distance of two or more symbol tuples.
+
+    Returns as soon as some pair is within stop_at, with that pair's distance;
+    this is the minimum whenever no pair can be closer than stop_at.
+    """
+    best = None
+    for i, a in enumerate(words):
+        for b in words[i + 1 :]:
+            d = len(a) + len(b) - 2 * _lcs(a, b)
+            if best is None or d < best:
+                best = d
+                if best <= stop_at:
+                    return best
+    return best
 
 
 @dataclass(frozen=True)
@@ -177,20 +198,16 @@ def insdel_ball_size_bound(length: int, t_ins: int, t_del: int, q: int) -> int:
     return dels * insertion_ball_size(length, t_ins, q)
 
 
-def _subsequences(symbols: tuple[int, ...], t_del: int) -> set[tuple[int, ...]]:
-    """All distinct subsequences obtained by deleting at most t_del positions."""
+def _ball(symbols: tuple[int, ...], t_ins: int, t_del: int, q: int) -> set[tuple[int, ...]]:
+    """All distinct tuples reachable from `symbols` by at most t_del deletions
+    followed by at most t_ins single-symbol insertions over {0, ..., q-1}."""
     n = len(symbols)
-    seen: set[tuple[int, ...]] = set()
-    for dels in range(min(t_del, n) + 1):
-        for keep in itertools.combinations(range(n), n - dels):
-            seen.add(tuple(symbols[i] for i in keep))
-    return seen
-
-
-def _supersequences(base: set[tuple[int, ...]], t_ins: int, q: int) -> set[tuple[int, ...]]:
-    """Everything reachable from `base` by at most t_ins single-symbol insertions."""
-    out = set(base)
-    frontier = set(base)
+    out = {
+        tuple(symbols[i] for i in keep)
+        for dels in range(min(t_del, n) + 1)
+        for keep in itertools.combinations(range(n), n - dels)
+    }
+    frontier = out
     for _ in range(t_ins):
         grown: set[tuple[int, ...]] = set()
         for w in frontier:
@@ -198,8 +215,9 @@ def _supersequences(base: set[tuple[int, ...]], t_ins: int, q: int) -> set[tuple
                 head, tail = w[:i], w[i:]
                 for s in range(q):
                     grown.add(head + (s,) + tail)
-        frontier = grown - out
-        out |= frontier
+        grown -= out
+        out |= grown
+        frontier = grown
     return out
 
 
@@ -218,8 +236,7 @@ def insdel_ball(x: Word, t_ins: int, t_del: int, cap: int = DEFAULT_BALL_CAP) ->
     estimate = insdel_ball_size_bound(len(x), t_ins, t_del, x.q)
     if estimate > cap:
         raise BallSizeError(estimate, cap)
-    reached = _supersequences(_subsequences(x.symbols, t_del), t_ins, x.q)
-    return {Word(symbols, x.q) for symbols in reached}
+    return {Word(symbols, x.q) for symbols in _ball(x.symbols, t_ins, t_del, x.q)}
 
 
 def levenshtein_ball(x: Word, distance: int, cap: int = DEFAULT_BALL_CAP) -> set[Word]:
@@ -234,7 +251,5 @@ def levenshtein_ball(x: Word, distance: int, cap: int = DEFAULT_BALL_CAP) -> set
     estimate = sum(insdel_ball_size_bound(len(x), ti, td, x.q) for ti, td in splits)
     if estimate > cap:
         raise BallSizeError(estimate, cap)
-    ball: set[Word] = set()
-    for t_ins, t_del in splits:
-        ball |= insdel_ball(x, t_ins, t_del, cap=cap)
-    return ball
+    ball = set().union(*(_ball(x.symbols, ti, td, x.q) for ti, td in splits))
+    return {Word(symbols, x.q) for symbols in ball}

@@ -2,10 +2,12 @@
 
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from insdel_lab.acceptance import RANDOM_CODE_SEED, _random_binary_code
 from insdel_lab.codes import Code, helberg, vt_binary
 from insdel_lab.verify import (
     Verdict,
@@ -22,7 +24,14 @@ from insdel_lab.verify import (
     unique_payload,
     verdict_payload,
 )
-from insdel_lab.words import all_words, in_insdel_ball, word, words_up_to
+from insdel_lab.words import (
+    BallSizeError,
+    all_words,
+    in_insdel_ball,
+    levenshtein_distance,
+    word,
+    words_up_to,
+)
 
 
 def cube(n: int) -> Code:
@@ -37,6 +46,18 @@ class TestMinDistance:
             q=2, n=4, codewords=frozenset({word([0] * 4, 2), word([1] * 4, 2)})
         )
         assert min_levenshtein_distance(two_words) == 8
+
+    def test_early_stop_matches_full_scan(self):
+        # the random binary subjects of acceptance criterion 8
+        rng = random.Random(RANDOM_CODE_SEED)
+        for _ in range(50):
+            n = rng.choice([5, 6, 7])
+            code = _random_binary_code(rng, n, rng.randint(4, 16))
+            full = min(
+                levenshtein_distance(a, b)
+                for a, b in itertools.combinations(code.sorted_words(), 2)
+            )
+            assert min_levenshtein_distance(code) == full
 
     def test_singleton_rejected(self):
         with pytest.raises(ValueError):
@@ -117,6 +138,18 @@ class TestListDecodable:
         with pytest.raises(ValueError):
             list_decodable(cube(2), 0, 3, 1)
 
+    def test_cap_checked_before_enumerating(self):
+        # VT_0(6) at (1, 1): the size bound is 7 * 9 = 63
+        code = vt_binary(6, 0)
+        for workers in (1, 2):
+            for want_witness in (False, True):
+                with pytest.raises(BallSizeError) as excinfo:
+                    list_decodable(
+                        code, 1, 1, 2, want_witness=want_witness, cap=62, workers=workers
+                    )
+                assert excinfo.value.estimate == 63
+            assert list_decodable(code, 1, 1, 2, cap=63, workers=workers).decodable is False
+
     def test_decodable_verdict_never_carries_witness(self):
         with pytest.raises(ValueError):
             Verdict(
@@ -187,6 +220,13 @@ class TestBoundRegion:
         assert not report.skipped
         assert report.checked == ((0, 0), (1, 0), (0, 1))
         assert not report.beats_unique_decoding  # 1/3 < 2/3
+
+    def test_region_check_skips_pairs_over_cap(self):
+        # size bounds for n=6, q=2: 1 at (0,0), 9 at (1,0), 7 at (0,1)
+        report = check_bound_region(vt_binary(6, 0), 2, cap=8)
+        assert report.ok
+        assert report.checked == ((0, 0), (0, 1))
+        assert report.skipped == ((1, 0),)
 
     def test_region_check_vt8_list3(self):
         report = check_bound_region(vt_binary(8, 0), 3)
