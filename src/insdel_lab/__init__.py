@@ -52,7 +52,6 @@ from .verify import (
     UniqueDecodingReport,
     Verdict,
     Witness,
-    binary_vt_distance4_onset,
     bound_region_pairs,
     check_ball_containment,
     check_bound_region,

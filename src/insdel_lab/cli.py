@@ -7,6 +7,7 @@ checked property fails or a resource cap is hit, 2 on invalid input.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from fractions import Fraction
@@ -50,14 +51,28 @@ from .verify import (
     check_bound_region,
     list_decodable,
     min_levenshtein_distance,
-    region_payload,
-    verdict_payload,
 )
-from .words import BallSizeError
+from .words import BallSizeError, Word
 
 
-def _echo_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, sort_keys=True, indent=2))
+def _plain(value):
+    """JSON form of a library result: the one place results become JSON.
+
+    A Word becomes its text, a Fraction its exact string and a dataclass the
+    dict of its fields; json itself turns tuples into lists and recurses into
+    lists, dicts and whatever this returns.
+    """
+    if isinstance(value, Word):
+        return value.to_text()
+    if isinstance(value, Fraction):
+        return str(value)
+    if dataclasses.is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+def _echo_json(result) -> None:
+    click.echo(json.dumps(result, default=_plain, sort_keys=True, indent=2))
 
 
 def _parse_exact(text: str, name: str) -> Fraction:
@@ -123,28 +138,28 @@ def bound_rho(delta_text, list_size, tau_text, csv_path, points) -> None:
     delta = _parse_exact(delta_text, "delta")
     payload: dict = {
         "bound": "piecewise-linear insertion bound",
-        "delta": str(delta),
+        "delta": delta,
         "list_size": list_size,
     }
     if tau_text is not None:
         tau = _parse_exact(tau_text, "tau-d")
         value = insertion_bound(delta, list_size, 1 - tau)
         payload |= {
-            "tau_d": str(tau),
-            "value": str(value),
+            "tau_d": tau,
+            "value": value,
             "value_float": float(value),
-            "unique_decoding": str(unique_decoding_bound(delta, tau)) if tau < delta else None,
+            "unique_decoding": unique_decoding_bound(delta, tau) if tau < delta else None,
         }
     else:
         pieces = insertion_bound_piecewise(delta, list_size)
         payload |= {
             "r_min": pieces.r_min,
-            "breakpoints": [str(b) for b in pieces.breakpoints()],
+            "breakpoints": pieces.breakpoints(),
             "pieces": [
                 {
-                    "interval": [str(p.lower), str(p.upper)],
-                    "slope": str(p.slope),
-                    "intercept": str(p.intercept),
+                    "interval": (p.lower, p.upper),
+                    "slope": p.slope,
+                    "intercept": p.intercept,
                     "r": p.r,
                 }
                 for p in pieces.pieces
@@ -168,11 +183,11 @@ def bound_hy(delta_text, list_size, tau_text, tau_ins_text, csv_path, points) ->
     x = 1 - tau
     payload = {
         "bound": "HY quadratic bound",
-        "delta": str(delta),
+        "delta": delta,
         "list_size": list_size,
-        "tau_d": str(tau),
-        "phi1": str(hy_quadratic1(delta, x)),
-        "phi2": str(hy_quadratic2(delta, list_size, x)),
+        "tau_d": tau,
+        "phi1": hy_quadratic1(delta, x),
+        "phi2": hy_quadratic2(delta, list_size, x),
         "phi2_float": float(hy_quadratic2(delta, list_size, x)),
     }
     if tau_ins_text is not None:
@@ -190,17 +205,8 @@ def bound_hy(delta_text, list_size, tau_text, tau_ins_text, csv_path, points) ->
 def bound_compare(delta_text, list_size, csv_path, points) -> None:
     """Where the piecewise-linear bound beats the HY quadratic."""
     delta = _parse_exact(delta_text, "delta")
-    report = comparison_report(delta, list_size)
-    payload = {
-        "delta": report.delta,
-        "list_size": report.list_size,
-        "delta1": report.delta1,
-        "beta2": report.beta2,
-        "interval_tau_d": list(report.interval) if report.interval else None,
-        "p1": list(report.p1) if report.p1 else None,
-        "p2": list(report.p2) if report.p2 else None,
-        "extra_crossings": report.extra_crossings,
-    }
+    payload = _plain(comparison_report(delta, list_size))
+    payload["interval_tau_d"] = payload.pop("interval")
     _write_bound_csv(payload, delta, list_size, csv_path, points)
     _echo_json(payload)
 
@@ -360,14 +366,7 @@ def code_rs_search(p, n, k, target, budget, seed, out) -> None:
     """Search evaluation points maximizing the minimum Levenshtein distance."""
     field = PrimeField(p)
     result = rs_search_eval_points(field, n, k, target=target, budget=budget, seed=seed)
-    payload = {
-        "alpha": list(result.alpha),
-        "achieved": result.achieved,
-        "target": result.target,
-        "met_target": result.met_target,
-        "examined": result.examined,
-        "exhaustive": result.exhaustive,
-    }
+    payload = _plain(result)
     if out is not None:
         write_code(rs_code(field, n, k, result.alpha), out)
         payload["out"] = out
@@ -414,7 +413,7 @@ def verify_list_decodable(code_path, ti, td, list_size, witness, cap, workers) -
     verdict = list_decodable(
         loaded, ti, td, list_size, want_witness=witness, cap=cap, workers=workers
     )
-    _echo_json(verdict_payload(verdict))
+    _echo_json(verdict)
     if not verdict.decodable:
         raise SystemExit(1)
 
@@ -429,7 +428,7 @@ def verify_theorem(code_path, list_size, cap, workers) -> None:
     """Check every integer radius pair inside the bound's guaranteed region."""
     loaded = read_code(code_path)
     report = check_bound_region(loaded, list_size, cap=cap, workers=workers)
-    _echo_json(region_payload(report))
+    _echo_json(_plain(report) | {"ok": report.ok})
     if not report.ok:
         raise SystemExit(1)
 
@@ -478,7 +477,7 @@ def figure_fig2(delta_text, sizes_text, out, points) -> None:
 @_guarded
 def figure_fig3(list_size, rates_text, out, points) -> None:
     """Tolerable radius frontier per code rate with delta = 1 - 2R."""
-    rates = tuple(as_fraction(part) for part in rates_text.split(","))
+    rates = tuple(_parse_exact(part, "rates") for part in rates_text.split(","))
     figures.write_rows(figures.rate_region_rows(list_size, rates, points), out)
     _echo_json({"figure": "fig3", "out": out, "points": points})
 

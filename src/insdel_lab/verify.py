@@ -11,6 +11,7 @@ asserts its equivalence with direct channel simulation on small instances.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +19,7 @@ from itertools import repeat
 from typing import Iterable, Sequence
 
 from .bounds import insertion_bound
-from .codes import Code, vt_binary
+from .codes import Code
 from .words import (
     BallSizeError,
     Word,
@@ -103,8 +104,8 @@ def list_decodable(
     smallest offending received word, its codeword list re-derived through the
     decoder-ball membership predicate (swapped radii) as an independent check.
     Without it, each worker's tally stops at its first offender.  Verdicts are
-    identical for any worker count.  The ball-size cap is checked once, before
-    any enumeration.
+    identical for any worker count; at most os.cpu_count() worker processes
+    are started.  The ball-size cap is checked once, before any enumeration.
     """
     if list_size < 1:
         raise ValueError("list size must be at least 1")
@@ -120,6 +121,8 @@ def list_decodable(
     symbols = [w.symbols for w in sorted_words]
     # a witness needs the full census, and no count can exceed the code size
     stop_above = code.size if want_witness else list_size
+    # more processes than CPUs only add start-up cost; cpu_count may be None
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         tally = _channel_tally(symbols, code.q, t_ins, t_del, stop_above)
     else:
@@ -330,65 +333,3 @@ def check_ball_containment(
             if not ball <= cover:
                 failures.append((y, t_ins, t_del))
     return failures
-
-
-def verdict_payload(verdict: Verdict) -> dict:
-    """Canonical JSON-ready form of a verdict; field order and content are
-    deterministic so serialized verdicts can be compared byte for byte."""
-    payload: dict = {
-        "decodable": verdict.decodable,
-        "t_ins": verdict.t_ins,
-        "t_del": verdict.t_del,
-        "list_size": verdict.list_size,
-        "witness": None,
-    }
-    if verdict.witness is not None:
-        payload["witness"] = {
-            "received": verdict.witness.received.to_text(),
-            "codewords": [w.to_text() for w in verdict.witness.codewords],
-        }
-    return payload
-
-
-def region_payload(report: RegionReport) -> dict:
-    """Canonical JSON-ready form of a bound-region report."""
-    return {
-        "n": report.n,
-        "distance": report.distance,
-        "delta": str(report.delta),
-        "list_size": report.list_size,
-        "checked": [list(pair) for pair in report.checked],
-        "violations": [verdict_payload(v) for v in report.violations],
-        "skipped": [list(pair) for pair in report.skipped],
-        "beats_unique_decoding": report.beats_unique_decoding,
-        "ok": report.ok,
-    }
-
-
-def unique_payload(report: UniqueDecodingReport) -> dict:
-    """Canonical JSON-ready form of a unique-decoding report."""
-    return {
-        "distance": report.distance,
-        "radius": report.radius,
-        "checked": [list(pair) for pair in report.checked],
-        "failures": [verdict_payload(v) for v in report.failures],
-        "ok": report.ok,
-    }
-
-
-def binary_vt_distance4_onset(max_n: int) -> int | None:
-    """Smallest n <= max_n at which some binary VT code has distance exactly 4.
-
-    The construction guarantees minimum Levenshtein distance at least 4 for
-    every residue; this reports where that floor is first attained instead of
-    assuming it.  Residue classes with fewer than two codewords are ignored.
-    """
-    for n in range(2, max_n + 1):
-        distances = []
-        for a in range(n + 1):
-            code = vt_binary(n, a)
-            if code.size >= 2:
-                distances.append(min_levenshtein_distance(code))
-        if distances and min(distances) == 4:
-            return n
-    return None

@@ -101,6 +101,16 @@ class TestBoundCommands:
 
     def test_compare_landmarks(self):
         payload = payload_of(run("bound", "compare", "--delta", "0.9", "--list-size", "2"))
+        assert set(payload) == {
+            "delta",
+            "list_size",
+            "delta1",
+            "beta2",
+            "interval_tau_d",
+            "p1",
+            "p2",
+            "extra_crossings",
+        }
         assert payload["p2"] == [0.7, 0.2]
         assert payload["interval_tau_d"][1] == 0.7
         assert payload["extra_crossings"] is False
@@ -206,6 +216,15 @@ class TestCodeCommands:
         payload = payload_of(
             run("code", "rs-search", "--p", "5", "--n", "4", "--k", "1", "--out", str(out))
         )
+        assert set(payload) == {
+            "alpha",
+            "achieved",
+            "target",
+            "met_target",
+            "examined",
+            "exhaustive",
+            "out",
+        }
         assert payload["achieved"] == 8
         assert payload["met_target"] is True
         assert payload["exhaustive"] is True
@@ -229,7 +248,10 @@ class TestVerifyCommands:
             "2",
         )
         assert result.exit_code == 0
-        assert json.loads(result.output)["decodable"] is True
+        payload = json.loads(result.output)
+        assert set(payload) == {"decodable", "t_ins", "t_del", "list_size", "witness"}
+        assert payload["decodable"] is True
+        assert payload["witness"] is None
 
     def test_list_decodable_failure_with_witness(self, tmp_path):
         out = tmp_path / "cube.code"
@@ -255,7 +277,9 @@ class TestVerifyCommands:
         assert result.exit_code == 1
         payload = json.loads(result.output)
         assert payload["decodable"] is False
+        assert set(payload["witness"]) == {"received", "codewords"}
         assert payload["witness"]["received"] == "0,0,0,1"
+        assert payload["witness"]["codewords"] == ["0,0,0", "0,0,1"]
 
     def test_theorem_pass(self, tmp_path):
         out = tmp_path / "vt6.code"
@@ -263,7 +287,19 @@ class TestVerifyCommands:
         result = run("verify", "theorem", "--code", str(out), "--list-size", "2")
         assert result.exit_code == 0
         payload = json.loads(result.output)
+        assert set(payload) == {
+            "n",
+            "distance",
+            "delta",
+            "list_size",
+            "checked",
+            "violations",
+            "skipped",
+            "beats_unique_decoding",
+            "ok",
+        }
         assert payload["ok"] is True
+        assert payload["delta"] == "1/3"
         assert payload["checked"] == [[0, 0], [1, 0], [0, 1]]
 
     def test_missing_code_file_exit_two(self):
@@ -334,7 +370,8 @@ class TestFigureCommands:
 
     def test_fig3_invalid_rate_exit_two(self, tmp_path):
         out = tmp_path / "bad.csv"
-        result = run(
-            "figure", "fig3", "--list-size", "2", "--rates", "0.5", "--out", str(out)
-        )
-        assert result.exit_code == 2
+        for rates in ("0.5", "1/0"):
+            result = run(
+                "figure", "fig3", "--list-size", "2", "--rates", rates, "--out", str(out)
+            )
+            assert result.exit_code == 2

@@ -1,18 +1,17 @@
 """Brute-force decodability checks, the radius swap, and region harnesses."""
 
 import itertools
-import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from insdel_lab import verify
 from insdel_lab.acceptance import RANDOM_CODE_SEED, _random_binary_code
 from insdel_lab.codes import Code, helberg, vt_binary
 from insdel_lab.verify import (
     Verdict,
     Witness,
-    binary_vt_distance4_onset,
     bound_region_pairs,
     check_ball_containment,
     check_bound_region,
@@ -20,9 +19,6 @@ from insdel_lab.verify import (
     decoder_ball_matches_channel,
     list_decodable,
     min_levenshtein_distance,
-    region_payload,
-    unique_payload,
-    verdict_payload,
 )
 from insdel_lab.words import (
     BallSizeError,
@@ -110,18 +106,26 @@ class TestListDecodable:
                         for ls2 in range(ls, 4):
                             assert verdicts[(ti2, td2, ls2)]
 
-    def test_worker_counts_agree(self):
+    def test_worker_counts_agree(self, monkeypatch):
+        # two CPUs on any host, so workers=2 and 3 both run the pool
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         code = vt_binary(6, 0)
-        payloads = [
-            json.dumps(
-                verdict_payload(
-                    list_decodable(code, 1, 1, 2, want_witness=True, workers=w)
-                ),
-                sort_keys=True,
-            )
+        verdicts = [
+            list_decodable(code, 1, 1, 2, want_witness=True, workers=w)
             for w in (1, 2, 3)
         ]
-        assert payloads[0] == payloads[1] == payloads[2]
+        assert verdicts[0] == verdicts[1] == verdicts[2]
+        assert verdicts[0].witness is not None
+
+    def test_workers_clamped_to_cpu_count(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single CPU must not start a process pool")
+
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+        code = vt_binary(6, 0)
+        serial = list_decodable(code, 1, 1, 2, want_witness=True, workers=1)
+        assert list_decodable(code, 1, 1, 2, want_witness=True, workers=2) == serial
 
     def test_early_exit_and_census_verdicts_agree(self):
         code = cube(3)
@@ -253,35 +257,3 @@ class TestBallContainment:
         samples = list(words_up_to(2, 3))
         radii = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
         assert check_ball_containment(samples, radii) == []
-
-
-class TestPayloads:
-    def test_verdict_payload_round_trips_through_json(self):
-        verdict = list_decodable(cube(3), 1, 0, 1, want_witness=True)
-        payload = verdict_payload(verdict)
-        restored = json.loads(json.dumps(payload))
-        assert restored["decodable"] is False
-        assert restored["witness"]["received"] == "0,0,0,1"
-        assert restored["witness"]["codewords"] == ["0,0,0", "0,0,1"]
-
-    def test_region_payload_shape(self):
-        payload = region_payload(check_bound_region(vt_binary(6, 0), 2))
-        assert payload["delta"] == "1/3"
-        assert payload["ok"] is True
-        assert payload["checked"] == [[0, 0], [1, 0], [0, 1]]
-        json.dumps(payload)
-
-    def test_unique_payload_shape(self):
-        payload = unique_payload(check_unique_vs_list(helberg(2, 5, 2, 0)))
-        assert payload["distance"] == 6
-        assert payload["ok"] is True
-        json.dumps(payload)
-
-
-class TestDistanceOnset:
-    def test_attained_immediately(self):
-        assert binary_vt_distance4_onset(4) == 2
-        assert binary_vt_distance4_onset(2) == 2
-
-    def test_empty_range(self):
-        assert binary_vt_distance4_onset(1) is None
