@@ -109,6 +109,8 @@ def list_decodable(
     """
     if list_size < 1:
         raise ValueError("list size must be at least 1")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if t_ins < 0 or t_del < 0:
         raise ValueError("radii must be nonnegative")
     if t_del > code.n:
@@ -277,6 +279,8 @@ def check_bound_region(
     relative distance reaches 1 (two symbol-disjoint codewords and nothing
     else) are rejected: the bound is formulated for delta < 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     distance = min_levenshtein_distance(code)
     delta = Fraction(distance, 2 * code.n)
     if delta >= 1:

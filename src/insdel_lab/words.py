@@ -92,21 +92,40 @@ def _require_same_alphabet(a: Word, b: Word) -> None:
         raise AlphabetMismatchError(f"alphabet sizes differ: {a.q} vs {b.q}")
 
 
-def _lcs(s: tuple[int, ...], t: tuple[int, ...]) -> int:
-    """Length of a longest common subsequence of two symbol tuples (quadratic DP)."""
-    if len(s) < len(t):
-        s, t = t, s
-    prev = [0] * (len(t) + 1)
+def _match_masks(t: tuple[int, ...]) -> dict[int, int]:
+    """Per-symbol match masks of `t`: bit j of masks[y] is set iff t[j] == y."""
+    masks: dict[int, int] = {}
+    for j, y in enumerate(t):
+        masks[y] = masks.get(y, 0) | 1 << j
+    return masks
+
+
+def _lcs_masked(s: tuple[int, ...], masks: dict[int, int], n: int) -> int:
+    """LCS length of `s` and the length-n tuple whose match masks are `masks`.
+
+    Bit-parallel (Allison & Dix 1986; Hyyrö 2004): the zero bits of v mark the
+    columns where the LCS row value steps up, so each symbol of `s` costs a
+    few n-bit integer operations instead of n DP cells.
+    """
+    full = (1 << n) - 1
+    v = full
     for x in s:
-        curr = [0]
-        for j, y in enumerate(t, start=1):
-            curr.append(prev[j - 1] + 1 if x == y else max(prev[j], curr[-1]))
-        prev = curr
-    return prev[-1]
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return n - v.bit_count()
+
+
+def _lcs(s: tuple[int, ...], t: tuple[int, ...]) -> int:
+    """Length of a longest common subsequence of two symbol tuples."""
+    return _lcs_masked(s, _match_masks(t), len(t))
 
 
 def lcs_length(a: Word, b: Word) -> int:
-    """Length of a longest common subsequence, by the standard quadratic DP."""
+    """Length of a longest common subsequence, by bit-parallel LCS.
+
+    One pass over `a` with len(b)-bit integer operations (Allison & Dix, IPL
+    1986; Hyyrö, "Bit-parallel LCS-length computation revisited", 2004).
+    """
     _require_same_alphabet(a, b)
     return _lcs(a.symbols, b.symbols)
 
@@ -125,12 +144,14 @@ def _min_distance(words: Sequence[tuple[int, ...]], stop_at: int) -> int:
     """Minimum pairwise insdel distance of two or more symbol tuples.
 
     Returns as soon as some pair is within stop_at, with that pair's distance;
-    this is the minimum whenever no pair can be closer than stop_at.
+    this is the minimum whenever no pair can be closer than stop_at.  Each
+    word's match masks are built once per call, not once per pair.
     """
+    masks = [_match_masks(w) for w in words]
     best = None
     for i, a in enumerate(words):
-        for b in words[i + 1 :]:
-            d = len(a) + len(b) - 2 * _lcs(a, b)
+        for b, b_masks in zip(words[i + 1 :], masks[i + 1 :]):
+            d = len(a) + len(b) - 2 * _lcs_masked(a, b_masks, len(b))
             if best is None or d < best:
                 best = d
                 if best <= stop_at:
@@ -171,7 +192,8 @@ def minimal_insdel_pair(a: Word, b: Word) -> InsdelPair:
 def in_insdel_ball(target: Word, centre: Word, t_ins: int, t_del: int) -> bool:
     """True iff `target` is reachable from `centre` within the given budgets.
 
-    Lazy membership test: O(len(target) * len(centre)) time, no enumeration.
+    Lazy membership test, no enumeration: O(len(centre)) big-int steps on
+    len(target)-bit integers.
     """
     _require_same_alphabet(target, centre)
     return minimal_insdel_pair(centre, target).within(t_ins, t_del)

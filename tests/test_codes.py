@@ -7,6 +7,7 @@ import pytest
 from insdel_lab.codes import (
     Code,
     CodeSizeError,
+    EvalPointSearchResult,
     PrimeField,
     helberg,
     helberg_weights,
@@ -116,6 +117,23 @@ class TestReedSolomon:
         first = rs_search_eval_points(PrimeField(7), 5, 2, budget=8, seed=3)
         second = rs_search_eval_points(PrimeField(7), 5, 2, budget=8, seed=3)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "seed, alpha",
+        [(0, (6, 3, 5, 0, 1)), (1, (1, 4, 0, 2, 5)), (2, (6, 0, 5, 4, 1))],
+    )
+    def test_eval_point_search_pinned(self, seed, alpha):
+        # the winner depends on the exact stop value of each pairwise scan, so
+        # any LCS kernel must reproduce these tuples, recorded with the DP
+        result = rs_search_eval_points(PrimeField(7), 5, 2, budget=300, seed=seed)
+        assert result == EvalPointSearchResult(
+            alpha=alpha,
+            achieved=4,
+            target=6,
+            met_target=False,
+            examined=300,
+            exhaustive=False,
+        )
 
 
 class TestVarshamovTenengolts:

@@ -127,6 +127,11 @@ class TestListDecodable:
         serial = list_decodable(code, 1, 1, 2, want_witness=True, workers=1)
         assert list_decodable(code, 1, 1, 2, want_witness=True, workers=2) == serial
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            list_decodable(vt_binary(6, 0), 1, 1, 2, workers=workers)
+
     def test_early_exit_and_census_verdicts_agree(self):
         code = cube(3)
         fast = list_decodable(code, 1, 0, 1)
@@ -243,6 +248,15 @@ class TestBoundRegion:
         assert report.ok
         assert report.beats_unique_decoding  # 3/5 > 2/4
         assert len(report.checked) == 7
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers, monkeypatch):
+        def no_distance(code):
+            raise AssertionError("a bad worker count must be rejected first")
+
+        monkeypatch.setattr(verify, "min_levenshtein_distance", no_distance)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            check_bound_region(vt_binary(6, 0), 2, workers=workers)
 
     def test_full_distance_rejected(self):
         two_words = Code(

@@ -1,6 +1,7 @@
 """Word metrics and ball enumeration, checked against brute-force oracles."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from insdel_lab.words import (
     AlphabetMismatchError,
     BallSizeError,
     Word,
+    _min_distance,
     all_words,
     in_insdel_ball,
     insdel_ball,
@@ -39,6 +41,34 @@ def brute_lcs(a: Word, b: Word) -> int:
     return max(len(s) for s in common)
 
 
+def dp_lcs(s: tuple[int, ...], t: tuple[int, ...]) -> int:
+    """Oracle: longest common subsequence by the quadratic DP."""
+    prev = [0] * (len(t) + 1)
+    for x in s:
+        curr = [0]
+        for j, y in enumerate(t, start=1):
+            curr.append(prev[j - 1] + 1 if x == y else max(prev[j], curr[-1]))
+        prev = curr
+    return prev[-1]
+
+
+def dp_min_distance(words: list[tuple[int, ...]], stop_at: int) -> int:
+    """Oracle: the pairwise scan of _min_distance, with the DP for each pair."""
+    best = None
+    for i, a in enumerate(words):
+        for b in words[i + 1 :]:
+            d = len(a) + len(b) - 2 * dp_lcs(a, b)
+            if best is None or d < best:
+                best = d
+                if best <= stop_at:
+                    return best
+    return best
+
+
+def random_tuple(rng: random.Random, q: int, length: int) -> tuple[int, ...]:
+    return tuple(rng.randrange(q) for _ in range(length))
+
+
 class TestLcsAndDistance:
     def test_frozen_example(self):
         a, b = word([1, 0, 0, 1], 2), word([0, 1, 1, 0], 2)
@@ -51,6 +81,41 @@ class TestLcsAndDistance:
         for a in vocabulary:
             for b in vocabulary:
                 assert lcs_length(a, b) == brute_lcs(a, b)
+
+    def test_matches_dp_oracle_on_random_pairs(self):
+        # lengths straddle the 64-bit boundary; equal and unequal lengths
+        rng = random.Random(20220)
+        lengths = [0, 1, 2, 7, 31, 63, 64, 65, 100, 127, 128, 129, 130]
+        for q in range(2, 8):
+            for _ in range(12):
+                la = rng.choice(lengths)
+                lb = la if rng.random() < 0.5 else rng.choice(lengths)
+                a = word(random_tuple(rng, q, la), q)
+                b = word(random_tuple(rng, q, lb), q)
+                expected = dp_lcs(a.symbols, b.symbols)
+                assert lcs_length(a, b) == expected
+                assert lcs_length(b, a) == expected
+
+    def test_min_distance_matches_dp_oracle(self):
+        rng = random.Random(4)
+        for q in range(2, 8):
+            for _ in range(4):
+                n = rng.randint(1, 70)
+                words = [
+                    random_tuple(rng, q, rng.choice([n, rng.randint(0, 70)]))
+                    for _ in range(rng.randint(2, 6))
+                ]
+                true_min = min(
+                    len(a) + len(b) - 2 * dp_lcs(a, b)
+                    for a, b in itertools.combinations(words, 2)
+                )
+                # full scan: no pair is within a stop value below the minimum
+                assert _min_distance(words, true_min - 1) == true_min
+                # early return: the first running minimum within stop_at
+                for stop_at in (true_min, true_min + 2, true_min + 10):
+                    got = _min_distance(words, stop_at)
+                    assert got == dp_min_distance(words, stop_at)
+                    assert true_min <= got <= stop_at
 
     def test_empty_word_cases(self):
         empty = word([], 2)
