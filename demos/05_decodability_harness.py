@@ -4,14 +4,14 @@ The channel applies up to t_ins insertions and t_del deletions.  A code is
 (t_ins, t_del, L)-list-decodable when no received word can have come from
 more than L codewords; the harness tallies every channel output to decide
 this exactly, and the region check sweeps every integer radius pair that the
-piecewise-linear bound guarantees.
+piecewise-linear bound guarantees.  At list size 1 that region is unique
+decoding: every split with t_ins + t_del below half the distance.
 """
 
 from insdel_lab import (
     Code,
     all_words,
     check_bound_region,
-    check_unique_vs_list,
     helberg,
     list_decodable,
     vt_binary,
@@ -29,8 +29,8 @@ print()
 
 print("== unique decoding inside half the distance ==")
 code = helberg(2, 5, 2, 0)
-report = check_unique_vs_list(code)
-print(f"  Helberg q=2 n=5 s=2: distance {report.distance}, radius {report.radius}")
+report = check_bound_region(code, 1)
+print(f"  Helberg q=2 n=5 s=2: distance {report.distance}, radius {(report.distance - 1) // 2}")
 print(f"  radius splits checked: {report.checked}")
 print(f"  all uniquely decodable: {report.ok}")
 print()

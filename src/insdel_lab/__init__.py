@@ -49,13 +49,11 @@ from .combinatorics import (
 )
 from .verify import (
     RegionReport,
-    UniqueDecodingReport,
     Verdict,
     Witness,
     bound_region_pairs,
     check_ball_containment,
     check_bound_region,
-    check_unique_vs_list,
     decoder_ball_matches_channel,
     list_decodable,
     min_levenshtein_distance,

@@ -47,6 +47,11 @@ from .words import Word, all_words, words_up_to
 
 RANDOM_CODE_SEED = 2024
 
+# Criterion 5's grid: delta = i / GRID_DELTA_DENOMINATOR for i = 1..20, and
+# GRID_STEPS + 1 = 1000 equally spaced x across [1 - delta, 1].
+GRID_DELTA_DENOMINATOR = 21
+GRID_STEPS = 999
+
 
 @dataclass
 class CriterionResult:
@@ -136,8 +141,8 @@ def criterion_bound_consistency() -> CriterionResult:
         5, "insertion bound: max form == pieces on 20x11 grid x 1000 points", True
     )
     for L in range(2, 13):
-        for i in range(1, 21):
-            delta = Fraction(i, 21)
+        for i in range(1, GRID_DELTA_DENOMINATOR):
+            delta = Fraction(i, GRID_DELTA_DENOMINATOR)
             pieces = insertion_bound_piecewise(delta, L)
             threshold_r_min = next(
                 r
@@ -146,13 +151,15 @@ def criterion_bound_consistency() -> CriterionResult:
             )
             if pieces.r_min != threshold_r_min or len(pieces.pieces) != L - threshold_r_min + 1:
                 return _fail(res, f"(delta={delta}, L={L}): piece structure")
-            step = delta / 999
-            for k in range(1000):
-                x = (1 - delta) + step * k
+            # x = (1 - delta) + delta * k / GRID_STEPS, built as one Fraction
+            base = GRID_STEPS * (GRID_DELTA_DENOMINATOR - i)
+            denominator = GRID_STEPS * GRID_DELTA_DENOMINATOR
+            for k in range(GRID_STEPS + 1):
+                x = Fraction(base + i * k, denominator)
                 direct = insertion_bound(delta, L, x)
                 if direct != pieces.evaluate(x):
                     return _fail(res, f"(delta={delta}, L={L}, x={x}): mismatch")
-                if x > 1 - delta and direct <= 0:
+                if k > 0 and direct <= 0:
                     return _fail(res, f"(delta={delta}, L={L}, x={x}): not positive")
     return res
 

@@ -38,6 +38,7 @@ from .codes import (
     write_code,
 )
 from .combinatorics import (
+    DEFAULT_FAMILY_CAP,
     EnumerationCapError,
     alternating_binomial_sum,
     count_v_covers,
@@ -52,7 +53,7 @@ from .verify import (
     list_decodable,
     min_levenshtein_distance,
 )
-from .words import BallSizeError, Word
+from .words import DEFAULT_BALL_CAP, BallSizeError, Word
 
 
 def _plain(value):
@@ -230,7 +231,7 @@ def _identity_result(inputs: dict, value, oracle_value) -> None:
 @click.option("--j", type=int, required=True)
 @click.option("--ell", type=int, required=True)
 @click.option("--v", type=int, required=True)
-@click.option("--cap", type=int, default=10**8, show_default=True)
+@click.option("--cap", type=int, default=DEFAULT_FAMILY_CAP, show_default=True)
 @_guarded
 def identity_covers(j, ell, v, cap) -> None:
     """Cover-count recursion versus brute-force family enumeration."""
@@ -404,7 +405,7 @@ def verify_mindist(code_path) -> None:
 @click.option("--td", type=int, required=True, help="channel deletion radius")
 @click.option("--list-size", type=int, required=True)
 @click.option("--witness", is_flag=True, help="census the smallest offending received word")
-@click.option("--cap", type=int, default=10_000_000, show_default=True)
+@click.option("--cap", type=int, default=DEFAULT_BALL_CAP, show_default=True)
 @click.option("--workers", type=int, default=1, show_default=True)
 @_guarded
 def verify_list_decodable(code_path, ti, td, list_size, witness, cap, workers) -> None:
@@ -421,13 +422,12 @@ def verify_list_decodable(code_path, ti, td, list_size, witness, cap, workers) -
 @verify.command("theorem")
 @click.option("--code", "code_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--list-size", type=int, required=True)
-@click.option("--cap", type=int, default=10_000_000, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--cap", type=int, default=DEFAULT_BALL_CAP, show_default=True)
 @_guarded
-def verify_theorem(code_path, list_size, cap, workers) -> None:
+def verify_theorem(code_path, list_size, cap) -> None:
     """Check every integer radius pair inside the bound's guaranteed region."""
     loaded = read_code(code_path)
-    report = check_bound_region(loaded, list_size, cap=cap, workers=workers)
+    report = check_bound_region(loaded, list_size, cap=cap)
     _echo_json(_plain(report) | {"ok": report.ok})
     if not report.ok:
         raise SystemExit(1)

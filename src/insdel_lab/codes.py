@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from math import comb, perm
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .words import Word, _min_distance
 
@@ -202,6 +202,22 @@ def rs_search_eval_points(
     )
 
 
+def _filtered_code(
+    q: int, n: int, cap: int, member: Callable[[tuple[int, ...]], bool], empty: str
+) -> Code:
+    """The q-ary words of length n that satisfy `member`, in one code.
+
+    Raises CodeSizeError when the q^n candidates exceed `cap`, before any is
+    built, and ValueError with the message `empty` when none qualifies.
+    """
+    if q**n > cap:
+        raise CodeSizeError(f"{q}^{n} words exceed cap {cap}")
+    members = list(filter(member, itertools.product(range(q), repeat=n)))
+    if not members:
+        raise ValueError(empty)
+    return Code(q=q, n=n, codewords=frozenset(Word(w, q) for w in members))
+
+
 def vt_binary(n: int, a: int, cap: int = DEFAULT_CODE_CAP) -> Code:
     """Binary Varshamov-Tenengolts code VT_a(n).
 
@@ -212,16 +228,13 @@ def vt_binary(n: int, a: int, cap: int = DEFAULT_CODE_CAP) -> Code:
         raise ValueError("need n >= 1")
     if not 0 <= a <= n:
         raise ValueError(f"residue a must lie in 0..n, got {a}")
-    if 2**n > cap:
-        raise CodeSizeError(f"2^{n} words exceed cap {cap}")
-    members = [
-        c
-        for c in itertools.product((0, 1), repeat=n)
-        if sum(i * ci for i, ci in enumerate(c, start=1)) % (n + 1) == a
-    ]
-    if not members:
-        raise ValueError(f"VT_{a}({n}) is empty")
-    return Code(q=2, n=n, codewords=frozenset(Word(c, 2) for c in members))
+    return _filtered_code(
+        2,
+        n,
+        cap,
+        lambda c: sum(i * ci for i, ci in enumerate(c, start=1)) % (n + 1) == a,
+        f"VT_{a}({n}) is empty",
+    )
 
 
 def vt_qary(n: int, q: int, a: int, b: int, cap: int = DEFAULT_CODE_CAP) -> Code:
@@ -239,16 +252,14 @@ def vt_qary(n: int, q: int, a: int, b: int, cap: int = DEFAULT_CODE_CAP) -> Code
         raise ValueError(f"residue a must lie in 0..n-1, got {a}")
     if not 0 <= b < q:
         raise ValueError(f"residue b must lie in 0..q-1, got {b}")
-    if q**n > cap:
-        raise CodeSizeError(f"{q}^{n} words exceed cap {cap}")
-    members = []
-    for s in itertools.product(range(q), repeat=n):
+
+    def member(s: tuple[int, ...]) -> bool:
         steps = sum(i for i in range(1, n) if s[i] >= s[i - 1])
-        if steps % n == a and sum(s) % q == b:
-            members.append(s)
-    if not members:
-        raise ValueError(f"q-ary VT code (n={n}, q={q}, a={a}, b={b}) is empty")
-    return Code(q=q, n=n, codewords=frozenset(Word(s, q) for s in members))
+        return steps % n == a and sum(s) % q == b
+
+    return _filtered_code(
+        q, n, cap, member, f"q-ary VT code (n={n}, q={q}, a={a}, b={b}) is empty"
+    )
 
 
 def helberg_weights(q: int, s: int, count: int) -> tuple[int, ...]:
@@ -288,15 +299,13 @@ def helberg(
         raise ValueError(f"modulus {modulus} below the required v_(n+1) = {least_modulus}")
     if not 0 <= a < modulus:
         raise ValueError(f"residue a must lie in 0..{modulus - 1}, got {a}")
-    if q**n > cap:
-        raise CodeSizeError(f"{q}^{n} words exceed cap {cap}")
-    members = []
-    for x in itertools.product(range(q), repeat=n):
-        if sum(v * xi for v, xi in zip(weights, x)) % modulus == a:
-            members.append(x)
-    if not members:
-        raise ValueError(f"Helberg code (q={q}, n={n}, s={s}, a={a}) is empty")
-    return Code(q=q, n=n, codewords=frozenset(Word(x, q) for x in members))
+    return _filtered_code(
+        q,
+        n,
+        cap,
+        lambda x: sum(v * xi for v, xi in zip(weights, x)) % modulus == a,
+        f"Helberg code (q={q}, n={n}, s={s}, a={a}) is empty",
+    )
 
 
 def write_code(code: Code, path: str | Path) -> None:

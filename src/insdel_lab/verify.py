@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 from .bounds import insertion_bound
 from .codes import Code
 from .words import (
+    DEFAULT_BALL_CAP,
     BallSizeError,
     Word,
     _ball,
@@ -29,10 +30,8 @@ from .words import (
     in_insdel_ball,
     insdel_ball,
     insdel_ball_size_bound,
-    levenshtein_ball,
+    levenshtein_distance,
 )
-
-DEFAULT_OUTPUT_CAP = 10_000_000
 
 
 def min_levenshtein_distance(code: Code) -> int:
@@ -90,7 +89,7 @@ def list_decodable(
     list_size: int,
     *,
     want_witness: bool = False,
-    cap: int = DEFAULT_OUTPUT_CAP,
+    cap: int = DEFAULT_BALL_CAP,
     workers: int = 1,
 ) -> Verdict:
     """Check (t_ins, t_del, list_size)-list-decodability by exhausting the channel.
@@ -186,56 +185,15 @@ def decoder_ball_matches_channel(codeword: Word, t_ins: int, t_del: int) -> bool
 
 
 @dataclass(frozen=True)
-class UniqueDecodingReport:
-    """All radius splits within the half-distance bound, checked at list size 1."""
-
-    distance: int
-    radius: int
-    checked: tuple[tuple[int, int], ...]
-    failures: tuple[Verdict, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def check_unique_vs_list(
-    code: Code, *, cap: int = DEFAULT_OUTPUT_CAP, workers: int = 1
-) -> UniqueDecodingReport:
-    """Verify unique decodability for all (t_ins, t_del) within half the distance.
-
-    A code of minimum Levenshtein distance d corrects any mix of t_ins
-    insertions and t_del deletions with t_ins + t_del <= floor((d-1)/2); this
-    is list decoding with list size 1 at every such radius split.
-    """
-    distance = min_levenshtein_distance(code)
-    radius = (distance - 1) // 2
-    checked = []
-    failures = []
-    for t_del in range(min(radius, code.n) + 1):
-        for t_ins in range(radius - t_del + 1):
-            verdict = list_decodable(
-                code, t_ins, t_del, 1, want_witness=True, cap=cap, workers=workers
-            )
-            checked.append((t_ins, t_del))
-            if not verdict.decodable:
-                failures.append(verdict)
-    return UniqueDecodingReport(
-        distance=distance,
-        radius=radius,
-        checked=tuple(checked),
-        failures=tuple(failures),
-    )
-
-
-@dataclass(frozen=True)
 class RegionReport:
     """Every integer radius pair strictly inside the bound region, checked.
 
     The region for a code of relative distance delta = d/(2n) and list size L
     contains the pairs (t_ins, t_del) with t_del/n < delta and
-    t_ins/n < bound(1 - t_del/n), both strict and compared exactly.  Any
-    non-decodable pair is a violation of the bound's guarantee.
+    t_ins/n < bound(1 - t_del/n), both strict and compared exactly.  At L = 1
+    the bound is x - (1 - delta), so the region is unique decoding:
+    t_ins + t_del <= (d-1)//2.  Any non-decodable pair is a violation of the
+    bound's guarantee.
     """
 
     n: int
@@ -253,11 +211,18 @@ class RegionReport:
 
 
 def bound_region_pairs(n: int, delta: Fraction, list_size: int) -> list[tuple[int, int]]:
-    """Integer (t_ins, t_del) pairs strictly inside the bound region, exactly."""
+    """Integer (t_ins, t_del) pairs strictly inside the bound region, exactly.
+
+    Pairs come in order of t_del, then t_ins.  At list size 1 the limit is the
+    unique-decoding line delta - t_del/n, which is also defined at delta = 1.
+    """
     pairs = []
     t_del = 0
     while t_del < n and Fraction(t_del, n) < delta:
-        limit = insertion_bound(delta, list_size, 1 - Fraction(t_del, n))
+        if list_size == 1:
+            limit = delta - Fraction(t_del, n)
+        else:
+            limit = insertion_bound(delta, list_size, 1 - Fraction(t_del, n))
         t_ins = 0
         while Fraction(t_ins, n) < limit:
             pairs.append((t_ins, t_del))
@@ -267,37 +232,28 @@ def bound_region_pairs(n: int, delta: Fraction, list_size: int) -> list[tuple[in
 
 
 def check_bound_region(
-    code: Code,
-    list_size: int,
-    *,
-    cap: int = DEFAULT_OUTPUT_CAP,
-    workers: int = 1,
+    code: Code, list_size: int, *, cap: int = DEFAULT_BALL_CAP
 ) -> RegionReport:
     """Exhaustively confirm list-decodability on the bound's guaranteed region.
 
-    Cap-limited pairs are reported as skipped, not failed.  Codes whose
-    relative distance reaches 1 (two symbol-disjoint codewords and nothing
-    else) are rejected: the bound is formulated for delta < 1.
+    Cap-limited pairs are reported as skipped, not failed.  At list size 1 a
+    code of relative distance 1 (two symbol-disjoint codewords) is checked on
+    the unique-decoding region; at list size 2 or more it raises ValueError,
+    since the bound is formulated for delta < 1.  Runs in one process: the
+    region reaches large radii only at high delta, where codes have too few
+    codewords for a worker pool to pay for its start-up and tally transfer.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    if list_size < 1:
+        raise ValueError("list size must be at least 1")
     distance = min_levenshtein_distance(code)
     delta = Fraction(distance, 2 * code.n)
-    if delta >= 1:
-        raise ValueError("relative distance must be below 1 for the region check")
     checked = []
     violations = []
     skipped = []
     for t_ins, t_del in bound_region_pairs(code.n, delta, list_size):
         try:
             verdict = list_decodable(
-                code,
-                t_ins,
-                t_del,
-                list_size,
-                want_witness=True,
-                cap=cap,
-                workers=workers,
+                code, t_ins, t_del, list_size, want_witness=True, cap=cap
             )
         except BallSizeError:
             skipped.append((t_ins, t_del))
@@ -323,8 +279,9 @@ def check_ball_containment(
     """Check insdel balls sit inside the Levenshtein ball of the summed radius.
 
     For each sample word y and radius pair (t_ins, t_del) with t_del <= |y|,
-    every word reachable within the split budgets lies within total distance
-    t_ins + t_del.  Returns the list of failing (word, t_ins, t_del) triples;
+    every word of the enumerated insdel ball must lie within Levenshtein
+    distance t_ins + t_del of y, by the LCS kernel rather than by a second
+    enumeration.  Returns the list of failing (word, t_ins, t_del) triples;
     empty means the containment held throughout.
     """
     failures = []
@@ -332,8 +289,8 @@ def check_ball_containment(
         for t_ins, t_del in radii:
             if t_del > len(y):
                 continue
+            radius = t_ins + t_del
             ball = insdel_ball(y, t_ins, t_del)
-            cover = levenshtein_ball(y, t_ins + t_del)
-            if not ball <= cover:
+            if any(levenshtein_distance(y, z) > radius for z in ball):
                 failures.append((y, t_ins, t_del))
     return failures

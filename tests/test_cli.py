@@ -302,20 +302,26 @@ class TestVerifyCommands:
         assert payload["delta"] == "1/3"
         assert payload["checked"] == [[0, 0], [1, 0], [0, 1]]
 
+    def test_theorem_unique_decoding(self, tmp_path):
+        out = tmp_path / "vt6.code"
+        payload_of(run("code", "vt", "--n", "6", "--a", "0", "--out", str(out)))
+        payload = payload_of(
+            run("verify", "theorem", "--code", str(out), "--list-size", "1")
+        )
+        assert payload["ok"] is True
+        assert payload["checked"] == [[0, 0], [1, 0], [0, 1]]
+        result = run("verify", "theorem", "--code", str(out), "--list-size", "0")
+        assert result.exit_code == 2, result.output
+        assert "list size must be at least 1" in result.output
+
     def test_workers_below_one_exit_two(self, tmp_path):
         out = tmp_path / "vt6.code"
         payload_of(run("code", "vt", "--n", "6", "--a", "0", "--out", str(out)))
-        commands = [
-            ["list-decodable", "--ti", "1", "--td", "0", "--list-size", "2"],
-            ["theorem", "--list-size", "2"],
-        ]
-        for command in commands:
-            for workers in ("0", "-3"):
-                result = run(
-                    "verify", *command, "--code", str(out), "--workers", workers
-                )
-                assert result.exit_code == 2, result.output
-                assert "workers must be at least 1" in result.output
+        command = ["list-decodable", "--ti", "1", "--td", "0", "--list-size", "2"]
+        for workers in ("0", "-3"):
+            result = run("verify", *command, "--code", str(out), "--workers", workers)
+            assert result.exit_code == 2, result.output
+            assert "workers must be at least 1" in result.output
 
     def test_missing_code_file_exit_two(self):
         result = run(

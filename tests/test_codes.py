@@ -170,7 +170,7 @@ class TestVarshamovTenengolts:
             vt_binary(0, 0)
         with pytest.raises(ValueError):
             vt_binary(4, 5)
-        with pytest.raises(CodeSizeError):
+        with pytest.raises(CodeSizeError, match=r"^2\^21 words exceed cap 1000000$"):
             vt_binary(21, 0, cap=10**6)
 
 
@@ -213,6 +213,8 @@ class TestQaryVarshamovTenengolts:
             vt_qary(3, 3, 3, 0)
         with pytest.raises(ValueError):
             vt_qary(3, 3, 0, 3)
+        with pytest.raises(CodeSizeError, match=r"^3\^13 words exceed cap 1000000$"):
+            vt_qary(13, 3, 0, 0)
 
 
 class TestHelberg:
@@ -269,7 +271,7 @@ class TestHelberg:
 
     def test_custom_modulus_can_leave_residue_empty(self):
         # weights (1, 2, 4) reach sums 0..7 only, so residue 8 mod 9 is empty
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^Helberg code \(q=2, n=3, s=2, a=8\) is empty$"):
             helberg(2, 3, 2, 8, m=9)
 
     def test_validation(self):
@@ -279,6 +281,8 @@ class TestHelberg:
             helberg(2, 5, 2, 20)  # residue beyond the default modulus
         with pytest.raises(ValueError):
             helberg(2, 5, 2, 0, m=5)  # modulus below v_6
+        with pytest.raises(CodeSizeError, match=r"^3\^13 words exceed cap 1000000$"):
+            helberg(3, 13, 2, 0)
 
 
 class TestCodeFiles:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from insdel_lab import verify
+from insdel_lab import verify, words
 from insdel_lab.acceptance import RANDOM_CODE_SEED, _random_binary_code
 from insdel_lab.codes import Code, helberg, vt_binary
 from insdel_lab.verify import (
@@ -15,7 +15,6 @@ from insdel_lab.verify import (
     bound_region_pairs,
     check_ball_containment,
     check_bound_region,
-    check_unique_vs_list,
     decoder_ball_matches_channel,
     list_decodable,
     min_levenshtein_distance,
@@ -190,27 +189,42 @@ class TestRadiusSwap:
 
 
 class TestUniqueVsList:
+    """List size 1 of the region sweep is unique decoding within half the distance."""
+
     def test_two_deletion_code(self):
-        report = check_unique_vs_list(helberg(2, 5, 2, 0))
+        report = check_bound_region(helberg(2, 5, 2, 0), 1)
         assert report.distance == 6
-        assert report.radius == 2
         assert report.ok
         assert report.checked == ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2))
+        assert report.beats_unique_decoding is False
 
     def test_repetition_pair(self):
+        # relative distance 1: outside the bound's domain at L >= 2, checked at L = 1
         two_words = Code(
             q=2, n=4, codewords=frozenset({word([0] * 4, 2), word([1] * 4, 2)})
         )
-        report = check_unique_vs_list(two_words)
-        assert report.radius == 3
+        report = check_bound_region(two_words, 1)
+        assert report.delta == 1
         assert report.ok
         assert len(report.checked) == 10
+        assert report.beats_unique_decoding is False
 
     def test_distance_two_checks_only_origin(self):
-        report = check_unique_vs_list(cube(3))
-        assert report.radius == 0
+        report = check_bound_region(cube(3), 1)
         assert report.checked == ((0, 0),)
         assert report.ok
+
+    def test_pairs_are_the_half_distance_splits(self):
+        # d = 2n is relative distance 1, where only list size 1 is defined
+        for n in range(1, 9):
+            for d in range(2, 2 * n + 1):
+                radius = (d - 1) // 2
+                expected = [
+                    (t_ins, t_del)
+                    for t_del in range(radius + 1)
+                    for t_ins in range(radius - t_del + 1)
+                ]
+                assert bound_region_pairs(n, Fraction(d, 2 * n), 1) == expected
 
 
 class TestBoundRegion:
@@ -249,14 +263,14 @@ class TestBoundRegion:
         assert report.beats_unique_decoding  # 3/5 > 2/4
         assert len(report.checked) == 7
 
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_below_one_rejected(self, workers, monkeypatch):
+    @pytest.mark.parametrize("list_size", [0, -3])
+    def test_list_size_below_one_rejected(self, list_size, monkeypatch):
         def no_distance(code):
-            raise AssertionError("a bad worker count must be rejected first")
+            raise AssertionError("a bad list size must be rejected first")
 
         monkeypatch.setattr(verify, "min_levenshtein_distance", no_distance)
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            check_bound_region(vt_binary(6, 0), 2, workers=workers)
+        with pytest.raises(ValueError, match="list size must be at least 1"):
+            check_bound_region(vt_binary(6, 0), list_size)
 
     def test_full_distance_rejected(self):
         two_words = Code(
@@ -271,3 +285,16 @@ class TestBallContainment:
         samples = list(words_up_to(2, 3))
         radii = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
         assert check_ball_containment(samples, radii) == []
+
+    def test_reports_a_ball_outside_the_levenshtein_ball(self, monkeypatch):
+        real_ball = words._ball
+
+        def wide_ball(symbols, t_ins, t_del, q):
+            # one extra word, t_ins + t_del + 2 insertions away from the centre
+            return real_ball(symbols, t_ins, t_del, q) | {
+                symbols + (0,) * (t_ins + t_del + 2)
+            }
+
+        monkeypatch.setattr(words, "_ball", wide_ball)
+        y = word([0, 1], 2)
+        assert check_ball_containment([y], [(1, 0), (0, 1)]) == [(y, 1, 0), (y, 0, 1)]
