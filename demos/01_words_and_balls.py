@@ -10,11 +10,11 @@ from insdel_lab import (
     insdel_ball,
     insertion_ball_size,
     lcs_length,
-    levenshtein_ball,
     levenshtein_distance,
     minimal_insdel_pair,
     word,
     all_words,
+    words_up_to,
 )
 
 a = word([1, 0, 0, 1], 2)
@@ -60,9 +60,12 @@ for w in sorted(ball, key=lambda w: w.sort_key()):
 print(f"ball size {len(ball)}")
 
 # The distance-2 Levenshtein ball is the union of the (2,0), (1,1), (0,2)
-# split-budget balls; verify by direct comparison.
+# split-budget balls; verify against every word within distance 2.
 union = insdel_ball(centre, 2, 0) | insdel_ball(centre, 1, 1) | insdel_ball(centre, 0, 2)
-print(f"levenshtein_ball == union of splits: {levenshtein_ball(centre, 2) == union}")
+within_two = {
+    y for y in words_up_to(2, len(centre) + 2) if levenshtein_distance(centre, y) <= 2
+}
+print(f"distance-2 words == union of splits: {within_two == union}")
 print()
 
 print("== membership without enumeration ==")

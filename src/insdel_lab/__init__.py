@@ -68,7 +68,6 @@ from .words import (
     insdel_ball,
     insertion_ball_size,
     lcs_length,
-    levenshtein_ball,
     levenshtein_distance,
     minimal_insdel_pair,
     word,

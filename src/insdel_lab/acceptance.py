@@ -26,7 +26,16 @@ from .bounds import (
     insertion_bound,
     insertion_bound_piecewise,
 )
-from .codes import Code, helberg, helberg_weights, vt_binary, vt_qary
+from .codes import (
+    Code,
+    PrimeField,
+    helberg,
+    helberg_weights,
+    rs_code,
+    rs_search_eval_points,
+    vt_binary,
+    vt_qary,
+)
 from .combinatorics import (
     alternating_binomial_sum,
     count_v_covers,
@@ -37,13 +46,14 @@ from .combinatorics import (
     signed_cover_sum,
 )
 from .verify import (
+    bound_region_pairs,
     check_ball_containment,
     check_bound_region,
     decoder_ball_matches_channel,
     list_decodable,
     min_levenshtein_distance,
 )
-from .words import Word, all_words, words_up_to
+from .words import Word, _lcs, _min_distance, all_words, words_up_to
 
 RANDOM_CODE_SEED = 2024
 
@@ -242,20 +252,58 @@ def _random_binary_code(rng: random.Random, n: int, size: int) -> Code:
     return Code(q=2, n=n, codewords=members)
 
 
+def _greedy_code(rng: random.Random, q: int, n: int, distance: int, size: int) -> Code:
+    """Seeded greedy q-ary code of `size` words and minimum distance `distance`.
+
+    Random words are kept while every pairwise LCS stays at most
+    n - distance/2; a draw that does not fill the code within 200 words, or
+    whose minimum distance overshoots, starts over.
+    """
+    max_lcs = n - distance // 2
+    for _ in range(10_000):
+        words: list[tuple[int, ...]] = []
+        for _ in range(200):
+            w = tuple(rng.randrange(q) for _ in range(n))
+            if all(_lcs(w, v) <= max_lcs for v in words):
+                words.append(w)
+                if len(words) == size:
+                    break
+        if len(words) == size and _min_distance(words, 0) == distance:
+            return Code(q=q, n=n, codewords=frozenset(Word(w, q) for w in words))
+    raise RuntimeError(f"no greedy code with q={q}, n={n}, distance {distance}")
+
+
 def criterion_region_harness() -> CriterionResult:
-    """Zero violations across the guaranteed region for VT and random codes."""
+    """Zero violations across the guaranteed region for VT and random codes,
+    and at least one checked pair beyond unique decoding."""
     res = CriterionResult(8, "bound region harness: zero violations (VT + 50 random)", True)
-    subjects: list[tuple[str, Code]] = [
-        ("VT_0(6)", vt_binary(6, 0)),
-        ("VT_0(8)", vt_binary(8, 0)),
+    subjects: list[tuple[str, Code, tuple[int, ...]]] = [
+        ("VT_0(6)", vt_binary(6, 0), (2, 3)),
+        ("VT_0(8)", vt_binary(8, 0), (2, 3)),
     ]
     rng = random.Random(RANDOM_CODE_SEED)
     for index in range(50):
         n = rng.choice([5, 6, 7])
         size = rng.randint(4, 16)
-        subjects.append((f"random[{index}] (n={n}, |C|={size})", _random_binary_code(rng, n, size)))
-    for label, code in subjects:
-        for list_size in (2, 3):
+        code = _random_binary_code(rng, n, size)
+        subjects.append((f"random[{index}] (n={n}, |C|={size})", code, (2, 3)))
+    # list-decoding regime: each list size is the least at which the region
+    # holds a pair beyond unique decoding, delta > 2/(L+1)
+    field = PrimeField(7)
+    alpha = rs_search_eval_points(field, 5, 2, budget=300, seed=0).alpha
+    greedy = _greedy_code(random.Random(RANDOM_CODE_SEED), q=5, n=5, distance=8, size=4)
+    subjects += [
+        ("VT_0(6)", vt_binary(6, 0), (6,)),
+        ("VT_0(8)", vt_binary(8, 0), (8,)),
+        ("VT3(n=5, a=0, b=0)", vt_qary(5, 3, 0, 0), (5,)),
+        (f"RS(7,5,2) alpha={alpha}", rs_code(field, 5, 2, alpha), (5,)),
+        ("greedy (q=5, n=5, d=8)", greedy, (2,)),
+    ]
+    beyond_unique = 0
+    for label, code, list_sizes in subjects:
+        for list_size in list_sizes:
+            if code.size <= list_size:
+                return _fail(res, f"{label} L={list_size}: vacuous, |C| = {code.size}")
             report = check_bound_region(code, list_size)
             for pair in report.skipped:
                 res.skipped.append(f"{label} L={list_size} pair={pair}")
@@ -266,6 +314,10 @@ def criterion_region_harness() -> CriterionResult:
                     f"{label} L={list_size}: violation at "
                     f"(t_ins={first.t_ins}, t_del={first.t_del})",
                 )
+            unique = set(bound_region_pairs(code.n, report.delta, 1))
+            beyond_unique += sum(pair not in unique for pair in report.checked)
+    if beyond_unique == 0:
+        return _fail(res, "no checked pair lies beyond unique decoding")
     return res
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence, Union
@@ -91,13 +91,20 @@ class LinearPiece:
     slope: Fraction
     intercept: Fraction
     r: int
+    # slope and intercept over their common denominator: the value at
+    # x = xn/xd is (a*xn + b*xd) / (c*xd), built as one Fraction
+    _terms: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.lower > self.upper:
             raise ValueError("piece interval is empty")
+        s, i = self.slope, self.intercept
+        terms = (s.numerator * i.denominator, i.numerator * s.denominator)
+        object.__setattr__(self, "_terms", (*terms, s.denominator * i.denominator))
 
     def value(self, x: Fraction) -> Fraction:
-        return self.slope * x + self.intercept
+        a, b, c = self._terms
+        return Fraction(a * x.numerator + b * x.denominator, c * x.denominator)
 
 
 @dataclass(frozen=True)
@@ -114,6 +121,8 @@ class PiecewiseBound:
     list_size: int
     r_min: int
     pieces: tuple[LinearPiece, ...]
+    # interior breakpoints, built once for evaluate's bisection
+    _breakpoints: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.pieces:
@@ -127,18 +136,18 @@ class PiecewiseBound:
                 raise ValueError("pieces must tile the domain without gaps")
             if left.value(left.upper) != right.value(right.lower):
                 raise ValueError("pieces must agree at shared breakpoints")
+        object.__setattr__(self, "_breakpoints", tuple(p.upper for p in self.pieces[:-1]))
 
     def breakpoints(self) -> tuple[Fraction, ...]:
         """Interior breakpoints, left to right (empty for a single piece)."""
-        return tuple(p.upper for p in self.pieces[:-1])
+        return self._breakpoints
 
     def evaluate(self, x: Exact | float) -> Fraction:
         xf = as_fraction(x)
         if not self.pieces[0].lower <= xf <= 1:
             raise ValueError(f"x={xf} outside domain [{self.pieces[0].lower}, 1]")
-        uppers = [p.upper for p in self.pieces]
-        idx = min(bisect_right(uppers, xf), len(self.pieces) - 1)
-        return self.pieces[idx].value(xf)
+        # a breakpoint belongs to the piece on its right, and x = 1 to the last
+        return self.pieces[bisect_right(self._breakpoints, xf)].value(xf)
 
 
 def insertion_bound_piecewise(delta: Exact | float, list_size: int) -> PiecewiseBound:

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
+from math import comb
 from typing import Iterable, Sequence
 
 from .bounds import insertion_bound
@@ -25,6 +28,9 @@ from .words import (
     BallSizeError,
     Word,
     _ball,
+    _common_output,
+    _lcs_masked,
+    _match_masks,
     _min_distance,
     all_words,
     in_insdel_ball,
@@ -82,6 +88,67 @@ def _channel_tally(
     return tally
 
 
+def _no_shared_output(
+    words: list[tuple[int, ...]], t_ins: int, t_del: int, list_size: int, budget: int
+) -> bool | None:
+    """True iff no list_size + 1 of the equal-length `words` share a channel
+    output; None when deciding would cost more than `budget` units.
+
+    Two words of length n share an output iff n - LCS <= t_ins + t_del: each
+    keeps a longest common subsequence, deletes x of its other n - LCS
+    symbols and inserts the other word's kept ones, for any x with
+    n - LCS - t_ins <= x <= t_del.  So the LCS kernel joins the pairs, and
+    only the (list_size + 1)-cliques of that graph can share an output;
+    `_common_output` decides each clique.  Costs, in units:
+
+    * every pair, n + 1, charged up front; pairs are joined as the clique
+      search reaches them, so a search that gives up early joins few;
+    * every step of the clique search, 1;
+    * every clique of k = list_size + 1 words, the DP's state bound
+      (n+1) (min(t_ins, n)+1)^(k-1) (t_del+1)^k: the k match counts lie
+      within t_ins of each other, and each word has t_del + 1 deletion counts.
+    """
+    n, k = len(words[0]), list_size + 1
+    budget -= comb(len(words), 2) * (n + 1)
+    if budget < 0:
+        return None
+    masks = [_match_masks(w) for w in words]
+
+    @cache
+    def later(a: int) -> set[int]:
+        """The words after words[a] that share an output with it."""
+        return {
+            b
+            for b in range(a + 1, len(words))
+            if n - _lcs_masked(words[a], masks[b], n) <= t_ins + t_del
+        }
+
+    if k == 2:
+        return not any(later(a) for a in range(len(words)))
+    per_clique = (n + 1) * (min(t_ins, n) + 1) ** (k - 1) * (t_del + 1) ** k
+    cliques = []
+
+    def collect(members: tuple[int, ...], candidates: set[int]) -> bool:
+        """Gather the k-cliques extending `members`; False once over budget."""
+        nonlocal budget
+        for v in sorted(candidates):
+            grown = members + (v,)
+            if len(grown) == k:
+                budget -= per_clique
+                cliques.append(grown)
+            else:
+                budget -= 1
+                if not collect(grown, candidates & later(v)):
+                    return False
+            if budget < 0:
+                return False
+        return True
+
+    if not collect((), set(range(len(words)))):
+        return None
+    return not any(_common_output([words[i] for i in c], t_ins, t_del) for c in cliques)
+
+
 def list_decodable(
     code: Code,
     t_ins: int,
@@ -92,19 +159,31 @@ def list_decodable(
     cap: int = DEFAULT_BALL_CAP,
     workers: int = 1,
 ) -> Verdict:
-    """Check (t_ins, t_del, list_size)-list-decodability by exhausting the channel.
+    """Check (t_ins, t_del, list_size)-list-decodability exhaustively.
 
-    Every channel output of every codeword is tallied; the code fails exactly
-    when some received word is reachable from more than list_size codewords.
-    Received words outside every codeword's output set decode to the empty
-    list and never violate the property, so the tally is exhaustive.
+    Two engines decide the verdict:
 
-    With want_witness the full census runs and the witness is the shortlex
-    smallest offending received word, its codeword list re-derived through the
-    decoder-ball membership predicate (swapped radii) as an independent check.
-    Without it, each worker's tally stops at its first offender.  Verdicts are
-    identical for any worker count; at most os.cpu_count() worker processes
-    are started.  The ball-size cap is checked once, before any enumeration.
+    * The clique alignment DP (`_no_shared_output`) asks which sets of
+      list_size + 1 codewords share a channel output.  Its cost does not
+      depend on q but grows exponentially in list_size, so it wins on small
+      codes over large alphabets.  It runs first, on a budget of the
+      enumerator's estimated cost, |C| times the ball-size bound, and gives
+      up once it would spend more.
+    * The enumerator tallies every channel output of every codeword; the code
+      fails exactly when some received word is reachable from more than
+      list_size codewords.  Received words outside every codeword's output
+      set decode to the empty list, so the tally is exhaustive.  Its cost
+      grows like |C| * q^t_ins.
+
+    The DP returns verdicts only.  With want_witness the enumerator runs the
+    full census, after a failing DP verdict too, and the witness is the
+    shortlex smallest offending received word, its codeword list re-derived
+    through the decoder-ball membership predicate (swapped radii) as an
+    independent check.  Without it, each worker's tally stops at its first
+    offender.  The ball-size cap and workers apply only when the enumerator
+    runs: the cap is checked once, before any enumeration, and a verdict the
+    DP settles never raises BallSizeError.  Verdicts are identical for any
+    worker count; at most os.cpu_count() worker processes are started.
     """
     if list_size < 1:
         raise ValueError("list size must be at least 1")
@@ -116,10 +195,17 @@ def list_decodable(
         raise ValueError(f"deletion radius {t_del} exceeds block length {code.n}")
     # every codeword has length n, so one estimate covers every ball
     estimate = insdel_ball_size_bound(code.n, t_ins, t_del, code.q)
-    if estimate > cap:
-        raise BallSizeError(estimate, cap)
     sorted_words = code.sorted_words()
     symbols = [w.symbols for w in sorted_words]
+    # the DP's cost does not grow with q; it gives up once it would cost more
+    # than enumerating every ball
+    decodable = _no_shared_output(symbols, t_ins, t_del, list_size, code.size * estimate)
+    if decodable is not None and (decodable or not want_witness):
+        return Verdict(decodable, t_ins, t_del, list_size)
+    # a failing DP verdict gets its witness from the enumerator, so the
+    # witness is the same whichever engine decided
+    if estimate > cap:
+        raise BallSizeError(estimate, cap)
     # a witness needs the full census, and no count can exceed the code size
     stop_above = code.size if want_witness else list_size
     # more processes than CPUs only add start-up cost; cpu_count may be None
@@ -236,7 +322,10 @@ def check_bound_region(
 ) -> RegionReport:
     """Exhaustively confirm list-decodability on the bound's guaranteed region.
 
-    Cap-limited pairs are reported as skipped, not failed.  At list size 1 a
+    Pairs whose verdict needs a ball over the cap are reported as skipped,
+    not failed; pairs the alignment DP decides are checked, whatever their
+    ball size.  A violation carries its witness when the witness census fits
+    the cap, and no witness otherwise.  At list size 1 a
     code of relative distance 1 (two symbol-disjoint codewords) is checked on
     the unique-decoding region; at list size 2 or more it raises ValueError,
     since the bound is formulated for delta < 1.  Runs in one process: the
@@ -252,14 +341,17 @@ def check_bound_region(
     skipped = []
     for t_ins, t_del in bound_region_pairs(code.n, delta, list_size):
         try:
-            verdict = list_decodable(
-                code, t_ins, t_del, list_size, want_witness=True, cap=cap
-            )
+            verdict = list_decodable(code, t_ins, t_del, list_size, cap=cap)
         except BallSizeError:
             skipped.append((t_ins, t_del))
             continue
         checked.append((t_ins, t_del))
         if not verdict.decodable:
+            # a DP verdict stands even when its witness census is over the cap
+            with suppress(BallSizeError):
+                verdict = list_decodable(
+                    code, t_ins, t_del, list_size, want_witness=True, cap=cap
+                )
             violations.append(verdict)
     return RegionReport(
         n=code.n,

@@ -243,6 +243,54 @@ def _ball(symbols: tuple[int, ...], t_ins: int, t_del: int, q: int) -> set[tuple
     return out
 
 
+def _common_output(words: Sequence[tuple[int, ...]], t_ins: int, t_del: int) -> bool:
+    """True iff one word is a channel output of every word in `words`.
+
+    All words have the same length n.  The output y is built left to right;
+    a state is (i_1..i_k, del_1..del_k): word j has consumed i_j symbols, del_j
+    of them by deletion, so its insertion count is |y| - (i_j - del_j).  A
+    deletion move drops the head of one word.  An emission appends a symbol
+    held by some head; every word with that head matches it, and every other
+    word counts one insertion.  Matching greedily loses nothing (exchange
+    argument), and a symbol no head holds is never needed.  States are
+    visited in order of |y|, so each is first reached at its least |y|, which
+    dominates: insertion counts only grow with |y|.
+    """
+    k, n = len(words), len(words[0])
+    layer = [(0,) * (2 * k)]
+    seen = set(layer)
+    for length in range(n + t_ins + 1):
+        successors = []
+        # deletions keep |y| and every count, so their states join the layer
+        # while it is being scanned
+        for state in layer:
+            heads = {words[j][state[j]] for j in range(k) if state[j] < n}
+            if not heads:
+                return True
+            moves = []
+            for j in range(k):
+                if state[j] < n and state[k + j] < t_del:
+                    grown = list(state)
+                    grown[j] += 1
+                    grown[k + j] += 1
+                    moves.append((layer, tuple(grown)))
+            for symbol in heads:
+                grown = list(state)
+                for j in range(k):
+                    if state[j] < n and words[j][state[j]] == symbol:
+                        grown[j] += 1
+                    elif length + 1 - (state[j] - state[k + j]) > t_ins:
+                        break
+                else:
+                    moves.append((successors, tuple(grown)))
+            for target, grown in moves:
+                if grown not in seen:
+                    seen.add(grown)
+                    target.append(grown)
+        layer = successors
+    return False
+
+
 def insdel_ball(x: Word, t_ins: int, t_del: int, cap: int = DEFAULT_BALL_CAP) -> set[Word]:
     """All words reachable from `x` by at most t_ins insertions and t_del deletions.
 
@@ -259,19 +307,3 @@ def insdel_ball(x: Word, t_ins: int, t_del: int, cap: int = DEFAULT_BALL_CAP) ->
     if estimate > cap:
         raise BallSizeError(estimate, cap)
     return {Word(symbols, x.q) for symbols in _ball(x.symbols, t_ins, t_del, x.q)}
-
-
-def levenshtein_ball(x: Word, distance: int, cap: int = DEFAULT_BALL_CAP) -> set[Word]:
-    """All words within the given Levenshtein distance of `x`.
-
-    Equals the union of insdel balls over budget splits t_ins + t_del <= distance;
-    only the maximal splits (distance - j, j) need enumerating.
-    """
-    if distance < 0:
-        raise ValueError("distance must be nonnegative")
-    splits = [(distance - j, j) for j in range(min(distance, len(x)) + 1)]
-    estimate = sum(insdel_ball_size_bound(len(x), ti, td, x.q) for ti, td in splits)
-    if estimate > cap:
-        raise BallSizeError(estimate, cap)
-    ball = set().union(*(_ball(x.symbols, ti, td, x.q) for ti, td in splits))
-    return {Word(symbols, x.q) for symbols in ball}

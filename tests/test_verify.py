@@ -21,8 +21,10 @@ from insdel_lab.verify import (
 )
 from insdel_lab.words import (
     BallSizeError,
+    Word,
     all_words,
     in_insdel_ball,
+    insdel_ball,
     levenshtein_distance,
     word,
     words_up_to,
@@ -167,6 +169,85 @@ class TestListDecodable:
                 1,
                 witness=Witness(word([0], 2), (word([0], 2),)),
             )
+
+
+# perfbench/frozen/greedy_seed0_0.code: q=5, n=5, distance 8
+GREEDY = Code(
+    q=5,
+    n=5,
+    codewords=frozenset(
+        word(symbols, 5)
+        for symbols in [(0, 0, 0, 0, 4), (0, 2, 2, 2, 3), (1, 2, 4, 4, 4), (3, 2, 0, 1, 1)]
+    ),
+)
+
+
+class TestEngines:
+    """The clique alignment DP against the enumerator, and the choice between them."""
+
+    def test_dp_matches_enumerator(self):
+        rng = random.Random(RANDOM_CODE_SEED)
+        for _ in range(300):
+            q, n = rng.randint(2, 4), rng.randint(2, 5)
+            size = rng.randint(2, min(8, q**n))
+            symbols = rng.sample(sorted(itertools.product(range(q), repeat=n)), size)
+            list_size = rng.randint(1, 3)
+            t_ins, t_del = rng.randint(0, 3), rng.randint(0, min(3, n))
+            tally = verify._channel_tally(symbols, q, t_ins, t_del, list_size)
+            enumerated = max(tally.values()) <= list_size
+            dp = verify._no_shared_output(symbols, t_ins, t_del, list_size, 10**18)
+            assert dp == enumerated, (symbols, t_ins, t_del, list_size)
+
+    def test_pairs_share_an_output_iff_lcs_is_long_enough(self):
+        # the DP joins pairs by n - LCS <= t_ins + t_del instead of the kernel
+        rng = random.Random(RANDOM_CODE_SEED)
+        for _ in range(300):
+            q, n = rng.randint(2, 4), rng.randint(1, 5)
+            a, b = (tuple(rng.randrange(q) for _ in range(n)) for _ in range(2))
+            t_ins, t_del = rng.randint(0, 3), rng.randint(0, n)
+            joined = n - words._lcs(a, b) <= t_ins + t_del
+            assert words._common_output([a, b], t_ins, t_del) == joined
+
+    def test_routing(self, monkeypatch):
+        real = verify._channel_tally
+        tallies = []
+
+        def spy(*args):
+            tallies.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, "_channel_tally", spy)
+        assert list_decodable(GREEDY, 4, 0, 2).decodable
+        assert not tallies  # the DP decided
+        assert not list_decodable(vt_binary(6, 0), 1, 1, 2).decodable
+        assert len(tallies) == 1
+        assert not list_decodable(vt_binary(10, 0), 2, 1, 2).decodable
+        assert len(tallies) == 2
+
+    def test_dp_decides_past_the_cap(self):
+        # from t_ins = 3 on, one ball (4456 words at t_ins = 3) is over the cap
+        for t_ins in range(7):
+            assert list_decodable(GREEDY, t_ins, 0, 2, cap=1000).decodable
+        assert list_decodable(GREEDY, 7, 0, 2, cap=1000) == Verdict(False, 7, 0, 2)
+        # a witness needs the enumerator, and its ball is over the cap
+        with pytest.raises(BallSizeError):
+            list_decodable(GREEDY, 7, 0, 2, want_witness=True, cap=1000)
+
+    def test_dp_failure_gets_the_enumerator_witness(self, monkeypatch):
+        a, b = word([0, 1, 2], 5), word([3, 4, 0], 5)
+        code = Code(q=5, n=3, codewords=frozenset({a, b}))
+        real = verify._no_shared_output
+        decided = []
+
+        def spy(*args):
+            decided.append(real(*args))
+            return decided[-1]
+
+        monkeypatch.setattr(verify, "_no_shared_output", spy)
+        verdict = list_decodable(code, 2, 0, 1, want_witness=True)
+        assert decided == [False]  # the DP decided, the enumerator found the witness
+        shared = insdel_ball(a, 2, 0) & insdel_ball(b, 2, 0)
+        assert verdict.witness == Witness(min(shared, key=Word.sort_key), (a, b))
 
 
 class TestRadiusSwap:

@@ -11,6 +11,8 @@ from insdel_lab.words import (
     AlphabetMismatchError,
     BallSizeError,
     Word,
+    _ball,
+    _common_output,
     _min_distance,
     all_words,
     in_insdel_ball,
@@ -18,7 +20,6 @@ from insdel_lab.words import (
     insdel_ball_size_bound,
     insertion_ball_size,
     lcs_length,
-    levenshtein_ball,
     levenshtein_distance,
     minimal_insdel_pair,
     word,
@@ -252,13 +253,57 @@ class TestInsdelBall:
                     assert len(insdel_ball(centre, t_ins, t_del)) <= bound
 
 
-class TestLevenshteinBall:
+class TestCommonOutput:
+    """`_common_output`: do k equal-length words share one channel output?"""
+
+    def test_one_word_reaches_itself(self):
+        for t_ins, t_del in [(0, 0), (2, 0), (0, 2), (1, 1)]:
+            assert _common_output([(0, 1, 2)], t_ins, t_del)
+
+    def test_two_words(self):
+        a, b = (0, 0), (1, 1)
+        assert not _common_output([a, b], 0, 0)
+        assert not _common_output([a, b], 1, 0)  # 00 and 11 need length 4
+        assert _common_output([a, b], 2, 0)  # 0011
+        assert not _common_output([a, b], 0, 1)  # no common symbol
+        assert _common_output([a, b], 1, 1)  # 01
+        assert _common_output([a, b], 0, 2)  # the empty word
+
+    def test_three_words(self):
+        assert not _common_output([(0, 1), (1, 0), (1, 1)], 0, 0)
+        assert _common_output([(0, 1), (1, 0), (1, 1)], 1, 0)  # 101
+        assert _common_output([(0, 1), (1, 0), (1, 1)], 0, 1)  # 1
+        assert not _common_output([(0, 0), (1, 1), (0, 1)], 1, 0)
+
+    def test_matches_ball_intersection(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            q, n, k = rng.randint(2, 3), rng.randint(1, 4), rng.randint(1, 3)
+            words = [random_tuple(rng, q, n) for _ in range(k)]
+            t_ins, t_del = rng.randint(0, 2), rng.randint(0, min(2, n))
+            shared = set.intersection(*(_ball(w, t_ins, t_del, q) for w in words))
+            assert _common_output(words, t_ins, t_del) == bool(shared)
+
+
+def split_union(centre, radius):
+    """Union of the insdel balls over the budget splits (radius - j, j)."""
+    return set().union(
+        *(
+            insdel_ball(centre, radius - t_del, t_del)
+            for t_del in range(min(radius, len(centre)) + 1)
+        )
+    )
+
+
+class TestSplitBallUnion:
+    """The words within Levenshtein distance r are the union of the split balls."""
+
     def test_radius_zero(self):
         centre = word([0], 2)
-        assert levenshtein_ball(centre, 0) == {centre}
+        assert split_union(centre, 0) == {centre}
 
     def test_equals_distance_filter(self):
-        for centre in [word([0, 1], 2), word([1, 1, 0], 2)]:
+        for centre in [word([0, 1], 2), word([1, 1, 0], 2), word([1, 0, 1], 2)]:
             for radius in range(3):
                 window = [
                     y
@@ -268,15 +313,7 @@ class TestLevenshteinBall:
                 expected = {
                     y for y in window if levenshtein_distance(centre, y) <= radius
                 }
-                assert levenshtein_ball(centre, radius) == expected
-
-    def test_union_of_budget_splits(self):
-        centre = word([1, 0, 1], 2)
-        radius = 2
-        union = set()
-        for t_del in range(min(radius, len(centre)) + 1):
-            union |= insdel_ball(centre, radius - t_del, t_del)
-        assert levenshtein_ball(centre, radius) == union
+                assert split_union(centre, radius) == expected
 
 
 class TestSerializationAndValidation:
