@@ -295,7 +295,7 @@ def split_union(centre, radius):
     )
 
 
-class TestSplitBallUnion:
+class TestLevenshteinBall:
     """The words within Levenshtein distance r are the union of the split balls."""
 
     def test_radius_zero(self):
@@ -303,7 +303,7 @@ class TestSplitBallUnion:
         assert split_union(centre, 0) == {centre}
 
     def test_equals_distance_filter(self):
-        for centre in [word([0, 1], 2), word([1, 1, 0], 2), word([1, 0, 1], 2)]:
+        for centre in [word([0, 1], 2), word([1, 1, 0], 2)]:
             for radius in range(3):
                 window = [
                     y
@@ -314,6 +314,20 @@ class TestSplitBallUnion:
                     y for y in window if levenshtein_distance(centre, y) <= radius
                 }
                 assert split_union(centre, radius) == expected
+
+    def test_union_of_budget_splits(self):
+        centre = word([1, 0, 1], 2)
+        radius = 2
+        every_budget = set()
+        for t_del in range(min(radius, len(centre)) + 1):
+            for t_ins in range(radius - t_del + 1):
+                every_budget |= insdel_ball(centre, t_ins, t_del)
+        expected = {
+            y
+            for y in words_up_to(2, len(centre) + radius)
+            if levenshtein_distance(centre, y) <= radius
+        }
+        assert split_union(centre, radius) == every_budget == expected
 
 
 class TestSerializationAndValidation:
