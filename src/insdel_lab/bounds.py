@@ -8,17 +8,17 @@ Two competing bounds are implemented:
 * the prior quadratic bound of Hayashi and Yasunaga ("HY"), together with its
   admissible-region list-size formula.
 
-All core evaluations are exact over ``fractions.Fraction``; the comparison
-report additionally uses float64 for the square-root landmarks, with a
-documented 1e-9 tolerance.  Floats passed as parameters are interpreted via
-their shortest decimal representation, so 0.9 means 9/10, not the nearest
-binary double.
+All core evaluations are exact integer arithmetic on the numerators and
+denominators of their inputs, with one ``fractions.Fraction`` built per
+result; the comparison report additionally uses float64 for the square-root
+landmarks, with a documented 1e-9 tolerance.  Floats passed as parameters are
+interpreted via their shortest decimal representation, so 0.9 means 9/10, not
+the nearest binary double.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -38,9 +38,12 @@ def as_fraction(value: Exact | float) -> Fraction:
     return Fraction(str(value))
 
 
-def _validate_delta(delta: Fraction) -> None:
-    if not 0 < delta < 1:
+def _one_minus_delta(delta: Fraction) -> tuple[int, int]:
+    """Check 0 < delta < 1; return 1 - delta as a reduced (numerator, denominator)."""
+    dn, dd = delta.numerator, delta.denominator
+    if not 0 < dn < dd:
         raise ValueError(f"relative distance must satisfy 0 < delta < 1, got {delta}")
+    return dd - dn, dd
 
 
 def _validate_list_size(list_size: int) -> None:
@@ -58,20 +61,17 @@ def insertion_bound(delta: Exact | float, list_size: int, x: Exact | float) -> F
 
     for x in [1 - delta, 1].  In applications x = 1 - tau_del.
     """
-    d = as_fraction(delta)
-    _validate_delta(d)
+    cn, cd = _one_minus_delta(as_fraction(delta))
     _validate_list_size(list_size)
     xf = as_fraction(x)
-    if not 1 - d <= xf <= 1:
-        raise ValueError(f"x={xf} outside domain [{1 - d}, 1]")
+    xn, xd = xf.numerator, xf.denominator
+    if not (cn * xd <= xn * cd and xn <= xd):
+        raise ValueError(f"x={xf} outside domain [{cn}/{cd}, 1]")
     big = list_size
     # The r-th term over the common denominator (L+1) * xd * r * cd has
     # numerator (2L-r+1) xn r cd - L cn (L+1) xd; terms are compared by
     # cross-multiplying the r-dependent denominators, keeping everything in
     # integer arithmetic until the single Fraction at the end.
-    c = 1 - d
-    xn, xd = xf.numerator, xf.denominator
-    cn, cd = c.numerator, c.denominator
     shared = big * cn * (big + 1) * xd
     best_num = (2 * big) * xn * cd - shared
     best_r = 1
@@ -121,8 +121,9 @@ class PiecewiseBound:
     list_size: int
     r_min: int
     pieces: tuple[LinearPiece, ...]
-    # interior breakpoints, built once for evaluate's bisection
-    _breakpoints: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    # the domain's lower end, and each piece's upper end, as integer pairs
+    _lower: tuple[int, int] = field(init=False, repr=False, compare=False)
+    _uppers: tuple[tuple[int, int, LinearPiece], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.pieces:
@@ -136,18 +137,28 @@ class PiecewiseBound:
                 raise ValueError("pieces must tile the domain without gaps")
             if left.value(left.upper) != right.value(right.lower):
                 raise ValueError("pieces must agree at shared breakpoints")
-        object.__setattr__(self, "_breakpoints", tuple(p.upper for p in self.pieces[:-1]))
+        lower = self.pieces[0].lower
+        object.__setattr__(self, "_lower", (lower.numerator, lower.denominator))
+        uppers = tuple((p.upper.numerator, p.upper.denominator, p) for p in self.pieces)
+        object.__setattr__(self, "_uppers", uppers)
 
     def breakpoints(self) -> tuple[Fraction, ...]:
         """Interior breakpoints, left to right (empty for a single piece)."""
-        return self._breakpoints
+        return tuple(p.upper for p in self.pieces[:-1])
 
     def evaluate(self, x: Exact | float) -> Fraction:
         xf = as_fraction(x)
-        if not self.pieces[0].lower <= xf <= 1:
+        xn, xd = xf.numerator, xf.denominator
+        ln, ld = self._lower
+        if not (ln * xd <= xn * ld and xn <= xd):
             raise ValueError(f"x={xf} outside domain [{self.pieces[0].lower}, 1]")
-        # a breakpoint belongs to the piece on its right, and x = 1 to the last
-        return self.pieces[bisect_right(self._breakpoints, xf)].value(xf)
+        # the first piece whose upper end lies beyond x, so a breakpoint
+        # belongs to the piece on its right; x = 1 ends the scan on the last
+        for un, ud, piece in self._uppers:
+            if xn * ud < un * xd:
+                break
+        a, b, c = piece._terms
+        return Fraction(a * xn + b * xd, c * xd)
 
 
 def insertion_bound_piecewise(delta: Exact | float, list_size: int) -> PiecewiseBound:
@@ -158,25 +169,24 @@ def insertion_bound_piecewise(delta: Exact | float, list_size: int) -> Piecewise
     r_min is the least r for which that threshold drops below 1.
     """
     d = as_fraction(delta)
-    _validate_delta(d)
+    cn, cd = _one_minus_delta(d)
     _validate_list_size(list_size)
     big = list_size
-    one_minus = 1 - d
 
     def threshold(r: int) -> Fraction:
-        return Fraction(big * (big + 1), r * (r + 1)) * one_minus
+        return Fraction(big * (big + 1) * cn, r * (r + 1) * cd)
 
     r_min = next(r for r in range(1, big + 1) if threshold(r) < 1)
     pieces = []
     for r in range(big, r_min - 1, -1):
-        lower = threshold(r) if r < big else one_minus
+        lower = threshold(r) if r < big else Fraction(cn, cd)
         upper = Fraction(1) if r == r_min else threshold(r - 1)
         pieces.append(
             LinearPiece(
                 lower=lower,
                 upper=upper,
                 slope=Fraction(2 * big - r + 1, big + 1),
-                intercept=-Fraction(big, r) * one_minus,
+                intercept=Fraction(-big * cn, r * cd),
                 r=r,
             )
         )
@@ -186,7 +196,7 @@ def insertion_bound_piecewise(delta: Exact | float, list_size: int) -> Piecewise
 def unique_decoding_bound(delta: Exact | float, tau_del: Exact | float) -> Fraction:
     """Insertion fraction tolerated by unique decoding: delta - tau_del."""
     d = as_fraction(delta)
-    _validate_delta(d)
+    _one_minus_delta(d)
     td = as_fraction(tau_del)
     if not 0 <= td < d:
         raise ValueError(f"need 0 <= tau_del < delta, got tau_del={td}, delta={d}")
@@ -195,10 +205,10 @@ def unique_decoding_bound(delta: Exact | float, tau_del: Exact | float) -> Fract
 
 def hy_quadratic1(delta: Exact | float, x: Exact | float) -> Fraction:
     """First HY comparison quadratic: x^2 / (1 - delta) - x."""
-    d = as_fraction(delta)
-    _validate_delta(d)
+    cn, cd = _one_minus_delta(as_fraction(delta))
     xf = as_fraction(x)
-    return xf * xf / (1 - d) - xf
+    xn, xd = xf.numerator, xf.denominator
+    return Fraction(xn * xn * cd - xn * xd * cn, xd * xd * cn)
 
 
 def hy_quadratic2(delta: Exact | float, list_size: int, x: Exact | float) -> Fraction:
@@ -206,14 +216,14 @@ def hy_quadratic2(delta: Exact | float, list_size: int, x: Exact | float) -> Fra
 
     ((L+1) x^2 - (L+1)(1-delta) x + (1-delta) - 1) / (L (1-delta) + 1).
     """
-    d = as_fraction(delta)
-    _validate_delta(d)
+    cn, cd = _one_minus_delta(as_fraction(delta))
     _validate_list_size(list_size)
     xf = as_fraction(x)
-    one_minus = 1 - d
+    xn, xd = xf.numerator, xf.denominator
     big = list_size
-    numerator = (big + 1) * xf * xf - (big + 1) * one_minus * xf + one_minus - 1
-    return numerator / (big * one_minus + 1)
+    # numerator and denominator both scaled by xd^2 * cd
+    numerator = (big + 1) * xn * (xn * cd - cn * xd) + (cn - cd) * xd * xd
+    return Fraction(numerator, xd * xd * (big * cn + cd))
 
 
 def hy_list_size(
@@ -227,7 +237,7 @@ def hy_list_size(
         floor(delta (1 + tau_ins) / ((delta - tau_del)(1 - tau_del) - (1 - delta) tau_ins)).
     """
     d = as_fraction(delta)
-    _validate_delta(d)
+    _one_minus_delta(d)
     ti = as_fraction(tau_ins)
     td = as_fraction(tau_del)
     if ti < 0 or not 0 <= td < 1:
@@ -346,7 +356,7 @@ def comparison_report(delta: Exact | float, list_size: int) -> ComparisonReport:
     the first crossing found by a per-piece quadratic sweep toward tau_del = 0.
     """
     d = as_fraction(delta)
-    _validate_delta(d)
+    _one_minus_delta(d)
     _validate_list_size(list_size)
     beta2 = hy_crossover_root(list_size)
     delta1 = hy_crossover_delta(list_size)

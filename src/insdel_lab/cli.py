@@ -182,14 +182,15 @@ def bound_hy(delta_text, list_size, tau_text, tau_ins_text, csv_path, points) ->
     delta = _parse_exact(delta_text, "delta")
     tau = _parse_exact(tau_text, "tau-d")
     x = 1 - tau
+    phi2 = hy_quadratic2(delta, list_size, x)
     payload = {
         "bound": "HY quadratic bound",
         "delta": delta,
         "list_size": list_size,
         "tau_d": tau,
         "phi1": hy_quadratic1(delta, x),
-        "phi2": hy_quadratic2(delta, list_size, x),
-        "phi2_float": float(hy_quadratic2(delta, list_size, x)),
+        "phi2": phi2,
+        "phi2_float": float(phi2),
     }
     if tau_ins_text is not None:
         tau_ins = _parse_exact(tau_ins_text, "tau-i")

@@ -38,10 +38,12 @@ def bound_table_rows(
     """Plain bound table over tau_d in [0, delta]: tau_d, rho, phi1, phi2, unique."""
     _validate_points(points)
     d = as_fraction(delta)
+    dn, dd = d.numerator, d.denominator
+    steps = points - 1
     rows = ["tau_d,rho,phi1,phi2,unique"]
     for k in range(points):
-        tau = d * k / (points - 1)
-        x = 1 - tau
+        tau = Fraction(dn * k, dd * steps)
+        x = Fraction(dd * steps - dn * k, dd * steps)
         rows.append(
             ",".join(
                 (
@@ -49,7 +51,7 @@ def bound_table_rows(
                     _fmt(insertion_bound(d, list_size, x)),
                     _fmt(hy_quadratic1(d, x)),
                     _fmt(hy_quadratic2(d, list_size, x)),
-                    _fmt(d - tau),
+                    _fmt(Fraction(dn * (steps - k), dd * steps)),
                 )
             )
         )
@@ -68,17 +70,21 @@ def comparison_rows(
     """
     _validate_points(points)
     d = as_fraction(delta)
+    dn, dd = d.numerator, d.denominator
     report = comparison_report(d, list_size)
-    grid = [d * k / (points - 1) for k in range(points)]
+    grid = [Fraction(dn * k, dd * (points - 1)) for k in range(points)]
     labelled: dict[Fraction, str] = {}
     for point, label in ((report.p1, "P1"), (report.p2, "P2")):
         if point is not None:
             labelled[as_fraction(point[0])] = label
-    merged = sorted(set(grid) | set(labelled))
+    # the grid is sorted already, so the sort only places the landmarks
+    on_grid = set(grid)
+    merged = sorted(grid + [tau for tau in labelled if tau not in on_grid])
     rows = ["tau_d,rho,phi2,unique,landmark"]
     for tau in merged:
-        x = 1 - tau
-        unique = d - tau if tau < d else Fraction(0)
+        tn, td = tau.numerator, tau.denominator
+        x = Fraction(td - tn, td)
+        unique = Fraction(max(dn * td - tn * dd, 0), dd * td)
         rows.append(
             ",".join(
                 (
@@ -101,10 +107,11 @@ def bound_profile_rows(
     if not list_sizes:
         raise ValueError("need at least one list size")
     d = as_fraction(delta)
+    dn, dd = d.numerator, d.denominator
     header = "x," + ",".join(f"rho_L{L}" for L in list_sizes)
     rows = [header]
     for k in range(points):
-        x = (1 - d) + d * k / (points - 1)
+        x = Fraction((dd - dn) * (points - 1) + dn * k, dd * (points - 1))
         values = [insertion_bound(d, L, x) for L in list_sizes]
         rows.append(",".join([_fmt(x)] + [_fmt(v) for v in values]))
     return rows
@@ -127,11 +134,11 @@ def rate_region_rows(
         if not 0 < r < Fraction(1, 2):
             raise ValueError(f"rate must lie in (0, 1/2), got {r}")
         d = 1 - 2 * r
+        dn, dd = d.numerator, d.denominator
         for k in range(points):
-            tau = d * k / points
-            rows.append(
-                f"{_fmt(r)},{_fmt(tau)},{_fmt(insertion_bound(d, list_size, 1 - tau))}"
-            )
+            tau = Fraction(dn * k, dd * points)
+            x = Fraction(dd * points - dn * k, dd * points)
+            rows.append(f"{_fmt(r)},{_fmt(tau)},{_fmt(insertion_bound(d, list_size, x))}")
     return rows
 
 

@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from insdel_lab.acceptance import ALL_CRITERIA
+from insdel_lab.acceptance import ALL_CRITERIA, RS_ALPHA
+from insdel_lab.codes import PrimeField, rs_search_eval_points
 
 # seconds; taken from the stated budgets the criteria were designed against
 TIME_BUDGETS = {
@@ -45,3 +46,9 @@ def test_criterion(criterion):
 def test_every_criterion_is_covered():
     assert len(ALL_CRITERIA) == 11
     assert sorted(TIME_BUDGETS) == list(range(1, 12))
+
+
+def test_rs_alpha_is_the_seeded_search_result():
+    # criterion 8 pins the search result instead of re-running the search
+    result = rs_search_eval_points(PrimeField(7), 5, 2, budget=300, seed=0)
+    assert result.alpha == RS_ALPHA

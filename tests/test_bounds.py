@@ -1,6 +1,7 @@
 """Exact bound evaluation, piece decomposition, and the quadratic comparison."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,19 @@ class TestInsertionBound:
         with pytest.raises(ValueError):
             insertion_bound(0.9, 2, 2)
 
+    def test_domain_error_messages(self):
+        # the text the Fraction arithmetic 1 - delta used to print
+        with pytest.raises(ValueError, match=r"^x=1/20 outside domain \[1/10, 1\]$"):
+            insertion_bound(0.9, 2, Fraction(1, 20))
+        with pytest.raises(ValueError, match=r"^x=11/10 outside domain \[1/10, 1\]$"):
+            insertion_bound("18/20", 3, "1.1")
+        with pytest.raises(ValueError, match=r"^x=-1 outside domain \[2/3, 1\]$"):
+            insertion_bound(Fraction(1, 3), 2, -1)
+        message = r"^relative distance must satisfy 0 < delta < 1, got {}$"
+        for delta, shown in ((0, "0"), (1, "1"), ("7/5", "7/5"), (-0.5, "-1/2")):
+            with pytest.raises(ValueError, match=message.format(shown)):
+                insertion_bound(delta, 2, 1)
+
 
 class TestPiecewiseDecomposition:
     def test_two_piece_example(self):
@@ -124,10 +138,27 @@ class TestPiecewiseDecomposition:
 
     def test_evaluate_rejects_outside_domain(self):
         bound = insertion_bound_piecewise(0.9, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^x=1/20 outside domain \[1/10, 1\]$"):
             bound.evaluate(Fraction(1, 20))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^x=11/10 outside domain \[1/10, 1\]$"):
             bound.evaluate(Fraction(11, 10))
+        bound = insertion_bound_piecewise("18/20", 5)
+        with pytest.raises(ValueError, match=r"^x=0 outside domain \[1/10, 1\]$"):
+            bound.evaluate(0)
+
+    def test_evaluate_at_every_breakpoint(self):
+        # a breakpoint belongs to the piece on its right; both ends of the
+        # domain are exact too
+        for list_size in (2, 3, 6, 12):
+            for delta in (Fraction(9, 10), Fraction(17, 20), Fraction(20, 21), Fraction(1, 3)):
+                bound = insertion_bound_piecewise(delta, list_size)
+                pieces = bound.pieces
+                ends = ((1 - delta, pieces[0]), (Fraction(1), pieces[-1]))
+                for point, piece in (*zip(bound.breakpoints(), pieces[1:]), *ends):
+                    expected = piece.slope * point + piece.intercept
+                    assert bound.evaluate(point) == expected
+                    assert bound.evaluate(point) == insertion_bound(delta, list_size, point)
+                assert bound.evaluate(1 - delta) == 0
 
     @given(
         st.integers(2, 8),
@@ -167,6 +198,29 @@ class TestHyQuadratics:
                     gap = hy_quadratic1(delta, x) - hy_quadratic2(delta, list_size, x)
                     assert gap > 0
 
+    def test_match_textbook_formulas(self):
+        # x ranges beyond [0, 1]: the quadratics do not check x
+        rng = random.Random(7)
+        for _ in range(500):
+            den = rng.randint(2, 60)
+            delta = Fraction(rng.randint(1, den - 1), den)
+            x = Fraction(rng.randint(-80, 80), rng.randint(1, 40))
+            list_size = rng.randint(2, 12)
+            c = 1 - delta
+            phi1 = x * x / c - x
+            phi2 = ((list_size + 1) * x * x - (list_size + 1) * c * x + c - 1) / (
+                list_size * c + 1
+            )
+            assert hy_quadratic1(delta, x) == phi1
+            assert hy_quadratic2(delta, list_size, x) == phi2
+
+    def test_delta_validated(self):
+        for delta in (0, 1, "3/2", -0.25):
+            with pytest.raises(ValueError, match="0 < delta < 1"):
+                hy_quadratic1(delta, Fraction(1, 2))
+            with pytest.raises(ValueError, match="0 < delta < 1"):
+                hy_quadratic2(delta, 2, Fraction(1, 2))
+
     def test_list_size_examples(self):
         assert hy_list_size(0.9, 0.5, 0) == 1
         assert hy_list_size(0.9, 0.8, 0.05) == 2
@@ -183,6 +237,34 @@ class TestHyQuadratics:
             hy_list_size(0.9, -1, 0)
         with pytest.raises(ValueError):
             hy_list_size(0.9, 0.5, 1)
+
+
+class _OwnFraction(Fraction):
+    """A Fraction subclass, as a caller's own rational type might be."""
+
+
+class TestInputTypes:
+    """Every exact evaluator reads str, float, int and Fraction subclasses alike."""
+
+    EVALUATORS = (
+        lambda delta, x: insertion_bound(delta, 3, x),
+        lambda delta, x: insertion_bound_piecewise(delta, 3).evaluate(x),
+        lambda delta, x: hy_quadratic1(delta, x),
+        lambda delta, x: hy_quadratic2(delta, 3, x),
+    )
+
+    @pytest.mark.parametrize("evaluate", EVALUATORS, ids=["max", "pieces", "phi1", "phi2"])
+    def test_inputs_of_every_type(self, evaluate):
+        expected = evaluate(Fraction(3, 4), Fraction(1, 2))
+        assert type(expected) is Fraction
+        for delta in ("3/4", "0.75", 0.75, _OwnFraction(3, 4)):
+            for x in ("1/2", "0.5", 0.5, _OwnFraction(1, 2)):
+                value = evaluate(delta, x)
+                assert type(value) is Fraction
+                assert value == expected
+        top = evaluate(Fraction(3, 4), Fraction(1))
+        for x in (1, "1", 1.0, _OwnFraction(1)):
+            assert evaluate(Fraction(3, 4), x) == top
 
 
 class TestCrossoverConstants:

@@ -4,6 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from insdel_lab.bounds import (
+    as_fraction,
+    comparison_report,
+    hy_quadratic1,
+    hy_quadratic2,
+    insertion_bound,
+)
 from insdel_lab.figures import (
     bound_profile_rows,
     bound_table_rows,
@@ -93,3 +100,73 @@ class TestWriteRows:
         write_rows(bound_table_rows(0.9, 2, points=16), b)
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes().endswith(b"\n")
+
+
+def _fmt(value):
+    return repr(float(value))
+
+
+class TestGridPoints:
+    """Rows match the same rows built by per-row Fraction arithmetic."""
+
+    DELTA = "18/20"  # unreduced on purpose
+    POINTS = 37  # P2 (tau_d = 7/10) falls on this grid at L = 2
+
+    def test_bound_table(self):
+        d = as_fraction(self.DELTA)
+        for list_size in (2, 3):
+            rows = ["tau_d,rho,phi1,phi2,unique"]
+            for k in range(self.POINTS):
+                tau = d * k / (self.POINTS - 1)
+                x = 1 - tau
+                values = (
+                    tau,
+                    insertion_bound(d, list_size, x),
+                    hy_quadratic1(d, x),
+                    hy_quadratic2(d, list_size, x),
+                    d - tau,
+                )
+                rows.append(",".join(_fmt(v) for v in values))
+            assert bound_table_rows(self.DELTA, list_size, self.POINTS) == rows
+
+    def test_comparison(self):
+        d = as_fraction(self.DELTA)
+        for list_size in (2, 3):
+            report = comparison_report(d, list_size)
+            labelled = {
+                as_fraction(point[0]): label
+                for point, label in ((report.p1, "P1"), (report.p2, "P2"))
+                if point is not None
+            }
+            assert len(labelled) == 2
+            grid = {d * k / (self.POINTS - 1) for k in range(self.POINTS)}
+            rows = ["tau_d,rho,phi2,unique,landmark"]
+            for tau in sorted(grid | set(labelled)):
+                x = 1 - tau
+                unique = d - tau if tau < d else Fraction(0)
+                rho, phi2 = insertion_bound(d, list_size, x), hy_quadratic2(d, list_size, x)
+                values = (tau, rho, phi2, unique)
+                rows.append(",".join(_fmt(v) for v in values) + "," + labelled.get(tau, ""))
+            assert comparison_rows(self.DELTA, list_size, self.POINTS) == rows
+        on_grid = comparison_rows(self.DELTA, 2, self.POINTS)
+        assert len(on_grid) == self.POINTS + 2  # header, grid, P1; P2 shares a row
+
+    def test_profile(self):
+        d = as_fraction(self.DELTA)
+        list_sizes = (2, 3, 10)
+        rows = ["x,rho_L2,rho_L3,rho_L10"]
+        for k in range(self.POINTS):
+            x = (1 - d) + d * k / (self.POINTS - 1)
+            rows.append(",".join([_fmt(x)] + [_fmt(insertion_bound(d, L, x)) for L in list_sizes]))
+        assert bound_profile_rows(self.DELTA, list_sizes, self.POINTS) == rows
+
+    def test_rate_region(self):
+        rates = ("2/8", 0.1, Fraction(13, 97))
+        rows = ["rate,tau_d,tau_i_max"]
+        for rate in rates:
+            r = as_fraction(rate)
+            d = 1 - 2 * r
+            for k in range(self.POINTS):
+                tau = d * k / self.POINTS
+                rows.append(f"{_fmt(r)},{_fmt(tau)},{_fmt(insertion_bound(d, 3, 1 - tau))}")
+        assert rate_region_rows(3, rates, self.POINTS) == rows
