@@ -350,8 +350,8 @@ def criterion_direction_equivalence() -> CriterionResult:
 
 
 def criterion_determinism() -> CriterionResult:
-    """CSV rows are byte-identical, and verdicts equal as values, across runs
-    and worker counts."""
+    """CSV rows are byte-identical, and witness verdicts equal as values,
+    across runs."""
     res = CriterionResult(11, "determinism: CSV bytes and verdicts stable", True)
     table_args = (Fraction(9, 10), 2, 64)
     for maker in (
@@ -363,18 +363,12 @@ def criterion_determinism() -> CriterionResult:
         first, second = maker(), maker()
         if "\n".join(first) != "\n".join(second):
             return _fail(res, "CSV rows differ across runs")
-    code = vt_binary(6, 0)
-    serial = list_decodable(code, 1, 1, 2, want_witness=True, workers=1)
-    for workers in (2, 3):
-        other = list_decodable(code, 1, 1, 2, want_witness=True, workers=workers)
-        if serial != other:
-            return _fail(res, f"verdict differs at workers={workers}")
-    # a non-decodable witness case: the full binary cube at radius 1
+    # two failing witness censuses: VT_0(6), and the full binary cube at radius 1
     cube = Code(q=2, n=3, codewords=frozenset(all_words(2, 3)))
-    baseline = list_decodable(cube, 1, 0, 1, want_witness=True, workers=1)
-    again = list_decodable(cube, 1, 0, 1, want_witness=True, workers=3)
-    if baseline != again:
-        return _fail(res, "witness verdict differs across worker counts")
+    for code, radii in ((vt_binary(6, 0), (1, 1, 2)), (cube, (1, 0, 1))):
+        verdict = list_decodable(code, *radii, want_witness=True)
+        if verdict != list_decodable(code, *radii, want_witness=True):
+            return _fail(res, f"witness verdict differs across runs at {radii}")
     return res
 
 

@@ -194,9 +194,14 @@ def insertion_bound_piecewise(delta: Exact | float, list_size: int) -> Piecewise
 
 
 def unique_decoding_bound(delta: Exact | float, tau_del: Exact | float) -> Fraction:
-    """Insertion fraction tolerated by unique decoding: delta - tau_del."""
+    """Insertion fraction tolerated by unique decoding: delta - tau_del.
+
+    Unlike the list-decoding bounds it is defined at delta = 1, the relative
+    distance of two symbol-disjoint codewords.
+    """
     d = as_fraction(delta)
-    _one_minus_delta(d)
+    if not 0 < d <= 1:
+        raise ValueError(f"relative distance must satisfy 0 < delta <= 1, got {d}")
     td = as_fraction(tau_del)
     if not 0 <= td < d:
         raise ValueError(f"need 0 <= tau_del < delta, got tau_del={td}, delta={d}")

@@ -407,14 +407,11 @@ def verify_mindist(code_path) -> None:
 @click.option("--list-size", type=int, required=True)
 @click.option("--witness", is_flag=True, help="census the smallest offending received word")
 @click.option("--cap", type=int, default=DEFAULT_BALL_CAP, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
 @_guarded
-def verify_list_decodable(code_path, ti, td, list_size, witness, cap, workers) -> None:
+def verify_list_decodable(code_path, ti, td, list_size, witness, cap) -> None:
     """Exhaustive channel-output check of (ti, td, L)-list-decodability."""
     loaded = read_code(code_path)
-    verdict = list_decodable(
-        loaded, ti, td, list_size, want_witness=witness, cap=cap, workers=workers
-    )
+    verdict = list_decodable(loaded, ti, td, list_size, want_witness=witness, cap=cap)
     _echo_json(verdict)
     if not verdict.decodable:
         raise SystemExit(1)

@@ -99,6 +99,11 @@ def _validate_eval_points(field: PrimeField, n: int, alpha: Sequence[int]) -> tu
     return points
 
 
+def _validate_rs_shape(field: PrimeField, n: int, k: int) -> None:
+    if not 1 <= k <= n <= field.p:
+        raise ValueError(f"need 1 <= k <= n <= p, got k={k}, n={n}, p={field.p}")
+
+
 def rs_codewords(
     field: PrimeField, n: int, k: int, alpha: Sequence[int]
 ) -> Iterator[Word]:
@@ -107,8 +112,7 @@ def rs_codewords(
     Polynomials f of degree < k are enumerated in lexicographic order of their
     coefficient tuples (constant coefficient first).
     """
-    if not 1 <= k <= n <= field.p:
-        raise ValueError(f"need 1 <= k <= n <= p, got k={k}, n={n}, p={field.p}")
+    _validate_rs_shape(field, n, k)
     points = _validate_eval_points(field, n, alpha)
     for coeffs in itertools.product(field.elements(), repeat=k):
         yield Word(tuple(field.poly_eval(coeffs, a) for a in points), field.p)
@@ -165,6 +169,7 @@ def rs_search_eval_points(
     the search is exhaustive in lexicographic order; otherwise `budget`
     seeded random tuples are examined.
     """
+    _validate_rs_shape(field, n, k)
     if target is None:
         target = min(2 * n, 2 * n - 4 * k + 4)
     if budget < 1:

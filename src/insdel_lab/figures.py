@@ -1,8 +1,8 @@
 """Deterministic CSV data behind the standard plots and bound tables.
 
 Rows are produced as plain strings with shortest-repr float formatting so the
-emitted bytes are identical across runs and worker counts.  Grid points are
-generated as exact rationals and only converted to float at formatting time.
+emitted bytes are identical across runs.  Grid points are generated as exact
+rationals and only converted to float at formatting time.
 """
 
 from __future__ import annotations

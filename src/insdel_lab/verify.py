@@ -11,17 +11,14 @@ asserts its equivalence with direct channel simulation on small instances.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
 from math import comb
 from typing import Iterable, Sequence
 
-from .bounds import insertion_bound
+from .bounds import insertion_bound, unique_decoding_bound
 from .codes import Code
 from .words import (
     DEFAULT_BALL_CAP,
@@ -72,15 +69,15 @@ class Verdict:
 
 
 def _channel_tally(
-    chunk: list[tuple[int, ...]], q: int, t_ins: int, t_del: int, stop_above: int
+    symbols: list[tuple[int, ...]], q: int, t_ins: int, t_del: int, stop_above: int
 ) -> dict[tuple[int, ...], int]:
-    """Count, per channel output, the codewords of `chunk` that reach it.
+    """Count, per channel output, the codewords of `symbols` that reach it.
 
     Returns the partial tally as soon as some count exceeds stop_above.
     """
     tally: dict[tuple[int, ...], int] = {}
-    for symbols in chunk:
-        for y in _ball(symbols, t_ins, t_del, q):
+    for word in symbols:
+        for y in _ball(word, t_ins, t_del, q):
             count = tally.get(y, 0) + 1
             tally[y] = count
             if count > stop_above:
@@ -157,7 +154,6 @@ def list_decodable(
     *,
     want_witness: bool = False,
     cap: int = DEFAULT_BALL_CAP,
-    workers: int = 1,
 ) -> Verdict:
     """Check (t_ins, t_del, list_size)-list-decodability exhaustively.
 
@@ -179,16 +175,13 @@ def list_decodable(
     full census, after a failing DP verdict too, and the witness is the
     shortlex smallest offending received word, its codeword list re-derived
     through the decoder-ball membership predicate (swapped radii) as an
-    independent check.  Without it, each worker's tally stops at its first
-    offender.  The ball-size cap and workers apply only when the enumerator
-    runs: the cap is checked once, before any enumeration, and a verdict the
-    DP settles never raises BallSizeError.  Verdicts are identical for any
-    worker count; at most os.cpu_count() worker processes are started.
+    independent check.  Without it, the tally stops at its first offender.
+    The ball-size cap applies only when the enumerator runs: it is checked
+    once, before any enumeration, and a verdict the DP settles never raises
+    BallSizeError.  Both engines run in the calling process.
     """
     if list_size < 1:
         raise ValueError("list size must be at least 1")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     if t_ins < 0 or t_del < 0:
         raise ValueError("radii must be nonnegative")
     if t_del > code.n:
@@ -208,25 +201,7 @@ def list_decodable(
         raise BallSizeError(estimate, cap)
     # a witness needs the full census, and no count can exceed the code size
     stop_above = code.size if want_witness else list_size
-    # more processes than CPUs only add start-up cost; cpu_count may be None
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1:
-        tally = _channel_tally(symbols, code.q, t_ins, t_del, stop_above)
-    else:
-        chunks = [symbols[i::workers] for i in range(min(workers, len(symbols)))]
-        tally = {}
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            partials = pool.map(
-                _channel_tally,
-                chunks,
-                repeat(code.q),
-                repeat(t_ins),
-                repeat(t_del),
-                repeat(stop_above),
-            )
-            for partial in partials:
-                for key, value in partial.items():
-                    tally[key] = tally.get(key, 0) + value
+    tally = _channel_tally(symbols, code.q, t_ins, t_del, stop_above)
     offenders = sorted(
         (key for key, count in tally.items() if count > list_size),
         key=lambda s: (len(s), s),
@@ -303,17 +278,18 @@ def bound_region_pairs(n: int, delta: Fraction, list_size: int) -> list[tuple[in
     unique-decoding line delta - t_del/n, which is also defined at delta = 1.
     """
     pairs = []
-    t_del = 0
-    while t_del < n and Fraction(t_del, n) < delta:
+    for t_del in range(n):
+        tau = Fraction(t_del, n)
+        if tau >= delta:
+            break
         if list_size == 1:
-            limit = delta - Fraction(t_del, n)
+            limit = unique_decoding_bound(delta, tau)
         else:
-            limit = insertion_bound(delta, list_size, 1 - Fraction(t_del, n))
+            limit = insertion_bound(delta, list_size, 1 - tau)
         t_ins = 0
         while Fraction(t_ins, n) < limit:
             pairs.append((t_ins, t_del))
             t_ins += 1
-        t_del += 1
     return pairs
 
 
@@ -328,9 +304,7 @@ def check_bound_region(
     the cap, and no witness otherwise.  At list size 1 a
     code of relative distance 1 (two symbol-disjoint codewords) is checked on
     the unique-decoding region; at list size 2 or more it raises ValueError,
-    since the bound is formulated for delta < 1.  Runs in one process: the
-    region reaches large radii only at high delta, where codes have too few
-    codewords for a worker pool to pay for its start-up and tally transfer.
+    since the bound is formulated for delta < 1.
     """
     if list_size < 1:
         raise ValueError("list size must be at least 1")

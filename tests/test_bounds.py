@@ -175,12 +175,21 @@ class TestPiecewiseDecomposition:
 class TestUniqueDecoding:
     def test_frozen_value(self):
         assert unique_decoding_bound(0.9, 0.7) == Fraction(1, 5)
+        # two symbol-disjoint codewords
+        assert unique_decoding_bound(1, Fraction(1, 3)) == Fraction(2, 3)
+
+    @pytest.mark.parametrize("delta", [0, -0.5, "3/2", 1.01])
+    def test_rejects_delta_outside_unit_interval(self, delta):
+        with pytest.raises(ValueError, match="0 < delta <= 1"):
+            unique_decoding_bound(delta, 0)
 
     def test_rejects_tau_at_or_beyond_delta(self):
         with pytest.raises(ValueError):
             unique_decoding_bound(0.5, 0.5)
         with pytest.raises(ValueError):
             unique_decoding_bound(0.5, 0.6)
+        with pytest.raises(ValueError):
+            unique_decoding_bound(1, 1)
 
 
 class TestHyQuadratics:

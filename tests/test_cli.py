@@ -69,6 +69,10 @@ class TestBoundCommands:
         assert run("bound", "rho", "--delta", "abc", "--list-size", "2").exit_code == 2
         assert run("bound", "rho", "--delta", "1.5", "--list-size", "2").exit_code == 2
         assert run("bound", "rho", "--delta", "0.9", "--list-size", "1").exit_code == 2
+        # the unique-decoding line is defined at delta = 1, the insertion bound is not
+        for extra in ((), ("--tau-d", "0")):
+            result = run("bound", "rho", "--delta", "1", "--list-size", "2", *extra)
+            assert result.exit_code == 2, result.output
 
     def test_hy_values(self):
         payload = payload_of(
@@ -210,6 +214,9 @@ class TestCodeCommands:
         out = tmp_path / "bad.code"
         result = run("code", "rs", "--p", "5", "--n", "2", "--k", "3", "--out", str(out))
         assert result.exit_code == 2
+        result = run("code", "rs-search", "--p", "5", "--n", "7", "--k", "1")
+        assert result.exit_code == 2, result.output
+        assert "need 1 <= k <= n <= p, got k=1, n=7, p=5" in result.output
 
     def test_rs_search(self, tmp_path):
         out = tmp_path / "searched.code"
@@ -314,14 +321,13 @@ class TestVerifyCommands:
         assert result.exit_code == 2, result.output
         assert "list size must be at least 1" in result.output
 
-    def test_workers_below_one_exit_two(self, tmp_path):
+    def test_workers_option_is_unknown(self, tmp_path):
         out = tmp_path / "vt6.code"
         payload_of(run("code", "vt", "--n", "6", "--a", "0", "--out", str(out)))
         command = ["list-decodable", "--ti", "1", "--td", "0", "--list-size", "2"]
-        for workers in ("0", "-3"):
-            result = run("verify", *command, "--code", str(out), "--workers", workers)
-            assert result.exit_code == 2, result.output
-            assert "workers must be at least 1" in result.output
+        result = run("verify", *command, "--code", str(out), "--workers", "2")
+        assert result.exit_code == 2, result.output
+        assert "No such option" in result.output and "--workers" in result.output
 
     def test_missing_code_file_exit_two(self):
         result = run(

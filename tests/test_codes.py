@@ -96,6 +96,11 @@ class TestReedSolomon:
             rs_code(field, 4, 2, alpha=(0, 1, 2, 7))
         with pytest.raises(CodeSizeError):
             rs_code(PrimeField(3), 3, 3, cap=10)
+        # the search checks the shape before it looks at any tuple
+        for n, k in ((7, 1), (3, 4), (3, 0)):
+            message = f"need 1 <= k <= n <= p, got k={k}, n={n}, p=5"
+            with pytest.raises(ValueError, match=message):
+                rs_search_eval_points(field, n, k)
 
     def test_eval_point_search_degree_zero(self):
         result = rs_search_eval_points(PrimeField(5), 4, 1)

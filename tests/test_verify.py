@@ -107,32 +107,6 @@ class TestListDecodable:
                         for ls2 in range(ls, 4):
                             assert verdicts[(ti2, td2, ls2)]
 
-    def test_worker_counts_agree(self, monkeypatch):
-        # two CPUs on any host, so workers=2 and 3 both run the pool
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-        code = vt_binary(6, 0)
-        verdicts = [
-            list_decodable(code, 1, 1, 2, want_witness=True, workers=w)
-            for w in (1, 2, 3)
-        ]
-        assert verdicts[0] == verdicts[1] == verdicts[2]
-        assert verdicts[0].witness is not None
-
-    def test_workers_clamped_to_cpu_count(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a single CPU must not start a process pool")
-
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
-        code = vt_binary(6, 0)
-        serial = list_decodable(code, 1, 1, 2, want_witness=True, workers=1)
-        assert list_decodable(code, 1, 1, 2, want_witness=True, workers=2) == serial
-
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            list_decodable(vt_binary(6, 0), 1, 1, 2, workers=workers)
-
     def test_early_exit_and_census_verdicts_agree(self):
         code = cube(3)
         fast = list_decodable(code, 1, 0, 1)
@@ -151,14 +125,11 @@ class TestListDecodable:
     def test_cap_checked_before_enumerating(self):
         # VT_0(6) at (1, 1): the size bound is 7 * 9 = 63
         code = vt_binary(6, 0)
-        for workers in (1, 2):
-            for want_witness in (False, True):
-                with pytest.raises(BallSizeError) as excinfo:
-                    list_decodable(
-                        code, 1, 1, 2, want_witness=want_witness, cap=62, workers=workers
-                    )
-                assert excinfo.value.estimate == 63
-            assert list_decodable(code, 1, 1, 2, cap=63, workers=workers).decodable is False
+        for want_witness in (False, True):
+            with pytest.raises(BallSizeError) as excinfo:
+                list_decodable(code, 1, 1, 2, want_witness=want_witness, cap=62)
+            assert excinfo.value.estimate == 63
+        assert list_decodable(code, 1, 1, 2, cap=63).decodable is False
 
     def test_decodable_verdict_never_carries_witness(self):
         with pytest.raises(ValueError):
