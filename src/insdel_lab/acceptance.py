@@ -1,9 +1,13 @@
 """Acceptance criteria for the whole library, runnable as one regression gate.
 
-Each criterion is a standalone callable returning a CriterionResult; `run_all`
-executes every one and prints a single pass/fail line per criterion.  The
-same functions back the pytest acceptance suite and the `regress` CLI
-subcommand, so both surfaces agree by construction.
+Each criterion is a plain check: it passes by returning (criterion 8 returns
+the region pairs it skipped) and fails by raising CriterionFailure(detail).
+`ALL_CRITERIA` lists the checks in order with their printed names, and
+`run_criterion(number)` alone turns one into a timed CriterionResult, taking
+its number from the table position; a crash becomes a failure with the
+exception's repr.  `run_all` runs every one and prints a single pass/fail line
+per criterion.  The same runner backs the pytest acceptance suite and the
+`regress` CLI subcommand, so both surfaces agree by construction.
 """
 
 from __future__ import annotations
@@ -82,77 +86,64 @@ class CriterionResult:
         return f"[{self.number:2d}] {status} {self.name}{extra}{skips} ({self.elapsed:.2f}s)"
 
 
-def _fail(result: CriterionResult, detail: str) -> CriterionResult:
-    result.ok = False
-    result.detail = detail
-    return result
+class CriterionFailure(Exception):
+    """Raised by a failing check; its one argument is the detail printed."""
 
 
-def criterion_cover_oracle() -> CriterionResult:
+def criterion_cover_oracle() -> None:
     """Cover-count recursion equals brute-force enumeration for j <= 5."""
-    res = CriterionResult(1, "cover counts: recursion matches enumeration (j <= 5)", True)
     for j in range(1, 6):
         for v in range(1, j + 1):
             for ell in range(1, comb(j, v) + 1):
                 fast = count_v_covers(j, ell, v)
                 slow = enumerate_v_covers(j, ell, v)
                 if fast != slow:
-                    return _fail(res, f"(j={j}, ell={ell}, v={v}): {fast} != {slow}")
-    return res
+                    raise CriterionFailure(f"(j={j}, ell={ell}, v={v}): {fast} != {slow}")
 
 
-def criterion_coefficient_closed_form() -> CriterionResult:
+def criterion_coefficient_closed_form() -> None:
     """Signed cover sums collapse to the single-binomial closed form, j <= 9."""
-    res = CriterionResult(2, "inclusion-exclusion coefficient closed form (j <= 9)", True)
     for j in range(2, 10):
         for v in range(1, j + 1):
             closed = inclusion_exclusion_coefficient(j, v)
             summed = signed_cover_sum(j, v)
             expected = (-1) ** (j - v) * comb(j - 1, v - 1)
             if not closed == summed == expected:
-                return _fail(res, f"(j={j}, v={v}): {closed}, {summed}, {expected}")
-    return res
+                raise CriterionFailure(f"(j={j}, v={v}): {closed}, {summed}, {expected}")
 
 
-def criterion_telescoping_sum() -> CriterionResult:
+def criterion_telescoping_sum() -> None:
     """The alternating double-binomial sum equals 1 for all 1 <= v <= j <= 30."""
-    res = CriterionResult(3, "alternating binomial sum telescopes to 1 (j <= 30)", True)
     for j in range(1, 31):
         for v in range(1, j + 1):
             value = alternating_binomial_sum(j, v)
             if value != 1:
-                return _fail(res, f"(j={j}, v={v}): {value}")
-    return res
+                raise CriterionFailure(f"(j={j}, v={v}): {value}")
 
 
-def criterion_elimination_rows() -> CriterionResult:
+def criterion_elimination_rows() -> None:
     """Row invariants, tail closed form, sign pattern, and pair margins, L <= 12."""
-    res = CriterionResult(4, "elimination rows: invariants, signs, margins (L <= 12)", True)
     for L in range(2, 13):
         for r in range(1, L + 1):
             row = elimination_row(L, r)  # constructor enforces r, -1, zero block
             for j in range(r + 2, L + 2):
                 coeff = row.coefficient(j)
                 if coeff == 0:
-                    return _fail(res, f"(L={L}, r={r}, j={j}): unexpected zero")
+                    raise CriterionFailure(f"(L={L}, r={r}, j={j}): unexpected zero")
                 if ((j - r) % 2 == 0) != (coeff > 0):
-                    return _fail(res, f"(L={L}, r={r}, j={j}): sign pattern broken")
+                    raise CriterionFailure(f"(L={L}, r={r}, j={j}): sign pattern broken")
                 if r >= 2 and Fraction(coeff) != elimination_tail_term(r, j):
-                    return _fail(res, f"(L={L}, r={r}, j={j}): tail closed form")
+                    raise CriterionFailure(f"(L={L}, r={r}, j={j}): tail closed form")
             if r >= 2:
                 for j in range(r + 2, L + 1):
                     lhs = (j + 1) * abs(row.coefficient(j)) - abs(row.coefficient(j + 1))
                     rhs = comb(j - 3, r - 1) * (j - Fraction(r - 1, j - r - 1))
                     if Fraction(lhs) != rhs or rhs < 3:
-                        return _fail(res, f"(L={L}, r={r}, j={j}): margin {lhs} vs {rhs}")
-    return res
+                        raise CriterionFailure(f"(L={L}, r={r}, j={j}): margin {lhs} vs {rhs}")
 
 
-def criterion_bound_consistency() -> CriterionResult:
+def criterion_bound_consistency() -> None:
     """Max form and piece decomposition agree exactly on dense rational grids."""
-    res = CriterionResult(
-        5, "insertion bound: max form == pieces on 20x11 grid x 1000 points", True
-    )
     for L in range(2, 13):
         for i in range(1, GRID_DELTA_DENOMINATOR):
             delta = Fraction(i, GRID_DELTA_DENOMINATOR)
@@ -163,7 +154,7 @@ def criterion_bound_consistency() -> CriterionResult:
                 if Fraction(L * (L + 1), r * (r + 1)) * (1 - delta) < 1
             )
             if pieces.r_min != threshold_r_min or len(pieces.pieces) != L - threshold_r_min + 1:
-                return _fail(res, f"(delta={delta}, L={L}): piece structure")
+                raise CriterionFailure(f"(delta={delta}, L={L}): piece structure")
             # x = (1 - delta) + delta * k / GRID_STEPS, built as one Fraction
             base = GRID_STEPS * (GRID_DELTA_DENOMINATOR - i)
             denominator = GRID_STEPS * GRID_DELTA_DENOMINATOR
@@ -171,33 +162,31 @@ def criterion_bound_consistency() -> CriterionResult:
                 x = Fraction(base + i * k, denominator)
                 direct = insertion_bound(delta, L, x)
                 if direct != pieces.evaluate(x):
-                    return _fail(res, f"(delta={delta}, L={L}, x={x}): mismatch")
+                    raise CriterionFailure(f"(delta={delta}, L={L}, x={x}): mismatch")
                 if k > 0 and direct <= 0:
-                    return _fail(res, f"(delta={delta}, L={L}, x={x}): not positive")
-    return res
+                    raise CriterionFailure(f"(delta={delta}, L={L}, x={x}): not positive")
 
 
-def criterion_hy_golden() -> CriterionResult:
+def criterion_hy_golden() -> None:
     """Crossover constants and comparison landmarks match their closed forms."""
-    res = CriterionResult(6, "HY comparison: crossover constants and landmarks", True)
     golden = (27 - math.sqrt(57)) / 28
     if abs(hy_crossover_delta(2) - golden) > 1e-9:
-        return _fail(res, f"delta1(2) = {hy_crossover_delta(2)} vs {golden}")
+        raise CriterionFailure(f"delta1(2) = {hy_crossover_delta(2)} vs {golden}")
     if abs(hy_crossover_delta_closed_form(2) - golden) > 1e-9:
-        return _fail(res, "closed form delta1(2) off")
+        raise CriterionFailure("closed form delta1(2) off")
 
     report = comparison_report(Fraction(9, 10), 2)
     if report.p2 != (0.7, 0.2):
-        return _fail(res, f"P2 = {report.p2}")
+        raise CriterionFailure(f"P2 = {report.p2}")
     c = 0.1
     alpha = (17 * c + 4 + math.sqrt(-143 * c * c - 188 * c + 124)) / 18
     if report.p1 is None or abs(report.p1[0] - (1 - alpha)) > 1e-6:
-        return _fail(res, f"P1 = {report.p1} vs tau_d {1 - alpha}")
+        raise CriterionFailure(f"P1 = {report.p1} vs tau_d {1 - alpha}")
     if report.interval is None:
-        return _fail(res, "advantage interval missing")
+        raise CriterionFailure("advantage interval missing")
     lo, hi = report.interval
     if hi != 0.7 or abs(lo - (1 - alpha)) > 1e-6:
-        return _fail(res, f"interval = {report.interval}")
+        raise CriterionFailure(f"interval = {report.interval}")
 
     for L in (2, 3, 5, 10):
         for i in range(1, 50):
@@ -205,13 +194,11 @@ def criterion_hy_golden() -> CriterionResult:
                 delta = 1 - Fraction(i, 50)
                 x = Fraction(k, 50)
                 if not hy_quadratic2(delta, L, x) < hy_quadratic1(delta, x):
-                    return _fail(res, f"phi2 >= phi1 at (L={L}, delta={delta}, x={x})")
-    return res
+                    raise CriterionFailure(f"phi2 >= phi1 at (L={L}, delta={delta}, x={x})")
 
 
-def criterion_code_distances() -> CriterionResult:
+def criterion_code_distances() -> None:
     """Constructed codes reach their guaranteed minimum Levenshtein distances."""
-    res = CriterionResult(7, "code families meet distance floors (VT, q-ary VT, Helberg)", True)
     for n in range(1, 11):
         for a in range(n + 1):
             code = vt_binary(n, a)
@@ -219,7 +206,7 @@ def criterion_code_distances() -> CriterionResult:
                 continue
             d = min_levenshtein_distance(code)
             if d < 4:
-                return _fail(res, f"VT_{a}({n}): distance {d} < 4")
+                raise CriterionFailure(f"VT_{a}({n}): distance {d} < 4")
     for n in range(1, 7):
         for a in range(n):
             for b in range(3):
@@ -231,7 +218,7 @@ def criterion_code_distances() -> CriterionResult:
                     continue
                 d = min_levenshtein_distance(code)
                 if d < 4:
-                    return _fail(res, f"VT3 (n={n}, a={a}, b={b}): distance {d} < 4")
+                    raise CriterionFailure(f"VT3 (n={n}, a={a}, b={b}): distance {d} < 4")
     for n in range(3, 9):
         modulus = helberg_weights(2, 2, n + 1)[n]
         for a in range(modulus):
@@ -243,8 +230,7 @@ def criterion_code_distances() -> CriterionResult:
                 continue
             d = min_levenshtein_distance(code)
             if d < 6:
-                return _fail(res, f"Helberg (n={n}, a={a}): distance {d} < 6")
-    return res
+                raise CriterionFailure(f"Helberg (n={n}, a={a}): distance {d} < 6")
 
 
 def _random_binary_code(rng: random.Random, n: int, size: int) -> Code:
@@ -276,10 +262,9 @@ def _greedy_code(rng: random.Random, q: int, n: int, distance: int, size: int) -
     raise RuntimeError(f"no greedy code with q={q}, n={n}, distance {distance}")
 
 
-def criterion_region_harness() -> CriterionResult:
+def criterion_region_harness() -> list[str]:
     """Zero violations across the guaranteed region for VT and random codes,
     and at least one checked pair beyond unique decoding."""
-    res = CriterionResult(8, "bound region harness: zero violations (VT + 50 random)", True)
     subjects: list[tuple[str, Code, tuple[int, ...]]] = [
         ("VT_0(6)", vt_binary(6, 0), (2, 3)),
         ("VT_0(8)", vt_binary(8, 0), (2, 3)),
@@ -300,59 +285,53 @@ def criterion_region_harness() -> CriterionResult:
         (f"RS(7,5,2) alpha={RS_ALPHA}", rs_code(PrimeField(7), 5, 2, RS_ALPHA), (5,)),
         ("greedy (q=5, n=5, d=8)", greedy, (2,)),
     ]
+    skipped: list[str] = []
     beyond_unique = 0
     for label, code, list_sizes in subjects:
         for list_size in list_sizes:
             if code.size <= list_size:
-                return _fail(res, f"{label} L={list_size}: vacuous, |C| = {code.size}")
+                raise CriterionFailure(f"{label} L={list_size}: vacuous, |C| = {code.size}")
             report = check_bound_region(code, list_size)
             for pair in report.skipped:
-                res.skipped.append(f"{label} L={list_size} pair={pair}")
+                skipped.append(f"{label} L={list_size} pair={pair}")
             if not report.ok:
                 first = report.violations[0]
-                return _fail(
-                    res,
+                raise CriterionFailure(
                     f"{label} L={list_size}: violation at "
-                    f"(t_ins={first.t_ins}, t_del={first.t_del})",
+                    f"(t_ins={first.t_ins}, t_del={first.t_del})"
                 )
             unique = set(bound_region_pairs(code.n, report.delta, 1))
             beyond_unique += sum(pair not in unique for pair in report.checked)
     if beyond_unique == 0:
-        return _fail(res, "no checked pair lies beyond unique decoding")
-    return res
+        raise CriterionFailure("no checked pair lies beyond unique decoding")
+    return skipped
 
 
-def criterion_ball_containment() -> CriterionResult:
+def criterion_ball_containment() -> None:
     """Insdel balls sit inside the summed-radius Levenshtein ball (exhaustive)."""
-    res = CriterionResult(9, "insdel balls contained in Levenshtein balls (|y| <= 3)", True)
     samples = list(words_up_to(2, 3))
     radii = [(a, b) for a in range(3) for b in range(3)]
     failures = check_ball_containment(samples, radii)
     if failures:
         y, a, b = failures[0]
-        return _fail(res, f"containment fails at ({y.to_text() or 'empty'}, {a}, {b})")
-    return res
+        raise CriterionFailure(f"containment fails at ({y.to_text() or 'empty'}, {a}, {b})")
 
 
-def criterion_direction_equivalence() -> CriterionResult:
+def criterion_direction_equivalence() -> None:
     """Channel-output view equals swapped-radii decoder-ball view (exhaustive)."""
-    res = CriterionResult(10, "decoder-ball radius swap matches channel outputs (n <= 4)", True)
     for centre in words_up_to(2, 4):
         for t_ins in range(3):
             for t_del in range(min(2, len(centre)) + 1):
                 if not decoder_ball_matches_channel(centre, t_ins, t_del):
-                    return _fail(
-                        res,
+                    raise CriterionFailure(
                         f"mismatch at centre={centre.to_text() or 'empty'}, "
-                        f"t_ins={t_ins}, t_del={t_del}",
+                        f"t_ins={t_ins}, t_del={t_del}"
                     )
-    return res
 
 
-def criterion_determinism() -> CriterionResult:
+def criterion_determinism() -> None:
     """CSV rows are byte-identical, and witness verdicts equal as values,
     across runs."""
-    res = CriterionResult(11, "determinism: CSV bytes and verdicts stable", True)
     table_args = (Fraction(9, 10), 2, 64)
     for maker in (
         lambda: figures.bound_table_rows(*table_args),
@@ -362,45 +341,63 @@ def criterion_determinism() -> CriterionResult:
     ):
         first, second = maker(), maker()
         if "\n".join(first) != "\n".join(second):
-            return _fail(res, "CSV rows differ across runs")
+            raise CriterionFailure("CSV rows differ across runs")
     # two failing witness censuses: VT_0(6), and the full binary cube at radius 1
     cube = Code(q=2, n=3, codewords=frozenset(all_words(2, 3)))
     for code, radii in ((vt_binary(6, 0), (1, 1, 2)), (cube, (1, 0, 1))):
         verdict = list_decodable(code, *radii, want_witness=True)
         if verdict != list_decodable(code, *radii, want_witness=True):
-            return _fail(res, f"witness verdict differs across runs at {radii}")
-    return res
+            raise CriterionFailure(f"witness verdict differs across runs at {radii}")
 
 
-ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
-    criterion_cover_oracle,
-    criterion_coefficient_closed_form,
-    criterion_telescoping_sum,
-    criterion_elimination_rows,
-    criterion_bound_consistency,
-    criterion_hy_golden,
-    criterion_code_distances,
-    criterion_region_harness,
-    criterion_ball_containment,
-    criterion_direction_equivalence,
-    criterion_determinism,
+# The gate in order: criterion N is entry N - 1, shown under its printed name.
+ALL_CRITERIA: tuple[tuple[str, Callable[[], list[str] | None]], ...] = (
+    ("cover counts: recursion matches enumeration (j <= 5)", criterion_cover_oracle),
+    ("inclusion-exclusion coefficient closed form (j <= 9)", criterion_coefficient_closed_form),
+    ("alternating binomial sum telescopes to 1 (j <= 30)", criterion_telescoping_sum),
+    ("elimination rows: invariants, signs, margins (L <= 12)", criterion_elimination_rows),
+    (
+        "insertion bound: max form == pieces on 20x11 grid x 1000 points",
+        criterion_bound_consistency,
+    ),
+    ("HY comparison: crossover constants and landmarks", criterion_hy_golden),
+    ("code families meet distance floors (VT, q-ary VT, Helberg)", criterion_code_distances),
+    ("bound region harness: zero violations (VT + 50 random)", criterion_region_harness),
+    ("insdel balls contained in Levenshtein balls (|y| <= 3)", criterion_ball_containment),
+    (
+        "decoder-ball radius swap matches channel outputs (n <= 4)",
+        criterion_direction_equivalence,
+    ),
+    ("determinism: CSV bytes and verdicts stable", criterion_determinism),
 )
+
+
+def run_criterion(number: int) -> CriterionResult:
+    """Run criterion `number` (1-based) of ALL_CRITERIA, timed.
+
+    A check that returns passes, with what it returns as its skips; one that
+    raises CriterionFailure fails with its detail, and any other exception
+    fails with its repr: a crash is a failure, not an abort.
+    """
+    name, check = ALL_CRITERIA[number - 1]
+    skipped, detail, ok = None, "", True
+    start = time.perf_counter()
+    try:
+        skipped = check()
+    except CriterionFailure as exc:
+        ok, detail = False, str(exc)
+    except Exception as exc:
+        ok, detail = False, repr(exc)
+    elapsed = time.perf_counter() - start
+    return CriterionResult(number, name, ok, detail, skipped or [], elapsed)
 
 
 def run_all(echo: Callable[[str], None] = print) -> list[CriterionResult]:
     """Run every acceptance criterion, printing one line each; returns results."""
     results = []
-    for criterion in ALL_CRITERIA:
-        start = time.perf_counter()
-        try:
-            result = criterion()
-        except Exception as exc:  # a crash is a failure, not an abort
-            result = CriterionResult(
-                len(results) + 1, criterion.__name__, False, detail=repr(exc)
-            )
-        result.elapsed = time.perf_counter() - start
-        results.append(result)
-        echo(result.line())
+    for number in range(1, len(ALL_CRITERIA) + 1):
+        results.append(run_criterion(number))
+        echo(results[-1].line())
     passed = sum(r.ok for r in results)
     echo(f"{passed}/{len(results)} acceptance criteria passed")
     return results

@@ -181,6 +181,8 @@ def bound_hy(delta_text, list_size, tau_text, tau_ins_text, csv_path, points) ->
     """HY quadratic bound values, and its guaranteed list size if --tau-i is given."""
     delta = _parse_exact(delta_text, "delta")
     tau = _parse_exact(tau_text, "tau-d")
+    if not 0 <= tau < 1:
+        raise click.UsageError(f"--tau-d must lie in [0, 1), got {tau}")
     x = 1 - tau
     phi2 = hy_quadratic2(delta, list_size, x)
     payload = {
@@ -232,7 +234,7 @@ def _identity_result(inputs: dict, value, oracle_value) -> None:
 @click.option("--j", type=int, required=True)
 @click.option("--ell", type=int, required=True)
 @click.option("--v", type=int, required=True)
-@click.option("--cap", type=int, default=DEFAULT_FAMILY_CAP, show_default=True)
+@click.option("--cap", type=click.IntRange(min=0), default=DEFAULT_FAMILY_CAP, show_default=True)
 @_guarded
 def identity_covers(j, ell, v, cap) -> None:
     """Cover-count recursion versus brute-force family enumeration."""
@@ -406,7 +408,7 @@ def verify_mindist(code_path) -> None:
 @click.option("--td", type=int, required=True, help="channel deletion radius")
 @click.option("--list-size", type=int, required=True)
 @click.option("--witness", is_flag=True, help="census the smallest offending received word")
-@click.option("--cap", type=int, default=DEFAULT_BALL_CAP, show_default=True)
+@click.option("--cap", type=click.IntRange(min=0), default=DEFAULT_BALL_CAP, show_default=True)
 @_guarded
 def verify_list_decodable(code_path, ti, td, list_size, witness, cap) -> None:
     """Exhaustive channel-output check of (ti, td, L)-list-decodability."""
@@ -420,7 +422,7 @@ def verify_list_decodable(code_path, ti, td, list_size, witness, cap) -> None:
 @verify.command("theorem")
 @click.option("--code", "code_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--list-size", type=int, required=True)
-@click.option("--cap", type=int, default=DEFAULT_BALL_CAP, show_default=True)
+@click.option("--cap", type=click.IntRange(min=0), default=DEFAULT_BALL_CAP, show_default=True)
 @_guarded
 def verify_theorem(code_path, list_size, cap) -> None:
     """Check every integer radius pair inside the bound's guaranteed region."""

@@ -118,13 +118,7 @@ def rs_codewords(
         yield Word(tuple(field.poly_eval(coeffs, a) for a in points), field.p)
 
 
-def rs_code(
-    field: PrimeField,
-    n: int,
-    k: int,
-    alpha: Sequence[int] | None = None,
-    cap: int = DEFAULT_CODE_CAP,
-) -> Code:
+def rs_code(field: PrimeField, n: int, k: int, alpha: Sequence[int] | None = None) -> Code:
     """Reed-Solomon evaluation code over a prime field.
 
     Distinct polynomials of degree < k <= n give distinct codewords, so the
@@ -134,9 +128,9 @@ def rs_code(
     if alpha is None:
         alpha = range(n)
     size = field.p**k
-    if size > cap:
+    if size > DEFAULT_CODE_CAP:
         raise CodeSizeError(
-            f"p^k = {size} codewords exceed cap {cap}; use rs_codewords to stream"
+            f"p^k = {size} codewords exceed cap {DEFAULT_CODE_CAP}; use rs_codewords to stream"
         )
     return Code(q=field.p, n=n, codewords=frozenset(rs_codewords(field, n, k, alpha)))
 
@@ -208,22 +202,23 @@ def rs_search_eval_points(
 
 
 def _filtered_code(
-    q: int, n: int, cap: int, member: Callable[[tuple[int, ...]], bool], empty: str
+    q: int, n: int, member: Callable[[tuple[int, ...]], bool], empty: str
 ) -> Code:
     """The q-ary words of length n that satisfy `member`, in one code.
 
-    Raises CodeSizeError when the q^n candidates exceed `cap`, before any is
-    built, and ValueError with the message `empty` when none qualifies.
+    Raises CodeSizeError when the q^n candidates exceed DEFAULT_CODE_CAP,
+    before any is built, and ValueError with the message `empty` when none
+    qualifies.
     """
-    if q**n > cap:
-        raise CodeSizeError(f"{q}^{n} words exceed cap {cap}")
+    if q**n > DEFAULT_CODE_CAP:
+        raise CodeSizeError(f"{q}^{n} words exceed cap {DEFAULT_CODE_CAP}")
     members = list(filter(member, itertools.product(range(q), repeat=n)))
     if not members:
         raise ValueError(empty)
     return Code(q=q, n=n, codewords=frozenset(Word(w, q) for w in members))
 
 
-def vt_binary(n: int, a: int, cap: int = DEFAULT_CODE_CAP) -> Code:
+def vt_binary(n: int, a: int) -> Code:
     """Binary Varshamov-Tenengolts code VT_a(n).
 
     Codewords are the binary words c of length n with
@@ -236,13 +231,12 @@ def vt_binary(n: int, a: int, cap: int = DEFAULT_CODE_CAP) -> Code:
     return _filtered_code(
         2,
         n,
-        cap,
         lambda c: sum(i * ci for i, ci in enumerate(c, start=1)) % (n + 1) == a,
         f"VT_{a}({n}) is empty",
     )
 
 
-def vt_qary(n: int, q: int, a: int, b: int, cap: int = DEFAULT_CODE_CAP) -> Code:
+def vt_qary(n: int, q: int, a: int, b: int) -> Code:
     """q-ary Varshamov-Tenengolts code for q > 2.
 
     A word s = (s_0, ..., s_(n-1)) belongs to the code when both
@@ -263,7 +257,7 @@ def vt_qary(n: int, q: int, a: int, b: int, cap: int = DEFAULT_CODE_CAP) -> Code
         return steps % n == a and sum(s) % q == b
 
     return _filtered_code(
-        q, n, cap, member, f"q-ary VT code (n={n}, q={q}, a={a}, b={b}) is empty"
+        q, n, member, f"q-ary VT code (n={n}, q={q}, a={a}, b={b}) is empty"
     )
 
 
@@ -281,14 +275,7 @@ def helberg_weights(q: int, s: int, count: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def helberg(
-    q: int,
-    n: int,
-    s: int,
-    a: int,
-    m: int | None = None,
-    cap: int = DEFAULT_CODE_CAP,
-) -> Code:
+def helberg(q: int, n: int, s: int, a: int, m: int | None = None) -> Code:
     """Helberg code: words x in {0..q-1}^n with sum_i v_i x_i = a (mod m).
 
     The weights follow the (q, s) recursion above and the modulus defaults to
@@ -307,7 +294,6 @@ def helberg(
     return _filtered_code(
         q,
         n,
-        cap,
         lambda x: sum(v * xi for v, xi in zip(weights, x)) % modulus == a,
         f"Helberg code (q={q}, n={n}, s={s}, a={a}) is empty",
     )

@@ -48,12 +48,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.symbols)
-
-    def __getitem__(self, i):
-        return self.symbols[i]
-
     def to_text(self) -> str:
         """Comma-separated decimal symbols; the empty word is the empty string."""
         return ",".join(str(s) for s in self.symbols)

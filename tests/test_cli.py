@@ -103,6 +103,16 @@ class TestBoundCommands:
         )
         assert payload["hy_list_size"] is None
 
+    def test_hy_tau_d_outside_unit_interval_exit_two(self):
+        command = ["bound", "hy", "--delta", "0.9", "--list-size", "2", "--tau-d"]
+        for tau in ("3", "1", "-1/2"):
+            for extra in ((), ("--tau-i", "0.5")):
+                result = run(*command, tau, *extra)
+                assert result.exit_code == 2, result.output
+                assert "--tau-d must lie in [0, 1)" in result.output
+        # beyond delta the quadratics are still defined, and negative
+        assert payload_of(run(*command, "19/20"))["phi1"] == "-1/40"
+
     def test_compare_landmarks(self):
         payload = payload_of(run("bound", "compare", "--delta", "0.9", "--list-size", "2"))
         assert set(payload) == {
@@ -138,6 +148,14 @@ class TestIdentityCommands:
             "identity", "covers", "--j", "8", "--ell", "10", "--v", "4", "--cap", "100"
         )
         assert result.exit_code == 1
+
+    def test_covers_negative_cap_exit_two(self):
+        command = ["identity", "covers", "--j", "3", "--ell", "2", "--v", "2", "--cap"]
+        result = run(*command, "-1")
+        assert result.exit_code == 2
+        assert "-1 is not in the range x>=0" in result.output
+        # cap 0 is valid input; the three families exceed it
+        assert run(*command, "0").exit_code == 1
 
     def test_covers_invalid_exit_two(self):
         assert run("identity", "covers", "--j", "0", "--ell", "1", "--v", "1").exit_code == 2
@@ -328,6 +346,23 @@ class TestVerifyCommands:
         result = run("verify", *command, "--code", str(out), "--workers", "2")
         assert result.exit_code == 2, result.output
         assert "No such option" in result.output and "--workers" in result.output
+
+    def test_negative_cap_exit_two(self, tmp_path):
+        # a q=5, n=5 code of distance 8, over the list-decoding threshold at L=2
+        out = tmp_path / "greedy.code"
+        out.write_text("q=5 n=5\n0,0,0,0,4\n0,2,2,2,3\n1,2,4,4,4\n3,2,0,1,1\n")
+        decodable = ["list-decodable", "--ti", "4", "--td", "0", "--list-size", "2"]
+        theorem = ["theorem", "--list-size", "2"]
+        for command in (decodable, theorem):
+            result = run("verify", *command, "--code", str(out), "--cap", "-1")
+            assert result.exit_code == 2, result.output
+            assert "-1 is not in the range x>=0" in result.output
+        # cap 0 keeps only what the alignment DP decides
+        payload = payload_of(run("verify", *decodable, "--code", str(out), "--cap", "0"))
+        assert payload["decodable"] is True
+        payload = payload_of(run("verify", *theorem, "--code", str(out), "--cap", "0"))
+        assert payload["ok"] is True and [1, 0] in payload["checked"]
+        assert payload["skipped"] == [[0, 0], [0, 1]]
 
     def test_missing_code_file_exit_two(self):
         result = run(

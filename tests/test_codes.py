@@ -94,8 +94,9 @@ class TestReedSolomon:
             rs_code(field, 4, 2, alpha=(0, 0, 1, 2))
         with pytest.raises(ValueError):
             rs_code(field, 4, 2, alpha=(0, 1, 2, 7))
-        with pytest.raises(CodeSizeError):
-            rs_code(PrimeField(3), 3, 3, cap=10)
+        message = r"^p\^k = 104060401 codewords exceed cap 1000000; use rs_codewords"
+        with pytest.raises(CodeSizeError, match=message):
+            rs_code(PrimeField(101), 4, 4)  # raises before building a codeword
         # the search checks the shape before it looks at any tuple
         for n, k in ((7, 1), (3, 4), (3, 0)):
             message = f"need 1 <= k <= n <= p, got k={k}, n={n}, p=5"
@@ -176,7 +177,7 @@ class TestVarshamovTenengolts:
         with pytest.raises(ValueError):
             vt_binary(4, 5)
         with pytest.raises(CodeSizeError, match=r"^2\^21 words exceed cap 1000000$"):
-            vt_binary(21, 0, cap=10**6)
+            vt_binary(21, 0)
 
 
 class TestQaryVarshamovTenengolts:

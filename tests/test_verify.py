@@ -315,6 +315,23 @@ class TestBoundRegion:
         assert report.beats_unique_decoding  # 3/5 > 2/4
         assert len(report.checked) == 7
 
+    def test_violation_carries_its_witness(self, monkeypatch):
+        # (1, 1) lies outside VT_0(6)'s region; inject it to reach the violation path
+        monkeypatch.setattr(verify, "bound_region_pairs", lambda n, delta, L: [(1, 1)])
+        report = check_bound_region(vt_binary(6, 0), 2)
+        assert not report.ok
+        assert report.checked == ((1, 1),) and not report.skipped
+        (violation,) = report.violations
+        assert violation == list_decodable(vt_binary(6, 0), 1, 1, 2, want_witness=True)
+        assert violation.witness.received.to_text() == "0,0,0,0,1,0"
+
+    def test_dp_violation_over_the_cap_has_no_witness(self, monkeypatch):
+        # the DP decides (7, 0), but the witness census needs a ball over the cap
+        monkeypatch.setattr(verify, "bound_region_pairs", lambda n, delta, L: [(7, 0)])
+        report = check_bound_region(GREEDY, 2, cap=1000)
+        assert report.checked == ((7, 0),) and not report.skipped
+        assert report.violations == (Verdict(False, 7, 0, 2),)
+
     @pytest.mark.parametrize("list_size", [0, -3])
     def test_list_size_below_one_rejected(self, list_size, monkeypatch):
         def no_distance(code):
