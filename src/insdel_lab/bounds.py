@@ -19,7 +19,7 @@ the nearest binary double.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence, Union
@@ -386,13 +386,7 @@ def comparison_report(delta: Exact | float, list_size: int) -> ComparisonReport:
     if not windows:
         # delta1 is a float threshold; just past it the window can be too thin
         # for float roots to resolve.  Report the landmarks only.
-        return ComparisonReport(
-            delta=float(d),
-            list_size=list_size,
-            delta1=delta1,
-            beta2=beta2,
-            p2=p2,
-        )
+        return replace(base, p2=p2)
     first_lo, first_hi = windows[0]
     upper_tau = float(1 - breakpoint_x)
     if first_hi >= 1 - 1e-12:
@@ -402,13 +396,6 @@ def comparison_report(delta: Exact | float, list_size: int) -> ComparisonReport:
         value_at_crossing = float(insertion_bound(d, list_size, as_fraction(first_hi)))
         interval = (1 - first_hi, upper_tau)
         p1 = (1 - first_hi, value_at_crossing)
-    return ComparisonReport(
-        delta=float(d),
-        list_size=list_size,
-        delta1=delta1,
-        beta2=beta2,
-        interval=interval,
-        p1=p1,
-        p2=p2,
-        extra_crossings=len(windows) > 1,
+    return replace(
+        base, interval=interval, p1=p1, p2=p2, extra_crossings=len(windows) > 1
     )

@@ -407,7 +407,11 @@ def verify_mindist(code_path) -> None:
 @click.option("--ti", type=int, required=True, help="channel insertion radius")
 @click.option("--td", type=int, required=True, help="channel deletion radius")
 @click.option("--list-size", type=int, required=True)
-@click.option("--witness", is_flag=True, help="census the smallest offending received word")
+@click.option(
+    "--witness",
+    is_flag=True,
+    help="census the smallest offending received word when the census fits --cap",
+)
 @click.option("--cap", type=click.IntRange(min=0), default=DEFAULT_BALL_CAP, show_default=True)
 @_guarded
 def verify_list_decodable(code_path, ti, td, list_size, witness, cap) -> None:

@@ -11,7 +11,6 @@ asserts its equivalence with direct channel simulation on small instances.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -164,21 +163,24 @@ def list_decodable(
       depend on q but grows exponentially in list_size, so it wins on small
       codes over large alphabets.  It runs first, on a budget of the
       enumerator's estimated cost, |C| times the ball-size bound, and gives
-      up once it would spend more.
+      up once it would spend more.  When the ball-size bound is over `cap`
+      the budget is at least the DP's pair join plus one unit per codeword,
+      so a pair at which no two codewords share an output is always decided.
     * The enumerator tallies every channel output of every codeword; the code
       fails exactly when some received word is reachable from more than
       list_size codewords.  Received words outside every codeword's output
       set decode to the empty list, so the tally is exhaustive.  Its cost
-      grows like |C| * q^t_ins.
+      grows like |C| * q^t_ins.  It runs only when its ball estimate fits
+      `cap`, checked once, before any enumeration.
 
-    The DP returns verdicts only.  With want_witness the enumerator runs the
-    full census, after a failing DP verdict too, and the witness is the
-    shortlex smallest offending received word, its codeword list re-derived
-    through the decoder-ball membership predicate (swapped radii) as an
-    independent check.  Without it, the tally stops at its first offender.
-    The ball-size cap applies only when the enumerator runs: it is checked
-    once, before any enumeration, and a verdict the DP settles never raises
-    BallSizeError.  Both engines run in the calling process.
+    BallSizeError is raised only when neither engine decides the verdict.
+    The DP returns verdicts only.  With want_witness a failing verdict
+    carries the shortlex smallest offending received word when the
+    enumerator's full census fits `cap`, and no witness otherwise; its
+    codeword list is re-derived through the decoder-ball membership
+    predicate (swapped radii) as an independent check.  Without it, the
+    tally stops at its first offender.  Both engines run in the calling
+    process.
     """
     if list_size < 1:
         raise ValueError("list size must be at least 1")
@@ -191,31 +193,37 @@ def list_decodable(
     sorted_words = code.sorted_words()
     symbols = [w.symbols for w in sorted_words]
     # the DP's cost does not grow with q; it gives up once it would cost more
-    # than enumerating every ball
-    decodable = _no_shared_output(symbols, t_ins, t_del, list_size, code.size * estimate)
-    if decodable is not None and (decodable or not want_witness):
+    # than enumerating every ball, but when the cap refuses the enumerator it
+    # can always afford its pair join and one search step per codeword
+    budget = code.size * estimate
+    if estimate > cap:
+        budget = max(budget, comb(code.size, 2) * (code.n + 1) + code.size)
+    decodable = _no_shared_output(symbols, t_ins, t_del, list_size, budget)
+    # a failing DP verdict whose witness census is over the cap stands bare
+    if decodable is not None and (decodable or not want_witness or estimate > cap):
         return Verdict(decodable, t_ins, t_del, list_size)
-    # a failing DP verdict gets its witness from the enumerator, so the
-    # witness is the same whichever engine decided
     if estimate > cap:
         raise BallSizeError(estimate, cap)
-    # a witness needs the full census, and no count can exceed the code size
+    # a failing DP verdict gets its witness from the enumerator, so the
+    # witness is the same whichever engine decided; a witness needs the full
+    # census, and no count can exceed the code size
     stop_above = code.size if want_witness else list_size
     tally = _channel_tally(symbols, code.q, t_ins, t_del, stop_above)
-    offenders = sorted(
+    offender = min(
         (key for key, count in tally.items() if count > list_size),
         key=lambda s: (len(s), s),
+        default=None,
     )
-    if not offenders:
+    if offender is None:
         return Verdict(True, t_ins, t_del, list_size)
     if not want_witness:
         return Verdict(False, t_ins, t_del, list_size)
-    received = Word(offenders[0], code.q)
+    received = Word(offender, code.q)
     # decoder-ball view: the channel deleted what we now insert and vice versa
     members = tuple(
         w for w in sorted_words if in_insdel_ball(w, received, t_del, t_ins)
     )
-    if len(members) != tally[offenders[0]]:
+    if len(members) != tally[offender]:
         raise AssertionError(
             "channel tally and decoder-ball membership disagree; "
             "the radius swap is broken"
@@ -298,10 +306,10 @@ def check_bound_region(
 ) -> RegionReport:
     """Exhaustively confirm list-decodability on the bound's guaranteed region.
 
-    Pairs whose verdict needs a ball over the cap are reported as skipped,
-    not failed; pairs the alignment DP decides are checked, whatever their
-    ball size.  A violation carries its witness when the witness census fits
-    the cap, and no witness otherwise.  At list size 1 a
+    Each pair gets one `list_decodable(..., want_witness=True, cap=cap)`
+    call: a BallSizeError (neither engine decided) marks the pair skipped,
+    not failed, and a failing verdict is a violation, with its witness when
+    the witness census fits the cap.  At list size 1 a
     code of relative distance 1 (two symbol-disjoint codewords) is checked on
     the unique-decoding region; at list size 2 or more it raises ValueError,
     since the bound is formulated for delta < 1.
@@ -315,17 +323,14 @@ def check_bound_region(
     skipped = []
     for t_ins, t_del in bound_region_pairs(code.n, delta, list_size):
         try:
-            verdict = list_decodable(code, t_ins, t_del, list_size, cap=cap)
+            verdict = list_decodable(
+                code, t_ins, t_del, list_size, want_witness=True, cap=cap
+            )
         except BallSizeError:
             skipped.append((t_ins, t_del))
             continue
         checked.append((t_ins, t_del))
         if not verdict.decodable:
-            # a DP verdict stands even when its witness census is over the cap
-            with suppress(BallSizeError):
-                verdict = list_decodable(
-                    code, t_ins, t_del, list_size, want_witness=True, cap=cap
-                )
             violations.append(verdict)
     return RegionReport(
         n=code.n,

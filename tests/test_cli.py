@@ -1,10 +1,13 @@
 """End-to-end CLI coverage: payloads, files, and the exit-code contract."""
 
 import json
+from pathlib import Path
 
 from click.testing import CliRunner
 
 from insdel_lab.cli import main
+
+GREEDY_CODE = Path(__file__).resolve().parent.parent / "perfbench/frozen/greedy_seed0_0.code"
 
 
 def run(*args, **kwargs):
@@ -306,6 +309,16 @@ class TestVerifyCommands:
         assert payload["witness"]["received"] == "0,0,0,1"
         assert payload["witness"]["codewords"] == ["0,0,0", "0,0,1"]
 
+    def test_witness_census_over_the_cap_is_null(self):
+        # the DP finds (7, 0) failing at L=2; the witness census needs a ball over 1000
+        command = ["list-decodable", "--ti", "7", "--td", "0", "--list-size", "2"]
+        result = run(
+            "verify", *command, "--code", str(GREEDY_CODE), "--witness", "--cap", "1000"
+        )
+        assert result.exit_code == 1, result.output
+        assert '"witness": null' in result.output
+        assert json.loads(result.output)["decodable"] is False
+
     def test_theorem_pass(self, tmp_path):
         out = tmp_path / "vt6.code"
         payload_of(run("code", "vt", "--n", "6", "--a", "0", "--out", str(out)))
@@ -362,7 +375,8 @@ class TestVerifyCommands:
         assert payload["decodable"] is True
         payload = payload_of(run("verify", *theorem, "--code", str(out), "--cap", "0"))
         assert payload["ok"] is True and [1, 0] in payload["checked"]
-        assert payload["skipped"] == [[0, 0], [0, 1]]
+        assert [0, 0] in payload["checked"] and [0, 1] in payload["checked"]
+        assert payload["skipped"] == []
 
     def test_missing_code_file_exit_two(self):
         result = run(

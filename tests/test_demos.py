@@ -1,5 +1,7 @@
-"""Every demo runs to completion against the library in src/."""
+"""Every demo runs to completion against the library in src/, and the README
+quickstart prints what it documents."""
 
+import doctest
 import os
 import subprocess
 import sys
@@ -23,3 +25,8 @@ def test_demo_exits_zero(demo, tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_quickstart():
+    failed, attempted = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert attempted and not failed

@@ -8,7 +8,7 @@ import pytest
 
 from insdel_lab import verify, words
 from insdel_lab.acceptance import RANDOM_CODE_SEED, _random_binary_code
-from insdel_lab.codes import Code, helberg, vt_binary
+from insdel_lab.codes import Code, helberg, vt_binary, vt_qary
 from insdel_lab.verify import (
     Verdict,
     Witness,
@@ -200,9 +200,10 @@ class TestEngines:
         for t_ins in range(7):
             assert list_decodable(GREEDY, t_ins, 0, 2, cap=1000).decodable
         assert list_decodable(GREEDY, 7, 0, 2, cap=1000) == Verdict(False, 7, 0, 2)
-        # a witness needs the enumerator, and its ball is over the cap
-        with pytest.raises(BallSizeError):
-            list_decodable(GREEDY, 7, 0, 2, want_witness=True, cap=1000)
+        # a witness needs the enumerator, and its ball is over the cap: the
+        # DP's verdict stands without one
+        verdict = list_decodable(GREEDY, 7, 0, 2, want_witness=True, cap=1000)
+        assert verdict == Verdict(False, 7, 0, 2)
 
     def test_dp_failure_gets_the_enumerator_witness(self, monkeypatch):
         a, b = word([0, 1, 2], 5), word([3, 4, 0], 5)
@@ -297,11 +298,44 @@ class TestBoundRegion:
         assert not report.beats_unique_decoding  # 1/3 < 2/3
 
     def test_region_check_skips_pairs_over_cap(self):
-        # size bounds for n=6, q=2: 1 at (0,0), 9 at (1,0), 7 at (0,1)
-        report = check_bound_region(vt_binary(6, 0), 2, cap=8)
+        # size bounds for n=5, q=3: 1 at (0,0), 14 at (1,0), 6 at (0,1) and
+        # 113 at (2,0), where the DP gives up and the cap refuses the ball
+        report = check_bound_region(vt_qary(5, 3, 0, 0), 5, cap=100)
         assert report.ok
-        assert report.checked == ((0, 0), (0, 1))
-        assert report.skipped == ((1, 0),)
+        assert report.checked == ((0, 0), (1, 0), (0, 1))
+        assert report.skipped == ((2, 0),)
+
+    def test_region_check_asks_one_verdict_per_pair(self, monkeypatch):
+        real = verify.list_decodable
+        asked = []
+
+        def spy(code, t_ins, t_del, list_size, **kwargs):
+            asked.append(((t_ins, t_del), kwargs))
+            return real(code, t_ins, t_del, list_size, **kwargs)
+
+        monkeypatch.setattr(verify, "list_decodable", spy)
+        # the sweep checks some pairs and skips one
+        report = check_bound_region(vt_qary(5, 3, 0, 0), 5, cap=100)
+        assert report.checked and report.skipped
+        pairs = bound_region_pairs(5, report.delta, 5)
+        assert asked == [(pair, {"want_witness": True, "cap": 100}) for pair in pairs]
+
+    @pytest.mark.parametrize("cap", [0, 8, 100])
+    @pytest.mark.parametrize(
+        "code, list_size",
+        [(vt_binary(8, 0), 8), (vt_qary(5, 3, 0, 0), 5)],
+        ids=["vt8-L8", "vtq5-L5"],
+    )
+    def test_skipped_exactly_when_the_verdict_raises(self, code, list_size, cap):
+        report = check_bound_region(code, list_size, cap=cap)
+        for pair in bound_region_pairs(code.n, report.delta, list_size):
+            try:
+                list_decodable(code, *pair, list_size, want_witness=True, cap=cap)
+                raised = False
+            except BallSizeError:
+                raised = True
+            assert (pair in report.skipped) == raised
+            assert (pair in report.checked) != raised
 
     def test_region_check_vt8_list3(self):
         report = check_bound_region(vt_binary(8, 0), 3)
