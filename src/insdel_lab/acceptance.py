@@ -143,7 +143,8 @@ def criterion_elimination_rows() -> None:
 
 
 def criterion_bound_consistency() -> None:
-    """Max form and piece decomposition agree exactly on dense rational grids."""
+    """Max form and piece decomposition agree exactly on dense rational grids,
+    and each piece's term is certified to win on the whole piece."""
     for L in range(2, 13):
         for i in range(1, GRID_DELTA_DENOMINATOR):
             delta = Fraction(i, GRID_DELTA_DENOMINATOR)
@@ -155,6 +156,30 @@ def criterion_bound_consistency() -> None:
             )
             if pieces.r_min != threshold_r_min or len(pieces.pieces) != L - threshold_r_min + 1:
                 raise CriterionFailure(f"(delta={delta}, L={L}): piece structure")
+            # the terms are linear, so a piece that is its own term r, and whose
+            # term is at least every other term at both of its ends, equals the
+            # max form on the whole piece.  Term r at x = xn/xd is
+            # (2L-r+1)/(L+1) x - (L/r)(cn/cd); times (L+1) xd cd lcm(1..L) it
+            # is the integer below, so the terms compare exactly as integers.
+            cn, cd = (1 - delta).numerator, (1 - delta).denominator
+            scale = math.lcm(*range(1, L + 1))
+            for piece in pieces.pieces:
+                r = piece.r
+                if (piece.slope, piece.intercept) != (
+                    Fraction(2 * L - r + 1, L + 1),
+                    -Fraction(L * cn, r * cd),
+                ):
+                    raise CriterionFailure(f"(delta={delta}, L={L}, r={r}): not term {r}")
+                for end in (piece.lower, piece.upper):
+                    terms = [
+                        (2 * L - s + 1) * end.numerator * cd * scale
+                        - L * (L + 1) * cn * end.denominator * (scale // s)
+                        for s in range(1, L + 1)
+                    ]
+                    if max(terms) > terms[r - 1]:
+                        raise CriterionFailure(
+                            f"(delta={delta}, L={L}, r={r}): not the max at {end}"
+                        )
             # x = (1 - delta) + delta * k / GRID_STEPS, built as one Fraction
             base = GRID_STEPS * (GRID_DELTA_DENOMINATOR - i)
             denominator = GRID_STEPS * GRID_DELTA_DENOMINATOR

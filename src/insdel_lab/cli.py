@@ -402,6 +402,17 @@ def verify_mindist(code_path) -> None:
     )
 
 
+# the ball cap of the two verdict commands
+_ball_cap_option = click.option(
+    "--cap",
+    type=click.IntRange(min=0),
+    default=DEFAULT_BALL_CAP,
+    show_default=True,
+    help="most received words the enumerator may hold at once, summed over "
+    "codewords; a single ball's estimate is checked against it first",
+)
+
+
 @verify.command("list-decodable")
 @click.option("--code", "code_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--ti", type=int, required=True, help="channel insertion radius")
@@ -412,7 +423,7 @@ def verify_mindist(code_path) -> None:
     is_flag=True,
     help="census the smallest offending received word when the census fits --cap",
 )
-@click.option("--cap", type=click.IntRange(min=0), default=DEFAULT_BALL_CAP, show_default=True)
+@_ball_cap_option
 @_guarded
 def verify_list_decodable(code_path, ti, td, list_size, witness, cap) -> None:
     """Exhaustive channel-output check of (ti, td, L)-list-decodability."""
@@ -426,7 +437,7 @@ def verify_list_decodable(code_path, ti, td, list_size, witness, cap) -> None:
 @verify.command("theorem")
 @click.option("--code", "code_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--list-size", type=int, required=True)
-@click.option("--cap", type=click.IntRange(min=0), default=DEFAULT_BALL_CAP, show_default=True)
+@_ball_cap_option
 @_guarded
 def verify_theorem(code_path, list_size, cap) -> None:
     """Check every integer radius pair inside the bound's guaranteed region."""

@@ -68,11 +68,14 @@ class Verdict:
 
 
 def _channel_tally(
-    symbols: list[tuple[int, ...]], q: int, t_ins: int, t_del: int, stop_above: int
+    symbols: list[tuple[int, ...]], q: int, t_ins: int, t_del: int, stop_above: int, cap: int
 ) -> dict[tuple[int, ...], int]:
     """Count, per channel output, the codewords of `symbols` that reach it.
 
     Returns the partial tally as soon as some count exceeds stop_above.
+    Raises BallSizeError once the tally holds more than `cap` received words,
+    checked after each codeword's ball is merged, so the tally never holds
+    more than `cap` words plus one ball.
     """
     tally: dict[tuple[int, ...], int] = {}
     for word in symbols:
@@ -81,6 +84,8 @@ def _channel_tally(
             tally[y] = count
             if count > stop_above:
                 return tally
+        if len(tally) > cap:
+            raise BallSizeError(len(tally), cap, counted=True)
     return tally
 
 
@@ -94,15 +99,20 @@ def _no_shared_output(
     keeps a longest common subsequence, deletes x of its other n - LCS
     symbols and inserts the other word's kept ones, for any x with
     n - LCS - t_ins <= x <= t_del.  So the LCS kernel joins the pairs, and
-    only the (list_size + 1)-cliques of that graph can share an output;
-    `_common_output` decides each clique.  Costs, in units:
+    one depth-first search grows sets of words that share an output: a set
+    is extended only by words joined to all its members, and only when it
+    shares an output itself (`_common_output` decides every set of three or
+    more), since every subset of a sharing set shares (Apriori; Agrawal &
+    Srikant 1994).  A set that cannot reach list_size + 1 words with the
+    candidates left is skipped (Carraghan & Pardalos 1990), and the search
+    returns at the first sharing set of list_size + 1 words.  Costs, in units:
 
-    * every pair, n + 1, charged up front; pairs are joined as the clique
-      search reaches them, so a search that gives up early joins few;
-    * every step of the clique search, 1;
-    * every clique of k = list_size + 1 words, the DP's state bound
-      (n+1) (min(t_ins, n)+1)^(k-1) (t_del+1)^k: the k match counts lie
-      within t_ins of each other, and each word has t_del + 1 deletion counts.
+    * every pair, n + 1, charged up front; pairs are joined as the search
+      reaches them, so a search that gives up early joins few;
+    * every set the search grows, 1;
+    * every `_common_output` call, the DP states it visited.  A call stops
+      once it has visited more states than the budget has left, so the
+      search overruns its budget by at most 2 (list_size + 1) units.
     """
     n, k = len(words[0]), list_size + 1
     budget -= comb(len(words), 2) * (n + 1)
@@ -119,30 +129,32 @@ def _no_shared_output(
             if n - _lcs_masked(words[a], masks[b], n) <= t_ins + t_del
         }
 
-    if k == 2:
-        return not any(later(a) for a in range(len(words)))
-    per_clique = (n + 1) * (min(t_ins, n) + 1) ** (k - 1) * (t_del + 1) ** k
-    cliques = []
-
-    def collect(members: tuple[int, ...], candidates: set[int]) -> bool:
-        """Gather the k-cliques extending `members`; False once over budget."""
+    def sharing(members: tuple[int, ...], candidates: set[int]) -> bool | None:
+        """Whether `members` plus some of `candidates` is a sharing k-set;
+        None once over budget."""
         nonlocal budget
         for v in sorted(candidates):
-            grown = members + (v,)
-            if len(grown) == k:
-                budget -= per_clique
-                cliques.append(grown)
-            else:
-                budget -= 1
-                if not collect(grown, candidates & later(v)):
-                    return False
+            budget -= 1
             if budget < 0:
-                return False
-        return True
+                return None
+            grown, rest = members + (v,), candidates & later(v)
+            if len(grown) + len(rest) < k:
+                continue
+            shares = True
+            if len(grown) > 2:
+                subset = [words[i] for i in grown]
+                shares, visited = _common_output(subset, t_ins, t_del, budget)
+                budget -= visited
+            if shares and len(grown) == k:
+                return True
+            if budget < 0:
+                return None
+            if shares and (found := sharing(grown, rest)) is not False:
+                return found
+        return False
 
-    if not collect((), set(range(len(words)))):
-        return None
-    return not any(_common_output([words[i] for i in c], t_ins, t_del) for c in cliques)
+    found = sharing((), set(range(len(words))))
+    return None if found is None else not found
 
 
 def list_decodable(
@@ -158,12 +170,13 @@ def list_decodable(
 
     Two engines decide the verdict:
 
-    * The clique alignment DP (`_no_shared_output`) asks which sets of
-      list_size + 1 codewords share a channel output.  Its cost does not
-      depend on q but grows exponentially in list_size, so it wins on small
-      codes over large alphabets.  It runs first, on a budget of the
-      enumerator's estimated cost, |C| times the ball-size bound, and gives
-      up once it would spend more.  When the ball-size bound is over `cap`
+    * The sharing-set search (`_no_shared_output`) looks for list_size + 1
+      codewords that share a channel output, growing only sets that already
+      share one; the alignment DP `_common_output` decides each set.  Its
+      cost does not depend on q, so it wins on small codes over large
+      alphabets.  It runs first, on a budget of the enumerator's estimated
+      cost, |C| times the ball-size bound, charged for the work it actually
+      does, and gives up once it has spent it.  When that cost is over `cap`
       the budget is at least the DP's pair join plus one unit per codeword,
       so a pair at which no two codewords share an output is always decided.
     * The enumerator tallies every channel output of every codeword; the code
@@ -171,7 +184,8 @@ def list_decodable(
       list_size codewords.  Received words outside every codeword's output
       set decode to the empty list, so the tally is exhaustive.  Its cost
       grows like |C| * q^t_ins.  It runs only when its ball estimate fits
-      `cap`, checked once, before any enumeration.
+      `cap`, checked once, before any enumeration, and it stops once the
+      tally holds more than `cap` received words.
 
     BallSizeError is raised only when neither engine decides the verdict.
     The DP returns verdicts only.  With want_witness a failing verdict
@@ -193,10 +207,11 @@ def list_decodable(
     sorted_words = code.sorted_words()
     symbols = [w.symbols for w in sorted_words]
     # the DP's cost does not grow with q; it gives up once it would cost more
-    # than enumerating every ball, but when the cap refuses the enumerator it
-    # can always afford its pair join and one search step per codeword
+    # than enumerating every ball, but when the cap may refuse the enumerator
+    # (one ball, or the tally of all of them, over it) it can always afford
+    # its pair join and one search step per codeword
     budget = code.size * estimate
-    if estimate > cap:
+    if budget > cap:
         budget = max(budget, comb(code.size, 2) * (code.n + 1) + code.size)
     decodable = _no_shared_output(symbols, t_ins, t_del, list_size, budget)
     # a failing DP verdict whose witness census is over the cap stands bare
@@ -208,7 +223,13 @@ def list_decodable(
     # witness is the same whichever engine decided; a witness needs the full
     # census, and no count can exceed the code size
     stop_above = code.size if want_witness else list_size
-    tally = _channel_tally(symbols, code.q, t_ins, t_del, stop_above)
+    try:
+        tally = _channel_tally(symbols, code.q, t_ins, t_del, stop_above, cap)
+    except BallSizeError:
+        if decodable is None:
+            raise
+        # the DP decided; only the witness census outgrew the cap
+        return Verdict(False, t_ins, t_del, list_size)
     offender = min(
         (key for key, count in tally.items() if count > list_size),
         key=lambda s: (len(s), s),

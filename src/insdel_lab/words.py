@@ -20,15 +20,23 @@ class AlphabetMismatchError(ValueError):
 
 
 class BallSizeError(RuntimeError):
-    """A requested ball enumeration would exceed the configured size cap."""
+    """A ball enumeration or channel tally would exceed the configured size cap.
 
-    def __init__(self, estimate: int, cap: int):
+    `size` is a ball's estimated size, checked before enumerating, or, when
+    `counted`, the number of received words a channel tally actually held.
+    """
+
+    def __init__(self, size: int, cap: int, *, counted: bool = False):
+        if counted:
+            message = f"channel tally holds {size} received words, over cap {cap}"
+        else:
+            message = f"estimated ball size {size} exceeds cap {cap}"
         super().__init__(
-            f"estimated ball size {estimate} exceeds cap {cap}; "
-            "raise the cap or use the membership predicate instead"
+            f"{message}; raise the cap or use the membership predicate instead"
         )
-        self.estimate = estimate
+        self.size = size
         self.cap = cap
+        self.counted = counted
 
 
 @dataclass(frozen=True)
@@ -237,8 +245,12 @@ def _ball(symbols: tuple[int, ...], t_ins: int, t_del: int, q: int) -> set[tuple
     return out
 
 
-def _common_output(words: Sequence[tuple[int, ...]], t_ins: int, t_del: int) -> bool:
-    """True iff one word is a channel output of every word in `words`.
+def _common_output(
+    words: Sequence[tuple[int, ...]], t_ins: int, t_del: int, limit: int
+) -> tuple[bool | None, int]:
+    """Whether one word is a channel output of every word in `words`, and the
+    number of DP states visited; None for the verdict once more than `limit`
+    states are visited.
 
     All words have the same length n.  The output y is built left to right;
     a state is (i_1..i_k, del_1..del_k): word j has consumed i_j symbols, del_j
@@ -248,7 +260,12 @@ def _common_output(words: Sequence[tuple[int, ...]], t_ins: int, t_del: int) -> 
     word counts one insertion.  Matching greedily loses nothing (exchange
     argument), and a symbol no head holds is never needed.  States are
     visited in order of |y|, so each is first reached at its least |y|, which
-    dominates: insertion counts only grow with |y|.
+    dominates: insertion counts only grow with |y|.  A state's match counts
+    i_j - del_j lie within t_ins below the largest, so there are at most
+    k (n+1) (min(t_ins, n)+1)^(k-1) (t_del+1)^k states: which word matched
+    most and how much, the others' match counts, and every deletion count.
+    The limit is checked before each state is expanded, and one expansion
+    adds at most 2k states, so a call visits at most limit + 2k.
     """
     k, n = len(words), len(words[0])
     layer = [(0,) * (2 * k)]
@@ -258,9 +275,11 @@ def _common_output(words: Sequence[tuple[int, ...]], t_ins: int, t_del: int) -> 
         # deletions keep |y| and every count, so their states join the layer
         # while it is being scanned
         for state in layer:
+            if len(seen) > limit:
+                return None, len(seen)
             heads = {words[j][state[j]] for j in range(k) if state[j] < n}
             if not heads:
-                return True
+                return True, len(seen)
             moves = []
             for j in range(k):
                 if state[j] < n and state[k + j] < t_del:
@@ -282,7 +301,7 @@ def _common_output(words: Sequence[tuple[int, ...]], t_ins: int, t_del: int) -> 
                     seen.add(grown)
                     target.append(grown)
         layer = successors
-    return False
+    return False, len(seen)
 
 
 def insdel_ball(x: Word, t_ins: int, t_del: int, cap: int = DEFAULT_BALL_CAP) -> set[Word]:

@@ -7,6 +7,10 @@ line per criterion, or `insdel-lab regress` for the same checks outside
 pytest.
 """
 
+import dataclasses
+from fractions import Fraction
+from types import SimpleNamespace
+
 import pytest
 from click.testing import CliRunner
 
@@ -62,6 +66,39 @@ def test_rs_alpha_is_the_seeded_search_result():
     # criterion 8 pins the search result instead of re-running the search
     result = rs_search_eval_points(PrimeField(7), 5, 2, budget=300, seed=0)
     assert result.alpha == RS_ALPHA
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # the first breakpoint a hair to the right: there the next piece's
+        # term beats this piece's
+        (("upper", "lower"), "not the max at"),
+        # the first piece's line a hair above its term
+        (("intercept",), "not term"),
+    ],
+    ids=["breakpoint", "line"],
+)
+def test_bound_certificate_catches_a_broken_piece(monkeypatch, fields, message):
+    # the broken decomposition still evaluates through the real one, so every
+    # grid point agrees; only the certificate sees the fault
+    real = acceptance.insertion_bound_piecewise
+    tiny = Fraction(1, 10**9)
+
+    def broken(delta, list_size):
+        bound = real(delta, list_size)
+        pieces = list(bound.pieces)
+        if len(pieces) > 1:
+            for index, name in enumerate(fields):
+                changed = {name: getattr(pieces[index], name) + tiny}
+                pieces[index] = dataclasses.replace(pieces[index], **changed)
+        return SimpleNamespace(
+            r_min=bound.r_min, pieces=tuple(pieces), evaluate=bound.evaluate
+        )
+
+    monkeypatch.setattr(acceptance, "insertion_bound_piecewise", broken)
+    with pytest.raises(CriterionFailure, match=message):
+        acceptance.criterion_bound_consistency()
 
 
 def _passes():

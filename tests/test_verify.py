@@ -1,14 +1,15 @@
 """Brute-force decodability checks, the radius swap, and region harnesses."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from insdel_lab import verify, words
-from insdel_lab.acceptance import RANDOM_CODE_SEED, _random_binary_code
-from insdel_lab.codes import Code, helberg, vt_binary, vt_qary
+from insdel_lab.acceptance import RANDOM_CODE_SEED, RS_ALPHA, _random_binary_code
+from insdel_lab.codes import Code, PrimeField, helberg, rs_code, vt_binary, vt_qary
 from insdel_lab.verify import (
     Verdict,
     Witness,
@@ -123,13 +124,40 @@ class TestListDecodable:
             list_decodable(cube(2), 0, 3, 1)
 
     def test_cap_checked_before_enumerating(self):
-        # VT_0(6) at (1, 1): the size bound is 7 * 9 = 63
-        code = vt_binary(6, 0)
+        # VT_0(8) at (1, 1), L = 3: the size bound is 9 * 11 = 99, and the DP
+        # gives up within its budget floor
+        code = vt_binary(8, 0)
         for want_witness in (False, True):
             with pytest.raises(BallSizeError) as excinfo:
-                list_decodable(code, 1, 1, 2, want_witness=want_witness, cap=62)
-            assert excinfo.value.estimate == 63
-        assert list_decodable(code, 1, 1, 2, cap=63).decodable is False
+                list_decodable(code, 1, 1, 3, want_witness=want_witness, cap=98)
+            assert excinfo.value.size == 99
+            assert not excinfo.value.counted
+        # a cap that holds every ball at once lets the enumerator decide
+        assert list_decodable(code, 1, 1, 3, cap=99 * code.size).decodable is False
+
+    def test_cap_bounds_the_tally(self):
+        # RS(7,5,2) at (3, 0): each ball's estimate, 13,990, fits the cap, but
+        # the full tally holds 664,006 received words
+        code = rs_code(PrimeField(7), 5, 2, RS_ALPHA)
+        symbols = [w.symbols for w in code.sorted_words()]
+        with pytest.raises(BallSizeError) as excinfo:
+            verify._channel_tally(symbols, 7, 3, 0, code.size, 10**5)
+        assert excinfo.value.counted
+        assert 10**5 < excinfo.value.size <= 10**5 + 13_990
+        assert str(excinfo.value).startswith(
+            f"channel tally holds {excinfo.value.size} received words, over cap 100000"
+        )
+
+    def test_tally_over_the_cap(self):
+        # VT_0(8) at (1, 1), L = 3: neither engine decides, so the tally's
+        # raise propagates
+        with pytest.raises(BallSizeError) as excinfo:
+            list_decodable(vt_binary(8, 0), 1, 1, 3, want_witness=True, cap=99)
+        assert excinfo.value.counted
+        # VT_0(10) at (2, 1), L = 2: the DP decides, and only the witness
+        # census outgrows the cap, so the verdict stands bare
+        verdict = list_decodable(vt_binary(10, 0), 2, 1, 2, want_witness=True, cap=1012)
+        assert verdict == Verdict(False, 2, 1, 2)
 
     def test_decodable_verdict_never_carries_witness(self):
         with pytest.raises(ValueError):
@@ -154,20 +182,63 @@ GREEDY = Code(
 
 
 class TestEngines:
-    """The clique alignment DP against the enumerator, and the choice between them."""
+    """The sharing-set DP against the enumerator, and the choice between them."""
 
     def test_dp_matches_enumerator(self):
         rng = random.Random(RANDOM_CODE_SEED)
         for _ in range(300):
             q, n = rng.randint(2, 4), rng.randint(2, 5)
-            size = rng.randint(2, min(8, q**n))
+            size = rng.randint(2, min(10, q**n))
             symbols = rng.sample(sorted(itertools.product(range(q), repeat=n)), size)
-            list_size = rng.randint(1, 3)
-            t_ins, t_del = rng.randint(0, 3), rng.randint(0, min(3, n))
-            tally = verify._channel_tally(symbols, q, t_ins, t_del, list_size)
+            list_size = rng.randint(1, 5)
+            # the unbudgeted DP's states grow like (t_del + 1)^(L+1)
+            max_del = 3 if list_size <= 3 else 1
+            t_ins, t_del = rng.randint(0, 3), rng.randint(0, min(max_del, n))
+            tally = verify._channel_tally(symbols, q, t_ins, t_del, list_size, 10**18)
             enumerated = max(tally.values()) <= list_size
             dp = verify._no_shared_output(symbols, t_ins, t_del, list_size, 10**18)
             assert dp == enumerated, (symbols, t_ins, t_del, list_size)
+
+    def test_a_budget_cut_never_gives_a_wrong_verdict(self):
+        # cut between sets or inside a DP call, the search returns None
+        rng = random.Random(RANDOM_CODE_SEED)
+        straddled = 0
+        for _ in range(25):
+            q, n = rng.randint(2, 3), rng.randint(3, 4)
+            size = rng.randint(4, 8)
+            symbols = rng.sample(sorted(itertools.product(range(q), repeat=n)), size)
+            list_size, t_ins, t_del = rng.randint(2, 3), rng.randint(1, 2), rng.randint(0, 1)
+            args = (symbols, t_ins, t_del, list_size)
+            truth = verify._no_shared_output(*args, 10**18)
+            join = math.comb(size, 2) * (n + 1)
+            cut = {verify._no_shared_output(*args, join + b) for b in range(0, 300, 6)}
+            assert cut <= {None, truth}, args
+            straddled += cut == {None, truth}
+        assert straddled >= 20  # most cases are cut short at some budget
+
+    def test_sets_that_cannot_grow_are_not_decided(self, monkeypatch):
+        # three pairwise confusable words and one confusable with none: no
+        # four of them can share an output, so no set reaches the DP at L = 3
+        real = verify._common_output
+        asked = []
+
+        def spy(subset, *args):
+            asked.append(subset)
+            return real(subset, *args)
+
+        monkeypatch.setattr(verify, "_common_output", spy)
+        triangle = [(0, 0, 0), (0, 0, 1), (0, 1, 1)]
+        assert verify._no_shared_output(triangle + [(2, 2, 2)], 1, 1, 3, 10**18) is True
+        assert asked == []
+        # at list size 2 the triangle is asked, and shares 0,0,1
+        assert verify._no_shared_output(triangle + [(2, 2, 2)], 1, 1, 2, 10**18) is False
+        assert asked == [triangle]
+        # 001, 010, 100 and 101 at (1, 0) are pairwise confusable, but the
+        # first three share no output, so no set of four is ever asked
+        asked.clear()
+        square = [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1)]
+        assert verify._no_shared_output(square, 1, 0, 3, 10**18) is True
+        assert asked and all(len(subset) == 3 for subset in asked)
 
     def test_pairs_share_an_output_iff_lcs_is_long_enough(self):
         # the DP joins pairs by n - LCS <= t_ins + t_del instead of the kernel
@@ -177,7 +248,7 @@ class TestEngines:
             a, b = (tuple(rng.randrange(q) for _ in range(n)) for _ in range(2))
             t_ins, t_del = rng.randint(0, 3), rng.randint(0, n)
             joined = n - words._lcs(a, b) <= t_ins + t_del
-            assert words._common_output([a, b], t_ins, t_del) == joined
+            assert words._common_output([a, b], t_ins, t_del, 10**18)[0] is joined
 
     def test_routing(self, monkeypatch):
         real = verify._channel_tally
@@ -190,9 +261,13 @@ class TestEngines:
         monkeypatch.setattr(verify, "_channel_tally", spy)
         assert list_decodable(GREEDY, 4, 0, 2).decodable
         assert not tallies  # the DP decided
-        assert not list_decodable(vt_binary(6, 0), 1, 1, 2).decodable
+        assert not list_decodable(vt_binary(8, 0), 1, 1, 3).decodable
         assert len(tallies) == 1
+        assert not list_decodable(vt_binary(10, 0), 1, 1, 3).decodable
+        assert len(tallies) == 2
+        # sets that share an output are found without a tally
         assert not list_decodable(vt_binary(10, 0), 2, 1, 2).decodable
+        assert not list_decodable(vt_binary(8, 0), 2, 1, 3).decodable
         assert len(tallies) == 2
 
     def test_dp_decides_past_the_cap(self):
@@ -298,9 +373,9 @@ class TestBoundRegion:
         assert not report.beats_unique_decoding  # 1/3 < 2/3
 
     def test_region_check_skips_pairs_over_cap(self):
-        # size bounds for n=5, q=3: 1 at (0,0), 14 at (1,0), 6 at (0,1) and
-        # 113 at (2,0), where the DP gives up and the cap refuses the ball
-        report = check_bound_region(vt_qary(5, 3, 0, 0), 5, cap=100)
+        # size bounds for n=8, q=2: 1 at (0,0), 11 at (1,0), 9 at (0,1) and
+        # 67 at (2,0), where the DP gives up and the cap refuses the ball
+        report = check_bound_region(vt_binary(8, 0), 8, cap=8)
         assert report.ok
         assert report.checked == ((0, 0), (1, 0), (0, 1))
         assert report.skipped == ((2, 0),)
@@ -315,10 +390,10 @@ class TestBoundRegion:
 
         monkeypatch.setattr(verify, "list_decodable", spy)
         # the sweep checks some pairs and skips one
-        report = check_bound_region(vt_qary(5, 3, 0, 0), 5, cap=100)
+        report = check_bound_region(vt_binary(8, 0), 8, cap=8)
         assert report.checked and report.skipped
-        pairs = bound_region_pairs(5, report.delta, 5)
-        assert asked == [(pair, {"want_witness": True, "cap": 100}) for pair in pairs]
+        pairs = bound_region_pairs(8, report.delta, 8)
+        assert asked == [(pair, {"want_witness": True, "cap": 8}) for pair in pairs]
 
     @pytest.mark.parametrize("cap", [0, 8, 100])
     @pytest.mark.parametrize(

@@ -242,8 +242,10 @@ class TestInsdelBall:
     def test_cap_triggers_estimate_error(self):
         with pytest.raises(BallSizeError) as info:
             insdel_ball(word([0, 1] * 4, 2), 3, 3, cap=10)
-        assert info.value.estimate > 10
+        assert info.value.size > 10
         assert info.value.cap == 10
+        assert not info.value.counted
+        assert str(info.value).startswith(f"estimated ball size {info.value.size} ")
 
     def test_size_bound_dominates_actual_size(self):
         for centre in [word([0, 1, 0], 2), word([1, 1, 1, 0], 2)]:
@@ -253,27 +255,36 @@ class TestInsdelBall:
                     assert len(insdel_ball(centre, t_ins, t_del)) <= bound
 
 
+def shares(words, t_ins, t_del):
+    """The verdict of `_common_output`, once its state count is within the
+    documented bound (a tuple is always truthy, so tests compare this part)."""
+    verdict, visited = _common_output(words, t_ins, t_del, 10**18)
+    k, n = len(words), len(words[0])
+    assert 1 <= visited <= k * (n + 1) * (min(t_ins, n) + 1) ** (k - 1) * (t_del + 1) ** k
+    return verdict
+
+
 class TestCommonOutput:
     """`_common_output`: do k equal-length words share one channel output?"""
 
     def test_one_word_reaches_itself(self):
         for t_ins, t_del in [(0, 0), (2, 0), (0, 2), (1, 1)]:
-            assert _common_output([(0, 1, 2)], t_ins, t_del)
+            assert shares([(0, 1, 2)], t_ins, t_del) is True
 
     def test_two_words(self):
         a, b = (0, 0), (1, 1)
-        assert not _common_output([a, b], 0, 0)
-        assert not _common_output([a, b], 1, 0)  # 00 and 11 need length 4
-        assert _common_output([a, b], 2, 0)  # 0011
-        assert not _common_output([a, b], 0, 1)  # no common symbol
-        assert _common_output([a, b], 1, 1)  # 01
-        assert _common_output([a, b], 0, 2)  # the empty word
+        assert shares([a, b], 0, 0) is False
+        assert shares([a, b], 1, 0) is False  # 00 and 11 need length 4
+        assert shares([a, b], 2, 0) is True  # 0011
+        assert shares([a, b], 0, 1) is False  # no common symbol
+        assert shares([a, b], 1, 1) is True  # 01
+        assert shares([a, b], 0, 2) is True  # the empty word
 
     def test_three_words(self):
-        assert not _common_output([(0, 1), (1, 0), (1, 1)], 0, 0)
-        assert _common_output([(0, 1), (1, 0), (1, 1)], 1, 0)  # 101
-        assert _common_output([(0, 1), (1, 0), (1, 1)], 0, 1)  # 1
-        assert not _common_output([(0, 0), (1, 1), (0, 1)], 1, 0)
+        assert shares([(0, 1), (1, 0), (1, 1)], 0, 0) is False
+        assert shares([(0, 1), (1, 0), (1, 1)], 1, 0) is True  # 101
+        assert shares([(0, 1), (1, 0), (1, 1)], 0, 1) is True  # 1
+        assert shares([(0, 0), (1, 1), (0, 1)], 1, 0) is False
 
     def test_matches_ball_intersection(self):
         rng = random.Random(7)
@@ -282,7 +293,21 @@ class TestCommonOutput:
             words = [random_tuple(rng, q, n) for _ in range(k)]
             t_ins, t_del = rng.randint(0, 2), rng.randint(0, min(2, n))
             shared = set.intersection(*(_ball(w, t_ins, t_del, q) for w in words))
-            assert _common_output(words, t_ins, t_del) == bool(shared)
+            assert shares(words, t_ins, t_del) == bool(shared)
+
+    def test_visited_states_are_counted(self):
+        # 00 and 11 at (0, 0): each emission costs the other word an
+        # insertion over budget, so only the start state is visited
+        assert _common_output([(0, 0), (1, 1)], 0, 0, 10) == (False, 1)
+        # a word with itself at (0, 0): the diagonal states (0,0,0,0), (1,1,0,0), (2,2,0,0)
+        assert _common_output([(0, 1), (0, 1)], 0, 0, 10) == (True, 3)
+
+    def test_gives_up_past_its_limit(self):
+        # the pair above visits 3 states, one per layer, and the limit is
+        # checked before each state is expanded
+        assert _common_output([(0, 1), (0, 1)], 0, 0, 3) == (True, 3)
+        for limit in range(3):
+            assert _common_output([(0, 1), (0, 1)], 0, 0, limit) == (None, limit + 1)
 
 
 def split_union(centre, radius):
