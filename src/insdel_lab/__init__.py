@@ -13,7 +13,6 @@ from .bounds import (
     as_fraction,
     comparison_report,
     hy_crossover_delta,
-    hy_crossover_root,
     hy_list_size,
     hy_quadratic1,
     hy_quadratic2,

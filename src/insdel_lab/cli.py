@@ -408,8 +408,8 @@ _ball_cap_option = click.option(
     type=click.IntRange(min=0),
     default=DEFAULT_BALL_CAP,
     show_default=True,
-    help="most received words the enumerator may hold at once, summed over "
-    "codewords; a single ball's estimate is checked against it first",
+    help="most distinct received words the enumerator may count over the "
+    "output lengths it scans; a single ball's estimate is checked against it first",
 )
 
 
@@ -421,7 +421,8 @@ _ball_cap_option = click.option(
 @click.option(
     "--witness",
     is_flag=True,
-    help="census the smallest offending received word when the census fits --cap",
+    help="census the smallest offending received word, shortest lengths first, "
+    "when the census up to its length fits --cap",
 )
 @_ball_cap_option
 @_guarded

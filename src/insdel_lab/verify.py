@@ -11,6 +11,7 @@ asserts its equivalence with direct channel simulation on small instances.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -23,7 +24,7 @@ from .words import (
     DEFAULT_BALL_CAP,
     BallSizeError,
     Word,
-    _ball,
+    _ball_layers,
     _common_output,
     _lcs_masked,
     _match_masks,
@@ -68,25 +69,44 @@ class Verdict:
 
 
 def _channel_tally(
-    symbols: list[tuple[int, ...]], q: int, t_ins: int, t_del: int, stop_above: int, cap: int
-) -> dict[tuple[int, ...], int]:
-    """Count, per channel output, the codewords of `symbols` that reach it.
+    symbols: list[tuple[int, ...]],
+    q: int,
+    t_ins: int,
+    t_del: int,
+    list_size: int,
+    cap: int,
+    *,
+    whole: bool,
+) -> Counter[tuple[int, ...]] | None:
+    """Count, per channel output, the codewords of `symbols` that reach it, one
+    output length at a time, shortest first; return the tally of the first
+    length at which some count exceeds list_size, or None when none does.
 
-    Returns the partial tally as soon as some count exceeds stop_above.
-    Raises BallSizeError once the tally holds more than `cap` received words,
-    checked after each codeword's ball is merged, so the tally never holds
-    more than `cap` words plus one ball.
+    Each codeword's outputs of length m come from `_ball_layers`.  Every
+    offender of that first length is shortlex smaller than every longer
+    received word, so the shortlex-smallest offender is the least one in the
+    returned tally.  With `whole` that length is tallied over every codeword,
+    so its counts are exact; without, the census stops after the first
+    codeword that takes a count above list_size.  Raises BallSizeError once
+    the lengths scanned so far have counted more than `cap` distinct received
+    words, checked after each codeword's layer is merged, so the census never
+    counts more than `cap` words plus one layer.
     """
-    tally: dict[tuple[int, ...], int] = {}
-    for word in symbols:
-        for y in _ball(word, t_ins, t_del, q):
-            count = tally.get(y, 0) + 1
-            tally[y] = count
-            if count > stop_above:
+    layers = [_ball_layers(word, t_ins, t_del, q) for word in symbols]
+    counted = 0
+    for _ in range(t_del + t_ins + 1):
+        tally: Counter[tuple[int, ...]] = Counter()
+        for word_layers in layers:
+            layer = next(word_layers)
+            tally.update(layer)
+            if not whole and max(map(tally.__getitem__, layer)) > list_size:
                 return tally
-        if len(tally) > cap:
-            raise BallSizeError(len(tally), cap, counted=True)
-    return tally
+            if counted + len(tally) > cap:
+                raise BallSizeError(counted + len(tally), cap, counted=True)
+        if max(tally.values()) > list_size:
+            return tally
+        counted += len(tally)
+    return None
 
 
 def _no_shared_output(
@@ -179,22 +199,25 @@ def list_decodable(
       does, and gives up once it has spent it.  When that cost is over `cap`
       the budget is at least the DP's pair join plus one unit per codeword,
       so a pair at which no two codewords share an output is always decided.
-    * The enumerator tallies every channel output of every codeword; the code
-      fails exactly when some received word is reachable from more than
-      list_size codewords.  Received words outside every codeword's output
-      set decode to the empty list, so the tally is exhaustive.  Its cost
-      grows like |C| * q^t_ins.  It runs only when its ball estimate fits
-      `cap`, checked once, before any enumeration, and it stops once the
-      tally holds more than `cap` received words.
+    * The enumerator (`_channel_tally`) tallies the channel outputs of every
+      codeword one length at a time, shortest first, and stops at the first
+      length at which some received word is reachable from more than
+      list_size codewords; the code fails exactly when there is one.
+      Received words outside every codeword's output set decode to the
+      empty list, so a census that scans every length is exhaustive.  A
+      length's cost grows like |C| * q^(its insertions).  The enumerator
+      runs only when its ball estimate fits `cap`, checked once, before any
+      enumeration, and it stops once the lengths it has scanned count more
+      than `cap` distinct received words.
 
     BallSizeError is raised only when neither engine decides the verdict.
     The DP returns verdicts only.  With want_witness a failing verdict
-    carries the shortlex smallest offending received word when the
-    enumerator's full census fits `cap`, and no witness otherwise; its
-    codeword list is re-derived through the decoder-ball membership
-    predicate (swapped radii) as an independent check.  Without it, the
-    tally stops at its first offender.  Both engines run in the calling
-    process.
+    carries the shortlex smallest offending received word, the least
+    offender of the first offending length, when the census up to that
+    length fits `cap`, and no witness otherwise; its codeword list is
+    re-derived through the decoder-ball membership predicate (swapped
+    radii) as an independent check.  Without it, the census stops at its
+    first count above list_size.  Both engines run in the calling process.
     """
     if list_size < 1:
         raise ValueError("list size must be at least 1")
@@ -220,25 +243,23 @@ def list_decodable(
     if estimate > cap:
         raise BallSizeError(estimate, cap)
     # a failing DP verdict gets its witness from the enumerator, so the
-    # witness is the same whichever engine decided; a witness needs the full
-    # census, and no count can exceed the code size
-    stop_above = code.size if want_witness else list_size
+    # witness is the same whichever engine decided; a witness needs exact
+    # counts over the whole length it lies at
     try:
-        tally = _channel_tally(symbols, code.q, t_ins, t_del, stop_above, cap)
+        tally = _channel_tally(
+            symbols, code.q, t_ins, t_del, list_size, cap, whole=want_witness
+        )
     except BallSizeError:
         if decodable is None:
             raise
         # the DP decided; only the witness census outgrew the cap
         return Verdict(False, t_ins, t_del, list_size)
-    offender = min(
-        (key for key, count in tally.items() if count > list_size),
-        key=lambda s: (len(s), s),
-        default=None,
-    )
-    if offender is None:
+    if tally is None:
         return Verdict(True, t_ins, t_del, list_size)
     if not want_witness:
         return Verdict(False, t_ins, t_del, list_size)
+    # every key of the tally has the same length
+    offender = min(key for key, count in tally.items() if count > list_size)
     received = Word(offender, code.q)
     # decoder-ball view: the channel deleted what we now insert and vice versa
     members = tuple(

@@ -23,7 +23,8 @@ class BallSizeError(RuntimeError):
     """A ball enumeration or channel tally would exceed the configured size cap.
 
     `size` is a ball's estimated size, checked before enumerating, or, when
-    `counted`, the number of received words a channel tally actually held.
+    `counted`, the number of distinct received words a channel tally had
+    actually counted over the lengths it scanned.
     """
 
     def __init__(self, size: int, cap: int, *, counted: bool = False):
@@ -222,27 +223,65 @@ def insdel_ball_size_bound(length: int, t_ins: int, t_del: int, q: int) -> int:
     return dels * insertion_ball_size(length, t_ins, q)
 
 
-def _ball(symbols: tuple[int, ...], t_ins: int, t_del: int, q: int) -> set[tuple[int, ...]]:
-    """All distinct tuples reachable from `symbols` by at most t_del deletions
-    followed by at most t_ins single-symbol insertions over {0, ..., q-1}."""
-    n = len(symbols)
-    out = {
-        tuple(symbols[i] for i in keep)
-        for dels in range(min(t_del, n) + 1)
-        for keep in itertools.combinations(range(n), n - dels)
-    }
-    frontier = out
-    for _ in range(t_ins):
+def _layer(symbols: tuple[int, ...], ell: int, m: int, q: int) -> set[tuple[int, ...]]:
+    """The length-m supersequences, over {0, ..., q-1}, of the length-ell
+    subsequences of `symbols`: `symbols` cut by len(symbols) - ell rounds of
+    one deletion each, then grown by m - ell rounds of one insertion each.
+
+    Deleting any symbol of a run gives the same tuple, so only the first of
+    each run is deleted; inserting s just after an s gives the same tuple as
+    inserting it just before, so s is inserted only where the symbol before
+    differs.
+    """
+    layer = {symbols}
+    for _ in range(len(symbols) - ell):
+        layer = {
+            w[:i] + w[i + 1 :]
+            for w in layer
+            for i in range(len(w))
+            if i == 0 or w[i] != w[i - 1]
+        }
+    alphabet = [(s,) for s in range(q)]
+    for _ in range(m - ell):
         grown: set[tuple[int, ...]] = set()
-        for w in frontier:
+        add = grown.add
+        for w in layer:
             for i in range(len(w) + 1):
-                head, tail = w[:i], w[i:]
-                for s in range(q):
-                    grown.add(head + (s,) + tail)
-        grown -= out
-        out |= grown
-        frontier = grown
-    return out
+                head, tail, before = w[:i], w[i:], w[i - 1 : i]
+                for s in alphabet:
+                    if s != before:
+                        add(head + s + tail)
+        layer = grown
+    return layer
+
+
+def _ball_layers(
+    symbols: tuple[int, ...], t_ins: int, t_del: int, q: int
+) -> Iterator[set[tuple[int, ...]]]:
+    """The channel outputs of `symbols` (at most t_ins insertions and t_del
+    deletions over {0, ..., q-1}), one length at a time, shortest first: the
+    outputs of length m, for m = n - t_del, ..., n + t_ins.
+
+    A word y of length m is an output iff LCS(symbols, y) >= l_m, where
+    l_m = max(n - t_del, m - t_ins).  Turning the length-n `symbols` into y
+    takes at least n - LCS deletions and m - LCS insertions, and keeping a
+    longest common subsequence attains both at once (`minimal_insdel_pair`);
+    they fit the radii iff LCS >= n - t_del and LCS >= m - t_ins.  And
+    LCS(symbols, y) >= l iff y is a supersequence of some length-l
+    subsequence of `symbols`, since a longer common subsequence can be
+    shortened.  So layer m is the set of length-m supersequences of the
+    length-l_m subsequences of `symbols` (`_layer`).
+
+    Each layer is built afresh when it is asked for, and the generator keeps
+    no reference to it, so a census that advances one generator per codeword
+    holds no codeword's layer between lengths.
+    """
+    n = len(symbols)
+    shortest = n - t_del
+    return (
+        _layer(symbols, max(shortest, m - t_ins), m, q)
+        for m in range(shortest, n + t_ins + 1)
+    )
 
 
 def _common_output(
@@ -307,10 +346,10 @@ def _common_output(
 def insdel_ball(x: Word, t_ins: int, t_del: int, cap: int = DEFAULT_BALL_CAP) -> set[Word]:
     """All words reachable from `x` by at most t_ins insertions and t_del deletions.
 
-    Enumeration applies deletions first, then insertions; every reachable word
-    arises this way because a longest common subsequence witnesses a
-    delete-then-insert transformation of the same cost.  Fails fast with
-    BallSizeError when the predicted size exceeds `cap`.
+    The ball is the union of its length layers (`_ball_layers`): the words y
+    of each length m with LCS(x, y) >= max(|x| - t_del, m - t_ins), built as
+    supersequences of subsequences of `x`.  Fails fast with BallSizeError
+    when the predicted size exceeds `cap`.
     """
     if t_ins < 0 or t_del < 0:
         raise ValueError("radii must be nonnegative")
@@ -319,4 +358,8 @@ def insdel_ball(x: Word, t_ins: int, t_del: int, cap: int = DEFAULT_BALL_CAP) ->
     estimate = insdel_ball_size_bound(len(x), t_ins, t_del, x.q)
     if estimate > cap:
         raise BallSizeError(estimate, cap)
-    return {Word(symbols, x.q) for symbols in _ball(x.symbols, t_ins, t_del, x.q)}
+    return {
+        Word(symbols, x.q)
+        for layer in _ball_layers(x.symbols, t_ins, t_del, x.q)
+        for symbols in layer
+    }

@@ -36,6 +36,44 @@ def cube(n: int) -> Code:
     return Code(q=2, n=n, codewords=frozenset(all_words(2, n)))
 
 
+def whole_ball(symbols: tuple[int, ...], t_ins: int, t_del: int, q: int) -> set:
+    """Oracle: every channel output of `symbols` at once, by at most t_del
+    deletions followed by rounds of single-symbol insertions."""
+    n = len(symbols)
+    out = {
+        tuple(symbols[i] for i in keep)
+        for dels in range(min(t_del, n) + 1)
+        for keep in itertools.combinations(range(n), n - dels)
+    }
+    frontier = out
+    for _ in range(t_ins):
+        grown = set()
+        for w in frontier:
+            for i in range(len(w) + 1):
+                for s in range(q):
+                    grown.add(w[:i] + (s,) + w[i:])
+        grown -= out
+        out |= grown
+        frontier = grown
+    return out
+
+
+def whole_ball_census(symbols, q, t_ins, t_del, list_size):
+    """Oracle: tally every channel output of every codeword, at every length,
+    then take the shortlex-smallest received word reached by more than
+    list_size codewords; (offender, count), or None when there is none."""
+    tally = {}
+    for w in symbols:
+        for y in whole_ball(w, t_ins, t_del, q):
+            tally[y] = tally.get(y, 0) + 1
+    offender = min(
+        (key for key, count in tally.items() if count > list_size),
+        key=lambda y: (len(y), y),
+        default=None,
+    )
+    return None if offender is None else (offender, tally[offender])
+
+
 class TestMinDistance:
     def test_frozen_values(self):
         assert min_levenshtein_distance(vt_binary(4, 0)) == 4
@@ -137,11 +175,12 @@ class TestListDecodable:
 
     def test_cap_bounds_the_tally(self):
         # RS(7,5,2) at (3, 0): each ball's estimate, 13,990, fits the cap, but
-        # the full tally holds 664,006 received words
+        # the full census counts 664,006 received words; the cap is checked
+        # after each codeword's layer, and a layer is at most one ball
         code = rs_code(PrimeField(7), 5, 2, RS_ALPHA)
         symbols = [w.symbols for w in code.sorted_words()]
         with pytest.raises(BallSizeError) as excinfo:
-            verify._channel_tally(symbols, 7, 3, 0, code.size, 10**5)
+            verify._channel_tally(symbols, 7, 3, 0, code.size, 10**5, whole=True)
         assert excinfo.value.counted
         assert 10**5 < excinfo.value.size <= 10**5 + 13_990
         assert str(excinfo.value).startswith(
@@ -159,6 +198,40 @@ class TestListDecodable:
         verdict = list_decodable(vt_binary(10, 0), 2, 1, 2, want_witness=True, cap=1012)
         assert verdict == Verdict(False, 2, 1, 2)
 
+    def test_cap_counts_only_the_lengths_scanned(self):
+        # VT_0(10) at (2, 1), L = 2: the witness lies at length 10, and
+        # lengths 9 and 10 count 1,536 received words of the full census's
+        # 7,344, so a cap of 1,536 is enough for the witness
+        code = vt_binary(10, 0)
+        full = list_decodable(code, 2, 1, 2, want_witness=True)
+        assert len(full.witness.received) == 10
+        assert list_decodable(code, 2, 1, 2, want_witness=True, cap=1536) == full
+        bare = list_decodable(code, 2, 1, 2, want_witness=True, cap=1535)
+        assert bare == Verdict(False, 2, 1, 2)
+
+    def test_witnesses_of_long_censuses(self):
+        # the offenders lie at the shortest lengths, so the census stops
+        # long before the longest layers
+        verdict = list_decodable(vt_binary(12, 0), 3, 1, 2, want_witness=True)
+        assert verdict.witness.received.to_text() == "0,0,0,0,0,0,0,0,0,0,1,0"
+        assert [c.to_text() for c in verdict.witness.codewords] == [
+            "0,0,0,0,0,0,0,0,0,0,0,0",
+            "0,1,0,0,0,0,0,0,0,0,1,0",
+            "1,0,0,0,0,0,0,0,0,0,0,1",
+        ]
+        verdict = list_decodable(vt_binary(14, 0), 2, 2, 2, want_witness=True)
+        assert verdict.witness.received.to_text() == ",".join("0" * 12)
+        assert [c.to_text() for c in verdict.witness.codewords] == [
+            "0,0,0,0,0,0,0,0,0,0,0,0,0,0",
+            "0,0,0,0,0,0,1,1,0,0,0,0,0,0",
+            "0,0,0,0,0,1,0,0,1,0,0,0,0,0",
+            "0,0,0,0,1,0,0,0,0,1,0,0,0,0",
+            "0,0,0,1,0,0,0,0,0,0,1,0,0,0",
+            "0,0,1,0,0,0,0,0,0,0,0,1,0,0",
+            "0,1,0,0,0,0,0,0,0,0,0,0,1,0",
+            "1,0,0,0,0,0,0,0,0,0,0,0,0,1",
+        ]
+
     def test_decodable_verdict_never_carries_witness(self):
         with pytest.raises(ValueError):
             Verdict(
@@ -168,6 +241,44 @@ class TestListDecodable:
                 1,
                 witness=Witness(word([0], 2), (word([0], 2),)),
             )
+
+
+class TestCensus:
+    """The length-ordered census against the whole-ball oracle."""
+
+    def test_matches_the_whole_ball_census(self):
+        rng = random.Random(RANDOM_CODE_SEED)
+        everything_deleted = 0
+        for _ in range(400):
+            q, n = rng.randint(2, 4), rng.randint(1, 6)
+            size = rng.randint(2, min(8, q**n))
+            symbols = rng.sample(sorted(itertools.product(range(q), repeat=n)), size)
+            t_ins, t_del = rng.randint(0, 2), rng.randint(0, min(3, n))
+            list_size = rng.randint(1, 4)
+            everything_deleted += t_del == n
+            args = (symbols, q, t_ins, t_del, list_size, 10**18)
+            expected = whole_ball_census(symbols, q, t_ins, t_del, list_size)
+            tally = verify._channel_tally(*args, whole=True)
+            if expected is None:
+                assert tally is None, args
+            else:
+                offender = min(y for y, count in tally.items() if count > list_size)
+                assert (offender, tally[offender]) == expected, args
+            early = verify._channel_tally(*args, whole=False)
+            assert (early is None) == (expected is None), args
+        assert everything_deleted >= 30  # the shortest layer is the empty word
+
+    def test_layers_are_the_oracle_ball_by_length(self):
+        rng = random.Random(RANDOM_CODE_SEED)
+        for _ in range(300):
+            q, n = rng.randint(2, 4), rng.randint(0, 6)
+            symbols = tuple(rng.randrange(q) for _ in range(n))
+            t_ins, t_del = rng.randint(0, 3), rng.randint(0, min(3, n))
+            ball = whole_ball(symbols, t_ins, t_del, q)
+            layers = list(words._ball_layers(symbols, t_ins, t_del, q))
+            assert len(layers) == t_del + t_ins + 1
+            for m, layer in enumerate(layers, start=n - t_del):
+                assert layer == {y for y in ball if len(y) == m}, (symbols, m)
 
 
 # perfbench/frozen/greedy_seed0_0.code: q=5, n=5, distance 8
@@ -194,8 +305,10 @@ class TestEngines:
             # the unbudgeted DP's states grow like (t_del + 1)^(L+1)
             max_del = 3 if list_size <= 3 else 1
             t_ins, t_del = rng.randint(0, 3), rng.randint(0, min(max_del, n))
-            tally = verify._channel_tally(symbols, q, t_ins, t_del, list_size, 10**18)
-            enumerated = max(tally.values()) <= list_size
+            tally = verify._channel_tally(
+                symbols, q, t_ins, t_del, list_size, 10**18, whole=False
+            )
+            enumerated = tally is None
             dp = verify._no_shared_output(symbols, t_ins, t_del, list_size, 10**18)
             assert dp == enumerated, (symbols, t_ins, t_del, list_size)
 
@@ -254,9 +367,9 @@ class TestEngines:
         real = verify._channel_tally
         tallies = []
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             tallies.append(args)
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(verify, "_channel_tally", spy)
         assert list_decodable(GREEDY, 4, 0, 2).decodable
@@ -465,14 +578,13 @@ class TestBallContainment:
         assert check_ball_containment(samples, radii) == []
 
     def test_reports_a_ball_outside_the_levenshtein_ball(self, monkeypatch):
-        real_ball = words._ball
+        real_layers = words._ball_layers
 
-        def wide_ball(symbols, t_ins, t_del, q):
+        def wide_layers(symbols, t_ins, t_del, q):
+            yield from real_layers(symbols, t_ins, t_del, q)
             # one extra word, t_ins + t_del + 2 insertions away from the centre
-            return real_ball(symbols, t_ins, t_del, q) | {
-                symbols + (0,) * (t_ins + t_del + 2)
-            }
+            yield {symbols + (0,) * (t_ins + t_del + 2)}
 
-        monkeypatch.setattr(words, "_ball", wide_ball)
+        monkeypatch.setattr(words, "_ball_layers", wide_layers)
         y = word([0, 1], 2)
         assert check_ball_containment([y], [(1, 0), (0, 1)]) == [(y, 1, 0), (y, 0, 1)]

@@ -11,7 +11,7 @@ from insdel_lab.words import (
     AlphabetMismatchError,
     BallSizeError,
     Word,
-    _ball,
+    _ball_layers,
     _common_output,
     _min_distance,
     all_words,
@@ -292,7 +292,8 @@ class TestCommonOutput:
             q, n, k = rng.randint(2, 3), rng.randint(1, 4), rng.randint(1, 3)
             words = [random_tuple(rng, q, n) for _ in range(k)]
             t_ins, t_del = rng.randint(0, 2), rng.randint(0, min(2, n))
-            shared = set.intersection(*(_ball(w, t_ins, t_del, q) for w in words))
+            balls = (set().union(*_ball_layers(w, t_ins, t_del, q)) for w in words)
+            shared = set.intersection(*balls)
             assert shares(words, t_ins, t_del) == bool(shared)
 
     def test_visited_states_are_counted(self):
