@@ -284,7 +284,7 @@ def _greedy_code(rng: random.Random, q: int, n: int, distance: int, size: int) -
                 words.append(w)
                 if len(words) == size:
                     break
-        if len(words) == size and _min_distance(words, 0) == distance:
+        if len(words) == size and _min_distance(words) == distance:
             return Code(q=q, n=n, codewords=frozenset(Word(w, q) for w in words))
     raise RuntimeError(f"no greedy code with q={q}, n={n}, distance {distance}")
 

@@ -114,8 +114,16 @@ def rs_codewords(
     """
     _validate_rs_shape(field, n, k)
     points = _validate_eval_points(field, n, alpha)
+    for symbols in _rs_symbols(field, k, points):
+        yield Word(symbols, field.p)
+
+
+def _rs_symbols(
+    field: PrimeField, k: int, points: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """The symbol tuples of rs_codewords, for valid distinct `points`."""
     for coeffs in itertools.product(field.elements(), repeat=k):
-        yield Word(tuple(field.poly_eval(coeffs, a) for a in points), field.p)
+        yield tuple(field.poly_eval(coeffs, a) for a in points)
 
 
 def rs_code(field: PrimeField, n: int, k: int, alpha: Sequence[int] | None = None) -> Code:
@@ -184,8 +192,7 @@ def rs_search_eval_points(
     examined = 0
     for alpha in candidates:
         examined += 1
-        words = [w.symbols for w in rs_codewords(field, n, k, alpha)]
-        d = _min_distance(words, best_distance)
+        d = _min_distance(list(_rs_symbols(field, k, alpha)))
         if d > best_distance:
             best_alpha, best_distance = alpha, d
             if best_distance >= target:

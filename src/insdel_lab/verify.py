@@ -38,11 +38,15 @@ from .words import (
 
 
 def min_levenshtein_distance(code: Code) -> int:
-    """Minimum pairwise Levenshtein distance of a code with >= 2 codewords."""
+    """Minimum pairwise Levenshtein distance of a code with >= 2 codewords.
+
+    Found as twice the least s at which two codewords share a length-(n - s)
+    subsequence, with a pairwise LCS scan as the guarded fallback; see
+    words._min_distance.
+    """
     if code.size < 2:
         raise ValueError("minimum distance needs at least two codewords")
-    # distinct words of equal length are at least 2 apart: a pair at 2 settles it
-    return _min_distance([w.symbols for w in code.sorted_words()], 2)
+    return _min_distance([w.symbols for w in code.sorted_words()])
 
 
 @dataclass(frozen=True)

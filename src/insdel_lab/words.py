@@ -143,12 +143,72 @@ def levenshtein_distance(a: Word, b: Word) -> int:
     return len(a) + len(b) - 2 * lcs_length(a, b)
 
 
-def _min_distance(words: Sequence[tuple[int, ...]], stop_at: int) -> int:
+def _min_distance(words: Sequence[tuple[int, ...]]) -> int:
     """Minimum pairwise insdel distance of two or more symbol tuples.
 
+    Words of one length n are searched by shared-subsequence levels.  This
+    is exact:
+
+    * for words a, b of length n, d(a, b) = 2(n - LCS(a, b));
+    * a and b share a subsequence of length n - s iff LCS(a, b) >= n - s;
+    * so the minimum distance is 2s*, where s* is the least s at which two
+      distinct words share a length-(n - s) subsequence;
+    * every length-(n - s) subsequence arises by deleting one symbol from a
+      length-(n - s + 1) one, so a word's level-s set is the set of single
+      deletions of its level-(s - 1) set; level 0 is the word itself.
+
+    Levels go in order, and within a level words go in order: each word's
+    level-s set is tested against the union of the earlier words' sets, and
+    the first hit returns 2s.  Only the previous level and the current one
+    are kept.  Level 1 is Levenshtein's test of a single-deletion-correcting
+    code, that the single-deletion balls are disjoint (Levenshtein, "Binary
+    codes capable of correcting deletions, insertions and reversals", 1966).
+
+    Guard: the subsequences built over all levels may not exceed the budget
+    B = min(|C|(|C| - 1)/2, |C| * n).  Before each parent's deletions are
+    added, the search checks that they cannot take it past B; if they could,
+    or for words of unequal length, the pair scan finishes the job.  A
+    handover at level s passes the scan a stop value of 2s, since no shared
+    level-(s - 1) subsequence means no pair is closer than 2s.  So at most
+    2B <= 2|C| * n subsequences are held at once (the previous and the
+    current level together, and the current one's union).  The levels make
+    at most n(|C| + B) single deletions in |C| + B calls to
+    itertools.combinations, where the pair scan makes n bit-parallel steps
+    for each of its |C|(|C| - 1)/2 >= B pairs.
+    """
+    if len(set(words)) < len(words):
+        return 0
+    n = len(words[0])
+    if any(len(w) != n for w in words):
+        # distinct words are at least 1 apart
+        return _pair_scan(words, 1)
+    budget = min(len(words) * (len(words) - 1) // 2, len(words) * n)
+    built = 0
+    levels: list[Iterable[tuple[int, ...]]] = [(w,) for w in words]
+    for s in range(1, n + 1):
+        # a parent has at most n - s + 1 single deletions
+        limit = budget - (n - s + 1)
+        seen: set[tuple[int, ...]] = set()
+        for i, parents in enumerate(levels):
+            level: set[tuple[int, ...]] = set()
+            for p in parents:
+                if built + len(level) > limit:
+                    return _pair_scan(words, 2 * s)
+                level.update(itertools.combinations(p, n - s))
+            if not seen.isdisjoint(level):
+                return 2 * s
+            seen |= level
+            built += len(level)
+            levels[i] = level
+    raise AssertionError("distinct words of one length share the empty subsequence")
+
+
+def _pair_scan(words: Sequence[tuple[int, ...]], stop_at: int) -> int:
+    """The guarded fallback of _min_distance: bit-parallel LCS on each pair.
+
     Returns as soon as some pair is within stop_at, with that pair's distance;
-    this is the minimum whenever no pair can be closer than stop_at.  Each
-    word's match masks are built once per call, not once per pair.
+    the caller passes a stop_at no pair can be closer than, so that is the
+    minimum.  Each word's match masks are built once, not once per pair.
     """
     masks = [_match_masks(w) for w in words]
     best = None

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from insdel_lab import words as words_module
+from insdel_lab.codes import helberg, helberg_weights, vt_binary, vt_qary
 from insdel_lab.words import (
     AlphabetMismatchError,
     BallSizeError,
@@ -53,8 +55,13 @@ def dp_lcs(s: tuple[int, ...], t: tuple[int, ...]) -> int:
     return prev[-1]
 
 
-def dp_min_distance(words: list[tuple[int, ...]], stop_at: int) -> int:
-    """Oracle: the pairwise scan of _min_distance, with the DP for each pair."""
+def dp_min_distance(words: list[tuple[int, ...]], stop_at: int = 0) -> int:
+    """Oracle: a pairwise scan with the DP for each pair.
+
+    Returns the first running minimum within stop_at, which is the minimum
+    whenever no pair can be closer than stop_at; the default scans every pair
+    of distinct words.
+    """
     best = None
     for i, a in enumerate(words):
         for b in words[i + 1 :]:
@@ -110,13 +117,7 @@ class TestLcsAndDistance:
                     len(a) + len(b) - 2 * dp_lcs(a, b)
                     for a, b in itertools.combinations(words, 2)
                 )
-                # full scan: no pair is within a stop value below the minimum
-                assert _min_distance(words, true_min - 1) == true_min
-                # early return: the first running minimum within stop_at
-                for stop_at in (true_min, true_min + 2, true_min + 10):
-                    got = _min_distance(words, stop_at)
-                    assert got == dp_min_distance(words, stop_at)
-                    assert true_min <= got <= stop_at
+                assert _min_distance(words) == true_min
 
     def test_empty_word_cases(self):
         empty = word([], 2)
@@ -162,6 +163,112 @@ class TestLcsAndDistance:
     def test_alphabet_mismatch_rejected(self):
         with pytest.raises(AlphabetMismatchError):
             lcs_length(word([0], 2), word([0], 3))
+
+
+def plant_pair(rng: random.Random, x: tuple[int, ...], q: int, edits: int) -> tuple[int, ...]:
+    """A word of len(x) that `edits` deletions and insertions make from x."""
+    y = list(x)
+    for _ in range(edits):
+        del y[rng.randrange(len(y))]
+        y.insert(rng.randrange(len(y) + 1), rng.randrange(q))
+    return tuple(y)
+
+
+def spy_pair_scan(monkeypatch) -> list[int]:
+    """Record the stop value of each handover from the levels to the pair scan."""
+    stops: list[int] = []
+    scan = words_module._pair_scan
+
+    def spy(words, stop_at):
+        stops.append(stop_at)
+        return scan(words, stop_at)
+
+    monkeypatch.setattr(words_module, "_pair_scan", spy)
+    return stops
+
+
+class TestMinDistanceLevels:
+    """The shared-subsequence levels of _min_distance against the DP oracle."""
+
+    def test_random_equal_length_codes(self):
+        # greedy codes with pairwise distance >= 2, 4 or 6, so that levels
+        # past the first decide some of them
+        rng = random.Random(13)
+        for q in range(2, 7):
+            for _ in range(12):
+                n, size = rng.randint(1, 10), rng.randint(2, 60)
+                floor = rng.choice([2, 4, 6])
+                words: list[tuple[int, ...]] = []
+                for _ in range(2 * size):
+                    w = random_tuple(rng, q, n)
+                    if all(2 * (n - dp_lcs(w, v)) >= floor for v in words):
+                        words.append(w)
+                        if len(words) == size:
+                            break
+                if rng.random() < 0.5:
+                    words.append(plant_pair(rng, words[0], q, rng.choice([1, 2])))
+                    words = list(dict.fromkeys(words))
+                    rng.shuffle(words)
+                if len(words) >= 2:
+                    assert _min_distance(words) == dp_min_distance(words)
+
+    def test_duplicates_are_at_distance_zero(self):
+        assert _min_distance([(0, 1, 1), (1, 0, 1), (0, 1, 1)]) == 0
+        assert _min_distance([(0, 1), (1,), (0, 1)]) == 0
+
+    def test_code_families(self):
+        # Each family's proven floor (4 for single-deletion VT codes, 6 for
+        # Helberg codes with s = 2) lets the oracle stop at the first pair
+        # there; VT_a(12) holds ~300 words, too many for a full DP scan.
+        families = [(vt_binary(n, a), 4) for n in range(1, 13) for a in range(n + 1)]
+        for n in range(1, 7):
+            for a in range(n):
+                for b in range(3):
+                    try:
+                        families.append((vt_qary(n, 3, a, b), 4))
+                    except ValueError:
+                        pass  # empty residue class
+        for n in range(1, 9):
+            for a in range(helberg_weights(2, 2, n + 1)[n]):
+                try:
+                    families.append((helberg(2, n, 2, a), 6))
+                except ValueError:
+                    pass  # empty residue class
+        checked = 0
+        for code, floor in families:
+            if code.size < 2:
+                continue
+            words = [w.symbols for w in code.sorted_words()]
+            assert _min_distance(words) == dp_min_distance(words, floor)
+            checked += 1
+        assert checked > 100
+
+    def test_guard_hands_long_words_to_the_pair_scan(self, monkeypatch):
+        # unguarded, the levels of three length-48 words would hold C(48, s)
+        # subsequences each
+        rng = random.Random(48)
+        words = [random_tuple(rng, 4, 48) for _ in range(3)]
+        stops = spy_pair_scan(monkeypatch)
+        assert _min_distance(words) == dp_min_distance(words)
+        assert stops == [2]
+
+    def test_guard_trips_partway_through_a_level(self, monkeypatch):
+        # 25 4-ary words of length 12, a pair planted at distance 4 and none
+        # at 2: the budget is min(25 * 24 / 2, 25 * 12) = 300
+        rng = random.Random(7)
+        while True:
+            words = [random_tuple(rng, 4, 12) for _ in range(24)]
+            words.append(plant_pair(rng, words[0], 4, 2))
+            if dp_min_distance(words) == 4:
+                break
+        # A word's distinct single deletions number its runs.  Level 1 and
+        # the first level-2 parent fit the budget, so a handover at stop
+        # value 4 comes from inside level 2.
+        runs = sum(1 + sum(a != b for a, b in zip(w, w[1:])) for w in words)
+        assert runs + 11 <= 300
+        stops = spy_pair_scan(monkeypatch)
+        assert _min_distance(words) == 4
+        assert stops == [4]
 
 
 class TestMinimalPair:
