@@ -22,12 +22,12 @@ from typing import Callable
 
 from . import figures
 from .bounds import (
+    _max_form,
     comparison_report,
     hy_crossover_delta,
     hy_crossover_delta_closed_form,
     hy_quadratic1,
     hy_quadratic2,
-    insertion_bound,
     insertion_bound_piecewise,
 )
 from .codes import (
@@ -180,18 +180,18 @@ def criterion_bound_consistency() -> None:
                         raise CriterionFailure(
                             f"(delta={delta}, L={L}, r={r}): not the max at {end}"
                         )
-            # x = (1 - delta) + delta * k / GRID_STEPS, built as one Fraction
+            # x = (1 - delta) + delta * k / GRID_STEPS = xn / xd
             base = GRID_STEPS * (GRID_DELTA_DENOMINATOR - i)
-            denominator = GRID_STEPS * GRID_DELTA_DENOMINATOR
+            xd = GRID_STEPS * GRID_DELTA_DENOMINATOR
             for k in range(GRID_STEPS + 1):
-                x = Fraction(base + i * k, denominator)
-                # both results are reduced, so equal values have equal terms
-                direct = insertion_bound(delta, L, x)
-                piece = pieces.evaluate(x)
-                if (direct.numerator, direct.denominator) != (piece.numerator, piece.denominator):
-                    raise CriterionFailure(f"(delta={delta}, L={L}, x={x}): mismatch")
-                if k > 0 and direct.numerator <= 0:
-                    raise CriterionFailure(f"(delta={delta}, L={L}, x={x}): not positive")
+                xn = base + i * k
+                # both denominators are positive, so cross-multiplying is exact
+                direct, direct_d = _max_form(cn, cd, L, xn, xd)
+                piece, piece_d = pieces._pair(xn, xd)
+                if direct * piece_d != piece * direct_d:
+                    raise CriterionFailure(f"(delta={delta}, L={L}, x={Fraction(xn, xd)}): mismatch")
+                if k > 0 and direct <= 0:
+                    raise CriterionFailure(f"(delta={delta}, L={L}, x={Fraction(xn, xd)}): not positive")
 
 
 def criterion_hy_golden() -> None:

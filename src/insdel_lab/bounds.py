@@ -8,12 +8,13 @@ Two competing bounds are implemented:
 * the prior quadratic bound of Hayashi and Yasunaga ("HY"), together with its
   admissible-region list-size formula.
 
-All core evaluations are exact integer arithmetic on the numerators and
-denominators of their inputs, with one ``fractions.Fraction`` built per
-result; the comparison report additionally uses float64 for the square-root
-landmarks, with a documented 1e-9 tolerance.  Floats passed as parameters are
-interpreted via their shortest decimal representation, so 0.9 means 9/10, not
-the nearest binary double.
+Each exact evaluation is an unchecked integer kernel on (numerator,
+denominator) pairs, reduced or not, returning a pair with a positive
+denominator; its public function validates and returns ``Fraction(*pair)``.
+The comparison report also uses float64 for the square-root landmarks, with
+a documented 1e-9 tolerance.  Floats passed as parameters are interpreted via
+their shortest decimal representation, so 0.9 means 9/10, not the nearest
+binary double.
 """
 
 from __future__ import annotations
@@ -63,15 +64,23 @@ def insertion_bound(delta: Exact | float, list_size: int, x: Exact | float) -> F
     """
     cn, cd = _one_minus_delta(as_fraction(delta))
     _validate_list_size(list_size)
+    return Fraction(*_max_form(cn, cd, list_size, *_in_domain(cn, cd, x)))
+
+
+def _in_domain(cn: int, cd: int, x: Exact | float) -> tuple[int, int]:
+    """Check cn/cd <= x <= 1; return x as a reduced pair."""
     xf = as_fraction(x)
     xn, xd = xf.numerator, xf.denominator
     if not (cn * xd <= xn * cd and xn <= xd):
         raise ValueError(f"x={xf} outside domain [{cn}/{cd}, 1]")
-    big = list_size
+    return xn, xd
+
+
+def _max_form(cn: int, cd: int, big: int, xn: int, xd: int) -> tuple[int, int]:
+    """insertion_bound's kernel at x = xn/xd, with 1 - delta = cn/cd."""
     # The r-th term over the common denominator (L+1) * xd * r * cd has
     # numerator (2L-r+1) xn r cd - L cn (L+1) xd; terms are compared by
-    # cross-multiplying the r-dependent denominators, keeping everything in
-    # integer arithmetic until the single Fraction at the end.
+    # cross-multiplying the r-dependent denominators.
     shared = big * cn * (big + 1) * xd
     best_num = (2 * big) * xn * cd - shared
     best_r = 1
@@ -79,7 +88,7 @@ def insertion_bound(delta: Exact | float, list_size: int, x: Exact | float) -> F
         num = (2 * big - r + 1) * xn * r * cd - shared
         if num * best_r > best_num * r:
             best_num, best_r = num, r
-    return Fraction(best_num, (big + 1) * xd * cd * best_r)
+    return best_num, (big + 1) * xd * cd * best_r
 
 
 @dataclass(frozen=True)
@@ -152,13 +161,17 @@ class PiecewiseBound:
         ln, ld = self._lower
         if not (ln * xd <= xn * ld and xn <= xd):
             raise ValueError(f"x={xf} outside domain [{self.pieces[0].lower}, 1]")
+        return Fraction(*self._pair(xn, xd))
+
+    def _pair(self, xn: int, xd: int) -> tuple[int, int]:
+        """evaluate's kernel at x = xn/xd."""
         # the first piece whose upper end lies beyond x, so a breakpoint
         # belongs to the piece on its right; x = 1 ends the scan on the last
         for un, ud, piece in self._uppers:
             if xn * ud < un * xd:
                 break
         a, b, c = piece._terms
-        return Fraction(a * xn + b * xd, c * xd)
+        return a * xn + b * xd, c * xd
 
 
 def insertion_bound_piecewise(delta: Exact | float, list_size: int) -> PiecewiseBound:
@@ -212,8 +225,11 @@ def hy_quadratic1(delta: Exact | float, x: Exact | float) -> Fraction:
     """First HY comparison quadratic: x^2 / (1 - delta) - x."""
     cn, cd = _one_minus_delta(as_fraction(delta))
     xf = as_fraction(x)
-    xn, xd = xf.numerator, xf.denominator
-    return Fraction(xn * xn * cd - xn * xd * cn, xd * xd * cn)
+    return Fraction(*_hy1(cn, cd, xf.numerator, xf.denominator))
+
+
+def _hy1(cn: int, cd: int, xn: int, xd: int) -> tuple[int, int]:
+    return xn * xn * cd - xn * xd * cn, xd * xd * cn
 
 
 def hy_quadratic2(delta: Exact | float, list_size: int, x: Exact | float) -> Fraction:
@@ -224,11 +240,13 @@ def hy_quadratic2(delta: Exact | float, list_size: int, x: Exact | float) -> Fra
     cn, cd = _one_minus_delta(as_fraction(delta))
     _validate_list_size(list_size)
     xf = as_fraction(x)
-    xn, xd = xf.numerator, xf.denominator
-    big = list_size
+    return Fraction(*_hy2(cn, cd, list_size, xf.numerator, xf.denominator))
+
+
+def _hy2(cn: int, cd: int, big: int, xn: int, xd: int) -> tuple[int, int]:
     # numerator and denominator both scaled by xd^2 * cd
     numerator = (big + 1) * xn * (xn * cd - cn * xd) + (cn - cd) * xd * xd
-    return Fraction(numerator, xd * xd * (big * cn + cd))
+    return numerator, xd * xd * (big * cn + cd)
 
 
 def hy_list_size(
@@ -361,7 +379,7 @@ def comparison_report(delta: Exact | float, list_size: int) -> ComparisonReport:
     the first crossing found by a per-piece quadratic sweep toward tau_del = 0.
     """
     d = as_fraction(delta)
-    _one_minus_delta(d)
+    cn, cd = _one_minus_delta(d)
     _validate_list_size(list_size)
     beta2 = hy_crossover_root(list_size)
     delta1 = hy_crossover_delta(list_size)
@@ -393,9 +411,9 @@ def comparison_report(delta: Exact | float, list_size: int) -> ComparisonReport:
         interval = (0.0, upper_tau)
         p1 = None
     else:
-        value_at_crossing = float(insertion_bound(d, list_size, as_fraction(first_hi)))
+        num, den = _max_form(cn, cd, list_size, *_in_domain(cn, cd, first_hi))
         interval = (1 - first_hi, upper_tau)
-        p1 = (1 - first_hi, value_at_crossing)
+        p1 = (1 - first_hi, num / den)
     return replace(
         base, interval=interval, p1=p1, p2=p2, extra_crossings=len(windows) > 1
     )

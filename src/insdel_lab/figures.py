@@ -1,8 +1,10 @@
 """Deterministic CSV data behind the standard plots and bound tables.
 
 Rows are produced as plain strings with shortest-repr float formatting so the
-emitted bytes are identical across runs.  Grid points are generated as exact
-rationals and only converted to float at formatting time.
+emitted bytes are identical across runs.  Inputs are validated once per call;
+grid points and bound values are integer pairs from the kernels of `bounds`,
+and a cell is repr(num / den): int / int division is correctly rounded, so
+this is repr(float(Fraction(num, den))) whether or not the pair is reduced.
 """
 
 from __future__ import annotations
@@ -13,18 +15,21 @@ from typing import Sequence
 
 from .bounds import (
     Exact,
+    _hy1,
+    _hy2,
+    _in_domain,
+    _max_form,
+    _one_minus_delta,
+    _validate_list_size,
     as_fraction,
     comparison_report,
-    hy_quadratic1,
-    hy_quadratic2,
-    insertion_bound,
 )
 
 DEFAULT_POINTS = 512
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
+def _cell(pair: tuple[int, int]) -> str:
+    return repr(pair[0] / pair[1])
 
 
 def _validate_points(points: int) -> None:
@@ -37,21 +42,21 @@ def bound_table_rows(
 ) -> list[str]:
     """Plain bound table over tau_d in [0, delta]: tau_d, rho, phi1, phi2, unique."""
     _validate_points(points)
-    d = as_fraction(delta)
-    dn, dd = d.numerator, d.denominator
-    steps = points - 1
+    cn, cd = _one_minus_delta(as_fraction(delta))
+    _validate_list_size(list_size)
+    dn, steps = cd - cn, points - 1
+    den = cd * steps  # tau_d = dn k / den and x = 1 - tau_d
     rows = ["tau_d,rho,phi1,phi2,unique"]
     for k in range(points):
-        tau = Fraction(dn * k, dd * steps)
-        x = Fraction(dd * steps - dn * k, dd * steps)
+        xn = den - dn * k
         rows.append(
             ",".join(
                 (
-                    _fmt(tau),
-                    _fmt(insertion_bound(d, list_size, x)),
-                    _fmt(hy_quadratic1(d, x)),
-                    _fmt(hy_quadratic2(d, list_size, x)),
-                    _fmt(Fraction(dn * (steps - k), dd * steps)),
+                    _cell((dn * k, den)),
+                    _cell(_max_form(cn, cd, list_size, xn, den)),
+                    _cell(_hy1(cn, cd, xn, den)),
+                    _cell(_hy2(cn, cd, list_size, xn, den)),
+                    _cell((dn * (steps - k), den)),
                 )
             )
         )
@@ -69,30 +74,34 @@ def comparison_rows(
     exists.
     """
     _validate_points(points)
-    d = as_fraction(delta)
-    dn, dd = d.numerator, d.denominator
-    report = comparison_report(d, list_size)
-    grid = [Fraction(dn * k, dd * (points - 1)) for k in range(points)]
+    cn, cd = _one_minus_delta(as_fraction(delta))
+    report = comparison_report(delta, list_size)
+    dn, steps = cd - cn, points - 1
+    den = cd * steps  # grid point k is tau_d = dn k / den
+    taus = [(dn * k, den, "") for k in range(points)]
     labelled: dict[Fraction, str] = {}
     for point, label in ((report.p1, "P1"), (report.p2, "P2")):
         if point is not None:
             labelled[as_fraction(point[0])] = label
-    # the grid is sorted already, so the sort only places the landmarks
-    on_grid = set(grid)
-    merged = sorted(grid + [tau for tau in labelled if tau not in on_grid])
+    # right to left, so an insertion leaves the places still to fill alone
+    for tau, label in sorted(labelled.items(), reverse=True):
+        xn, xd = _in_domain(cn, cd, 1 - tau)
+        k, rest = divmod((xd - xn) * den, dn * xd)
+        if rest:
+            taus.insert(k + 1, (xd - xn, xd, label))
+        else:
+            taus[k] = (dn * k, den, label)
     rows = ["tau_d,rho,phi2,unique,landmark"]
-    for tau in merged:
-        tn, td = tau.numerator, tau.denominator
-        x = Fraction(td - tn, td)
-        unique = Fraction(max(dn * td - tn * dd, 0), dd * td)
+    for tn, td, label in taus:
+        xn = td - tn
         rows.append(
             ",".join(
                 (
-                    _fmt(tau),
-                    _fmt(insertion_bound(d, list_size, x)),
-                    _fmt(hy_quadratic2(d, list_size, x)),
-                    _fmt(unique),
-                    labelled.get(tau, ""),
+                    _cell((tn, td)),
+                    _cell(_max_form(cn, cd, list_size, xn, td)),
+                    _cell(_hy2(cn, cd, list_size, xn, td)),
+                    _cell((max(dn * td - tn * cd, 0), cd * td)),
+                    label,
                 )
             )
         )
@@ -106,14 +115,16 @@ def bound_profile_rows(
     _validate_points(points)
     if not list_sizes:
         raise ValueError("need at least one list size")
-    d = as_fraction(delta)
-    dn, dd = d.numerator, d.denominator
-    header = "x," + ",".join(f"rho_L{L}" for L in list_sizes)
-    rows = [header]
+    cn, cd = _one_minus_delta(as_fraction(delta))
+    for L in list_sizes:
+        _validate_list_size(L)
+    dn, steps = cd - cn, points - 1
+    den = cd * steps
+    rows = ["x," + ",".join(f"rho_L{L}" for L in list_sizes)]
     for k in range(points):
-        x = Fraction((dd - dn) * (points - 1) + dn * k, dd * (points - 1))
-        values = [insertion_bound(d, L, x) for L in list_sizes]
-        rows.append(",".join([_fmt(x)] + [_fmt(v) for v in values]))
+        xn = cn * steps + dn * k
+        values = [_cell(_max_form(cn, cd, L, xn, den)) for L in list_sizes]
+        rows.append(",".join([_cell((xn, den))] + values))
     return rows
 
 
@@ -133,12 +144,15 @@ def rate_region_rows(
         r = as_fraction(rate)
         if not 0 < r < Fraction(1, 2):
             raise ValueError(f"rate must lie in (0, 1/2), got {r}")
-        d = 1 - 2 * r
-        dn, dd = d.numerator, d.denominator
+        _validate_list_size(list_size)
+        # 1 - delta = 2R; tau_d = dn k / den and x = 1 - tau_d
+        cn, cd = 2 * r.numerator, r.denominator
+        dn, den = cd - cn, cd * points
+        prefix = _cell((r.numerator, cd)) + ","
         for k in range(points):
-            tau = Fraction(dn * k, dd * points)
-            x = Fraction(dd * points - dn * k, dd * points)
-            rows.append(f"{_fmt(r)},{_fmt(tau)},{_fmt(insertion_bound(d, list_size, x))}")
+            tau = _cell((dn * k, den))
+            rho = _cell(_max_form(cn, cd, list_size, den - dn * k, den))
+            rows.append(f"{prefix}{tau},{rho}")
     return rows
 
 

@@ -8,6 +8,7 @@ pytest.
 """
 
 import dataclasses
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -93,11 +94,58 @@ def test_bound_certificate_catches_a_broken_piece(monkeypatch, fields, message):
                 changed = {name: getattr(pieces[index], name) + tiny}
                 pieces[index] = dataclasses.replace(pieces[index], **changed)
         return SimpleNamespace(
-            r_min=bound.r_min, pieces=tuple(pieces), evaluate=bound.evaluate
+            r_min=bound.r_min,
+            pieces=tuple(pieces),
+            evaluate=bound.evaluate,
+            _pair=bound._pair,
         )
 
     monkeypatch.setattr(acceptance, "insertion_bound_piecewise", broken)
     with pytest.raises(CriterionFailure, match=message):
+        acceptance.criterion_bound_consistency()
+
+
+@pytest.mark.parametrize(
+    "both, message",
+    [
+        # the max form one unit of its denominator off
+        (False, "mismatch"),
+        # both forms agree on a negative value
+        (True, "not positive"),
+    ],
+    ids=["mismatch", "not-positive"],
+)
+def test_bound_grid_catches_a_wrong_value(monkeypatch, both, message):
+    # grid point k = 600 of delta = 5/21 at L = 3
+    big, delta = 3, Fraction(5, acceptance.GRID_DELTA_DENOMINATOR)
+    x = 1 - delta + delta * Fraction(600, acceptance.GRID_STEPS)
+    real_max_form = acceptance._max_form
+    real_piecewise = acceptance.insertion_bound_piecewise
+
+    def max_form(cn, cd, list_size, xn, xd):
+        num, den = real_max_form(cn, cd, list_size, xn, xd)
+        if (list_size, Fraction(cn, cd), Fraction(xn, xd)) == (big, 1 - delta, x):
+            return (-num if both else num + 1), den
+        return num, den
+
+    def piecewise(at_delta, list_size):
+        bound = real_piecewise(at_delta, list_size)
+
+        def pair(xn, xd):
+            num, den = bound._pair(xn, xd)
+            if (list_size, at_delta, Fraction(xn, xd)) == (big, delta, x):
+                return -num, den
+            return num, den
+
+        return SimpleNamespace(
+            r_min=bound.r_min, pieces=bound.pieces, evaluate=bound.evaluate, _pair=pair
+        )
+
+    monkeypatch.setattr(acceptance, "_max_form", max_form)
+    if both:
+        monkeypatch.setattr(acceptance, "insertion_bound_piecewise", piecewise)
+    where = re.escape(f"(delta={delta}, L={big}, x={x}): {message}")
+    with pytest.raises(CriterionFailure, match=f"^{where}$"):
         acceptance.criterion_bound_consistency()
 
 

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from insdel_lab.bounds import (
     ComparisonReport,
+    _hy1,
+    _hy2,
+    _max_form,
     as_fraction,
     comparison_report,
     hy_crossover_delta,
@@ -274,6 +277,53 @@ class TestInputTypes:
         top = evaluate(Fraction(3, 4), Fraction(1))
         for x in (1, "1", 1.0, _OwnFraction(1)):
             assert evaluate(Fraction(3, 4), x) == top
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """delta, L, x in [1 - delta, 1] with both ends, and two scale factors."""
+    dd = draw(st.integers(2, 60))
+    delta = Fraction(draw(st.integers(1, dd - 1)), dd)
+    steps = draw(st.integers(1, 40))
+    inner = 1 - delta * Fraction(draw(st.integers(0, steps)), steps)
+    scales = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return delta, draw(st.integers(2, 12)), (1 - delta, inner, Fraction(1)), scales
+
+
+def _unreduced(value, scale):
+    return value.numerator * scale, value.denominator * scale
+
+
+def _exact(pair):
+    num, den = pair
+    assert den > 0
+    return Fraction(num, den)
+
+
+class TestKernels:
+    """Each integer kernel, fed unreduced pairs, equals its public function."""
+
+    @given(_kernel_inputs())
+    def test_max_form(self, inputs):
+        delta, big, xs, (g, h) = inputs
+        for x in xs:
+            kernel = _max_form(*_unreduced(1 - delta, g), big, *_unreduced(x, h))
+            assert _exact(kernel) == insertion_bound(delta, big, x)
+
+    @given(_kernel_inputs())
+    def test_hy_quadratics(self, inputs):
+        delta, big, xs, (g, h) = inputs
+        for x in xs:
+            c, pair = _unreduced(1 - delta, g), _unreduced(x, h)
+            assert _exact(_hy1(*c, *pair)) == hy_quadratic1(delta, x)
+            assert _exact(_hy2(*c, big, *pair)) == hy_quadratic2(delta, big, x)
+
+    @given(_kernel_inputs())
+    def test_pieces(self, inputs):
+        delta, big, xs, (_, h) = inputs
+        bound = insertion_bound_piecewise(delta, big)
+        for x in xs:
+            assert _exact(bound._pair(*_unreduced(x, h))) == bound.evaluate(x)
 
 
 class TestCrossoverConstants:

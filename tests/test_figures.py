@@ -1,8 +1,11 @@
 """CSV row generation: headers, landmarks, grids, and determinism."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from insdel_lab.bounds import (
     as_fraction,
@@ -106,67 +109,165 @@ def _fmt(value):
     return repr(float(value))
 
 
+@st.composite
+def _deltas(draw):
+    """A delta in (0, 1): a reduced Fraction, an unreduced string or a float."""
+    dd = draw(st.integers(2, 40))
+    dn = draw(st.integers(1, dd - 1))
+    scale = draw(st.integers(1, 4))
+    return draw(st.sampled_from((Fraction(dn, dd), f"{dn * scale}/{dd * scale}", dn / dd)))
+
+
+@st.composite
+def _rates(draw):
+    """A rate in (0, 1/2): a reduced Fraction, an unreduced string or a float."""
+    rd = draw(st.integers(3, 60))
+    rn = draw(st.integers(1, (rd - 1) // 2))
+    scale = draw(st.integers(1, 4))
+    return draw(st.sampled_from((Fraction(rn, rd), f"{rn * scale}/{rd * scale}", rn / rd)))
+
+
+LIST_SIZES = st.integers(2, 12)
+POINTS = st.integers(2, 40)
+
+
 class TestGridPoints:
     """Rows match the same rows built by per-row Fraction arithmetic."""
 
-    DELTA = "18/20"  # unreduced on purpose
-    POINTS = 37  # P2 (tau_d = 7/10) falls on this grid at L = 2
+    @given(_deltas(), LIST_SIZES, POINTS)
+    def test_bound_table(self, delta, list_size, points):
+        d = as_fraction(delta)
+        rows = ["tau_d,rho,phi1,phi2,unique"]
+        for k in range(points):
+            tau = d * k / (points - 1)
+            x = 1 - tau
+            values = (
+                tau,
+                insertion_bound(d, list_size, x),
+                hy_quadratic1(d, x),
+                hy_quadratic2(d, list_size, x),
+                d - tau,
+            )
+            rows.append(",".join(_fmt(v) for v in values))
+        assert bound_table_rows(delta, list_size, points) == rows
 
-    def test_bound_table(self):
-        d = as_fraction(self.DELTA)
-        for list_size in (2, 3):
-            rows = ["tau_d,rho,phi1,phi2,unique"]
-            for k in range(self.POINTS):
-                tau = d * k / (self.POINTS - 1)
-                x = 1 - tau
-                values = (
-                    tau,
-                    insertion_bound(d, list_size, x),
-                    hy_quadratic1(d, x),
-                    hy_quadratic2(d, list_size, x),
-                    d - tau,
-                )
-                rows.append(",".join(_fmt(v) for v in values))
-            assert bound_table_rows(self.DELTA, list_size, self.POINTS) == rows
+    @given(_deltas(), LIST_SIZES, POINTS)
+    def test_comparison(self, delta, list_size, points):
+        d = as_fraction(delta)
+        report = comparison_report(d, list_size)
+        labelled = {
+            as_fraction(point[0]): label
+            for point, label in ((report.p1, "P1"), (report.p2, "P2"))
+            if point is not None
+        }
+        grid = {d * k / (points - 1) for k in range(points)}
+        rows = ["tau_d,rho,phi2,unique,landmark"]
+        for tau in sorted(grid | set(labelled)):
+            x = 1 - tau
+            unique = d - tau if tau < d else Fraction(0)
+            rho, phi2 = insertion_bound(d, list_size, x), hy_quadratic2(d, list_size, x)
+            values = (tau, rho, phi2, unique)
+            rows.append(",".join(_fmt(v) for v in values) + "," + labelled.get(tau, ""))
+        assert comparison_rows(delta, list_size, points) == rows
 
-    def test_comparison(self):
-        d = as_fraction(self.DELTA)
-        for list_size in (2, 3):
-            report = comparison_report(d, list_size)
-            labelled = {
-                as_fraction(point[0]): label
-                for point, label in ((report.p1, "P1"), (report.p2, "P2"))
-                if point is not None
-            }
-            assert len(labelled) == 2
-            grid = {d * k / (self.POINTS - 1) for k in range(self.POINTS)}
-            rows = ["tau_d,rho,phi2,unique,landmark"]
-            for tau in sorted(grid | set(labelled)):
-                x = 1 - tau
-                unique = d - tau if tau < d else Fraction(0)
-                rho, phi2 = insertion_bound(d, list_size, x), hy_quadratic2(d, list_size, x)
-                values = (tau, rho, phi2, unique)
-                rows.append(",".join(_fmt(v) for v in values) + "," + labelled.get(tau, ""))
-            assert comparison_rows(self.DELTA, list_size, self.POINTS) == rows
-        on_grid = comparison_rows(self.DELTA, 2, self.POINTS)
-        assert len(on_grid) == self.POINTS + 2  # header, grid, P1; P2 shares a row
+    def test_landmark_on_grid(self):
+        # P2 (tau_d = 7/10) falls on the 37-point grid of delta = 9/10 at
+        # L = 2, and P1 between two of its points
+        rows = comparison_rows("18/20", 2, 37)
+        assert len(rows) == 37 + 2
+        assert [row.split(",")[0] for row in rows if row.endswith("P2")] == ["0.7"]
+        assert sum(row.endswith("P1") for row in rows) == 1
 
-    def test_profile(self):
-        d = as_fraction(self.DELTA)
-        list_sizes = (2, 3, 10)
-        rows = ["x,rho_L2,rho_L3,rho_L10"]
-        for k in range(self.POINTS):
-            x = (1 - d) + d * k / (self.POINTS - 1)
+    @given(_deltas(), st.lists(LIST_SIZES, min_size=1, max_size=4), POINTS)
+    def test_profile(self, delta, list_sizes, points):
+        d = as_fraction(delta)
+        rows = ["x," + ",".join(f"rho_L{L}" for L in list_sizes)]
+        for k in range(points):
+            x = (1 - d) + d * k / (points - 1)
             rows.append(",".join([_fmt(x)] + [_fmt(insertion_bound(d, L, x)) for L in list_sizes]))
-        assert bound_profile_rows(self.DELTA, list_sizes, self.POINTS) == rows
+        assert bound_profile_rows(delta, list_sizes, points) == rows
 
-    def test_rate_region(self):
-        rates = ("2/8", 0.1, Fraction(13, 97))
+    @given(st.lists(_rates(), min_size=1, max_size=3), LIST_SIZES, POINTS)
+    def test_rate_region(self, rates, list_size, points):
         rows = ["rate,tau_d,tau_i_max"]
         for rate in rates:
             r = as_fraction(rate)
             d = 1 - 2 * r
-            for k in range(self.POINTS):
-                tau = d * k / self.POINTS
-                rows.append(f"{_fmt(r)},{_fmt(tau)},{_fmt(insertion_bound(d, 3, 1 - tau))}")
-        assert rate_region_rows(3, rates, self.POINTS) == rows
+            for k in range(points):
+                tau = d * k / points
+                rows.append(f"{_fmt(r)},{_fmt(tau)},{_fmt(insertion_bound(d, list_size, 1 - tau))}")
+        assert rate_region_rows(list_size, rates, points) == rows
+
+
+def _digest(rows):
+    return hashlib.sha256(("\n".join(rows) + "\n").encode("utf-8")).hexdigest()
+
+
+class TestPinnedBytes:
+    """CSV bytes at delta = 9/10 and 512 points, recorded from the Fraction-per-point rows."""
+
+    DELTA = Fraction(9, 10)
+    TABLE = {
+        2: "1a24eaf3d3d069e2e699f0a3d6bd4a1b62f802a8c4deb610348f08a0d5e64e62",
+        3: "762eb043d6d3f77e1affd2ffb9939d50d9c5e7a97672c863b7a72dcc41c1d053",
+        10: "b1a3f71f44f63372e7ba5e951f1bdb2adf32d2af8c7b4565ca6279904187b851",
+    }
+    COMPARISON = {
+        2: "caca31a629de07dbbce9ee4234c8abd677e596d3d1a1794d58119a8b4e9d726f",
+        3: "e08005e01282eabedf97cddccc498437b43b8cf07a4cb1465e61d1bbfc8333fa",
+        10: "bd5b9cfff5fb6637c40109254029d66109d3a996981ab8fa4129efb3d75167ad",
+    }
+
+    @pytest.mark.parametrize("list_size", (2, 3, 10))
+    def test_bound_table(self, list_size):
+        rows = bound_table_rows(self.DELTA, list_size, 512)
+        assert _digest(rows) == self.TABLE[list_size]
+
+    @pytest.mark.parametrize("list_size", (2, 3, 10))
+    def test_comparison(self, list_size):
+        rows = comparison_rows(self.DELTA, list_size, 512)
+        assert _digest(rows) == self.COMPARISON[list_size]
+
+    def test_profile(self):
+        rows = bound_profile_rows(self.DELTA, (2, 3, 10), 512)
+        assert _digest(rows) == "a7fe12ac7762cc185ea59471945c8ed97d13c9ed518dd4bb85d121c274120325"
+
+    def test_rate_region(self):
+        rows = rate_region_rows(3, (Fraction(1, 10), Fraction(13, 97)), 512)
+        assert _digest(rows) == "c2aea13f6cbde02088e76159a7e10d2160c63c588193c517dfed9b899d7efd1f"
+
+
+class TestValidation:
+    """Bad input is rejected before any row: points, then delta, then list sizes."""
+
+    DELTA_ONE = r"^relative distance must satisfy 0 < delta < 1, got 1$"
+    SIZE_ONE = r"^list size must be an integer >= 2, got 1$"
+
+    def test_delta_before_list_sizes(self):
+        with pytest.raises(ValueError, match=self.DELTA_ONE):
+            bound_table_rows(1, 2)
+        for rows in (bound_table_rows, comparison_rows):
+            with pytest.raises(ValueError, match=self.DELTA_ONE):
+                rows(1, 1)
+        with pytest.raises(ValueError, match=self.DELTA_ONE):
+            bound_profile_rows(1, (1,))
+        with pytest.raises(ValueError, match="two grid points"):
+            bound_table_rows(1, 1, points=1)
+
+    def test_list_sizes(self):
+        with pytest.raises(ValueError, match=self.SIZE_ONE):
+            bound_profile_rows(Fraction(9, 10), (2, 1))
+        for rows in (bound_table_rows, comparison_rows):
+            with pytest.raises(ValueError, match=self.SIZE_ONE):
+                rows(Fraction(9, 10), 1)
+        with pytest.raises(ValueError, match=self.SIZE_ONE):
+            rate_region_rows(1, (Fraction(1, 4),))
+
+    def test_each_rate_before_its_block(self):
+        half = r"^rate must lie in \(0, 1/2\), got 1/2$"
+        with pytest.raises(ValueError, match=half):
+            rate_region_rows(1, (Fraction(1, 2),))
+        with pytest.raises(ValueError, match=half):
+            rate_region_rows(2, (Fraction(1, 4), Fraction(1, 2)))
+        with pytest.raises(ValueError, match=self.SIZE_ONE):
+            rate_region_rows(1, (Fraction(1, 4), Fraction(1, 2)))
