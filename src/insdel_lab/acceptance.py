@@ -17,17 +17,19 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import comb
+from operator import lt, mul
 from typing import Callable
 
 from . import figures
 from .bounds import (
+    _hy1,
+    _hy2,
     _max_form,
     comparison_report,
     hy_crossover_delta,
     hy_crossover_delta_closed_form,
-    hy_quadratic1,
-    hy_quadratic2,
     insertion_bound_piecewise,
 )
 from .codes import (
@@ -180,18 +182,22 @@ def criterion_bound_consistency() -> None:
                         raise CriterionFailure(
                             f"(delta={delta}, L={L}, r={r}): not the max at {end}"
                         )
-            # x = (1 - delta) + delta * k / GRID_STEPS = xn / xd
+            # x = (1 - delta) + delta * k / GRID_STEPS = xns[k] / xd
             base = GRID_STEPS * (GRID_DELTA_DENOMINATOR - i)
             xd = GRID_STEPS * GRID_DELTA_DENOMINATOR
-            for k in range(GRID_STEPS + 1):
-                xn = base + i * k
-                # both denominators are positive, so cross-multiplying is exact
-                direct, direct_d = _max_form(cn, cd, L, xn, xd)
-                piece, piece_d = pieces._pair(xn, xd)
-                if direct * piece_d != piece * direct_d:
-                    raise CriterionFailure(f"(delta={delta}, L={L}, x={Fraction(xn, xd)}): mismatch")
-                if k > 0 and direct <= 0:
-                    raise CriterionFailure(f"(delta={delta}, L={L}, x={Fraction(xn, xd)}): not positive")
+            xns = range(base, base + i * (GRID_STEPS + 1), i)
+            direct, direct_d = _max_form(cn, cd, L, xns, xd)
+            piece, piece_d = pieces._pair(xns, xd)
+            # both denominators are positive, so cross-multiplying is exact
+            direct_x = list(map(mul, direct, repeat(piece_d)))
+            piece_x = list(map(mul, piece, repeat(direct_d)))
+            if direct_x != piece_x or min(direct[1:]) <= 0:
+                k, problem = next(
+                    (k, "mismatch" if a != b else "not positive")
+                    for k, (a, b, value) in enumerate(zip(direct_x, piece_x, direct))
+                    if a != b or (k > 0 and value <= 0)
+                )
+                raise CriterionFailure(f"(delta={delta}, L={L}, x={Fraction(xns[k], xd)}): {problem}")
 
 
 def criterion_hy_golden() -> None:
@@ -215,13 +221,19 @@ def criterion_hy_golden() -> None:
     if hi != 0.7 or abs(lo - (1 - alpha)) > 1e-6:
         raise CriterionFailure(f"interval = {report.interval}")
 
+    # x = k / 50 for k = 1..49, one row per (L, delta); both denominators are
+    # positive, so cross-multiplying is exact
+    xns = range(1, 50)
     for L in (2, 3, 5, 10):
         for i in range(1, 50):
-            for k in range(1, 50):
-                delta = 1 - Fraction(i, 50)
-                x = Fraction(k, 50)
-                if not hy_quadratic2(delta, L, x) < hy_quadratic1(delta, x):
-                    raise CriterionFailure(f"phi2 >= phi1 at (L={L}, delta={delta}, x={x})")
+            c = Fraction(i, 50)  # 1 - delta
+            delta, cn, cd = 1 - c, c.numerator, c.denominator
+            phi1, phi1_d = _hy1(cn, cd, xns, 50)
+            phi2, phi2_d = _hy2(cn, cd, L, xns, 50)
+            below = list(map(lt, map(mul, phi2, repeat(phi1_d)), map(mul, phi1, repeat(phi2_d))))
+            if not all(below):
+                x = Fraction(xns[below.index(False)], 50)
+                raise CriterionFailure(f"phi2 >= phi1 at (L={L}, delta={delta}, x={x})")
 
 
 def criterion_code_distances() -> None:

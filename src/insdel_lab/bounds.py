@@ -8,9 +8,13 @@ Two competing bounds are implemented:
 * the prior quadratic bound of Hayashi and Yasunaga ("HY"), together with its
   admissible-region list-size formula.
 
-Each exact evaluation is an unchecked integer kernel on (numerator,
-denominator) pairs, reduced or not, returning a pair with a positive
-denominator; its public function validates and returns ``Fraction(*pair)``.
+Each exact evaluation is an unchecked integer kernel over an arithmetic
+progression of points x = xn/xd (``xns`` a ``range``, one denominator xd),
+with 1 - delta a (numerator, denominator) pair, reduced or not.  It returns
+one numerator per point over one shared positive denominator; each term is
+itself an integer progression, so the work per point runs in C.  A public
+function validates, runs its kernel on a one-point progression and returns a
+``Fraction``.
 The comparison report also uses float64 for the square-root landmarks, with
 a documented 1e-9 tolerance.  Floats passed as parameters are interpreted via
 their shortest decimal representation, so 0.9 means 9/10, not the nearest
@@ -22,7 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import repeat
 from numbers import Rational
+from operator import add, mul
 from typing import Sequence, Union
 
 Exact = Union[int, str, Fraction]
@@ -64,7 +70,8 @@ def insertion_bound(delta: Exact | float, list_size: int, x: Exact | float) -> F
     """
     cn, cd = _one_minus_delta(as_fraction(delta))
     _validate_list_size(list_size)
-    return Fraction(*_max_form(cn, cd, list_size, *_in_domain(cn, cd, x)))
+    xn, xd = _in_domain(cn, cd, x)
+    return _value(_max_form(cn, cd, list_size, range(xn, xn + 1), xd))
 
 
 def _in_domain(cn: int, cd: int, x: Exact | float) -> tuple[int, int]:
@@ -72,23 +79,35 @@ def _in_domain(cn: int, cd: int, x: Exact | float) -> tuple[int, int]:
     xf = as_fraction(x)
     xn, xd = xf.numerator, xf.denominator
     if not (cn * xd <= xn * cd and xn <= xd):
-        raise ValueError(f"x={xf} outside domain [{cn}/{cd}, 1]")
+        raise ValueError(f"x={xf} outside domain [{Fraction(cn, cd)}, 1]")
     return xn, xd
 
 
-def _max_form(cn: int, cd: int, big: int, xn: int, xd: int) -> tuple[int, int]:
-    """insertion_bound's kernel at x = xn/xd, with 1 - delta = cn/cd."""
-    # The r-th term over the common denominator (L+1) * xd * r * cd has
-    # numerator (2L-r+1) xn r cd - L cn (L+1) xd; terms are compared by
-    # cross-multiplying the r-dependent denominators.
-    shared = big * cn * (big + 1) * xd
-    best_num = (2 * big) * xn * cd - shared
-    best_r = 1
-    for r in range(2, big + 1):
-        num = (2 * big - r + 1) * xn * r * cd - shared
-        if num * best_r > best_num * r:
-            best_num, best_r = num, r
-    return best_num, (big + 1) * xd * cd * best_r
+def _value(run: tuple[list[int], int]) -> Fraction:
+    """The value of a kernel run over a one-point progression."""
+    (num,), den = run
+    return Fraction(num, den)
+
+
+def _progression(first: int, step: int, count: int) -> Sequence[int]:
+    """The count integers first, first + step, first + 2*step, ..."""
+    return range(first, first + step * count, step) if step else [first] * count
+
+
+def _max_form(cn: int, cd: int, big: int, xns: range, xd: int) -> tuple[list[int], int]:
+    """insertion_bound's kernel over x = xn/xd for xn in xns, with 1 - delta = cn/cd."""
+    # Term r times (L+1) xd cd lcm(1..L) is the integer
+    # (2L-r+1) cd lcm * xn - L (L+1) cn xd lcm/r, linear in xn, so over the
+    # progression it is a progression too; the max at each point is taken
+    # over all L terms.
+    scale = math.lcm(*range(1, big + 1))
+    shared = big * (big + 1) * cn * xd
+    start, step, count = xns.start, xns.step, len(xns)
+    terms = []
+    for r in range(1, big + 1):
+        slope = (2 * big - r + 1) * cd * scale
+        terms.append(_progression(slope * start - shared * (scale // r), slope * step, count))
+    return list(map(max, *terms)), (big + 1) * xd * cd * scale
 
 
 @dataclass(frozen=True)
@@ -130,9 +149,13 @@ class PiecewiseBound:
     list_size: int
     r_min: int
     pieces: tuple[LinearPiece, ...]
-    # the domain's lower end, and each piece's upper end, as integer pairs
+    # the domain's lower end and each interior breakpoint as integer pairs,
+    # and each piece's line over the pieces' shared denominator _den: its
+    # value at x = xn/xd is (a*xn + b*xd) / (_den*xd)
     _lower: tuple[int, int] = field(init=False, repr=False, compare=False)
-    _uppers: tuple[tuple[int, int, LinearPiece], ...] = field(init=False, repr=False, compare=False)
+    _cuts: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _lines: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.pieces:
@@ -148,30 +171,41 @@ class PiecewiseBound:
                 raise ValueError("pieces must agree at shared breakpoints")
         lower = self.pieces[0].lower
         object.__setattr__(self, "_lower", (lower.numerator, lower.denominator))
-        uppers = tuple((p.upper.numerator, p.upper.denominator, p) for p in self.pieces)
-        object.__setattr__(self, "_uppers", uppers)
+        cuts = tuple((u.numerator, u.denominator) for u in self.breakpoints())
+        object.__setattr__(self, "_cuts", cuts)
+        den = math.lcm(*(p._terms[2] for p in self.pieces))
+        lines = tuple((a * (den // c), b * (den // c)) for a, b, c in (p._terms for p in self.pieces))
+        object.__setattr__(self, "_lines", lines)
+        object.__setattr__(self, "_den", den)
 
     def breakpoints(self) -> tuple[Fraction, ...]:
         """Interior breakpoints, left to right (empty for a single piece)."""
         return tuple(p.upper for p in self.pieces[:-1])
 
     def evaluate(self, x: Exact | float) -> Fraction:
-        xf = as_fraction(x)
-        xn, xd = xf.numerator, xf.denominator
-        ln, ld = self._lower
-        if not (ln * xd <= xn * ld and xn <= xd):
-            raise ValueError(f"x={xf} outside domain [{self.pieces[0].lower}, 1]")
-        return Fraction(*self._pair(xn, xd))
+        xn, xd = _in_domain(*self._lower, x)
+        return _value(self._pair(range(xn, xn + 1), xd))
 
-    def _pair(self, xn: int, xd: int) -> tuple[int, int]:
-        """evaluate's kernel at x = xn/xd."""
-        # the first piece whose upper end lies beyond x, so a breakpoint
-        # belongs to the piece on its right; x = 1 ends the scan on the last
-        for un, ud, piece in self._uppers:
-            if xn * ud < un * xd:
-                break
-        a, b, c = piece._terms
-        return a * xn + b * xd, c * xd
+    def _pair(self, xns: range, xd: int) -> tuple[list[int], int]:
+        """evaluate's kernel over x = xn/xd for xn in xns."""
+        # Walking x upwards, each piece owns the run of points left of its
+        # upper end that no earlier piece owns, so a breakpoint belongs to the
+        # piece on its right and the last piece owns x = 1.  The run's values
+        # form a progression.
+        rising = xns if xns.step > 0 else xns[::-1]
+        start, step, count = rising.start, rising.step, len(rising)
+        # points with start + step*k < un/ud: k < (un*xd - start*ud) / (step*ud)
+        ends = [
+            min(count, max(0, (un * xd - start * ud - 1) // (step * ud) + 1))
+            for un, ud in self._cuts
+        ]
+        nums: list[int] = []
+        for (a, b), end in zip(self._lines, ends + [count]):
+            done = len(nums)
+            nums += _progression(a * (start + step * done) + b * xd, a * step, end - done)
+        if xns.step < 0:
+            nums.reverse()
+        return nums, self._den * xd
 
 
 def insertion_bound_piecewise(delta: Exact | float, list_size: int) -> PiecewiseBound:
@@ -225,11 +259,16 @@ def hy_quadratic1(delta: Exact | float, x: Exact | float) -> Fraction:
     """First HY comparison quadratic: x^2 / (1 - delta) - x."""
     cn, cd = _one_minus_delta(as_fraction(delta))
     xf = as_fraction(x)
-    return Fraction(*_hy1(cn, cd, xf.numerator, xf.denominator))
+    xn, xd = xf.numerator, xf.denominator
+    return _value(_hy1(cn, cd, range(xn, xn + 1), xd))
 
 
-def _hy1(cn: int, cd: int, xn: int, xd: int) -> tuple[int, int]:
-    return xn * xn * cd - xn * xd * cn, xd * xd * cn
+def _hy1(cn: int, cd: int, xns: range, xd: int) -> tuple[list[int], int]:
+    # over xd^2 cn the numerator is xn (xn cd - xd cn), and the second
+    # factor is a progression over xns
+    first = xns.start * cd - xd * cn
+    factors = _progression(first, xns.step * cd, len(xns))
+    return list(map(mul, xns, factors)), xd * xd * cn
 
 
 def hy_quadratic2(delta: Exact | float, list_size: int, x: Exact | float) -> Fraction:
@@ -240,13 +279,18 @@ def hy_quadratic2(delta: Exact | float, list_size: int, x: Exact | float) -> Fra
     cn, cd = _one_minus_delta(as_fraction(delta))
     _validate_list_size(list_size)
     xf = as_fraction(x)
-    return Fraction(*_hy2(cn, cd, list_size, xf.numerator, xf.denominator))
+    xn, xd = xf.numerator, xf.denominator
+    return _value(_hy2(cn, cd, list_size, range(xn, xn + 1), xd))
 
 
-def _hy2(cn: int, cd: int, big: int, xn: int, xd: int) -> tuple[int, int]:
-    # numerator and denominator both scaled by xd^2 * cd
-    numerator = (big + 1) * xn * (xn * cd - cn * xd) + (cn - cd) * xd * xd
-    return numerator, xd * xd * (big * cn + cd)
+def _hy2(cn: int, cd: int, big: int, xns: range, xd: int) -> tuple[list[int], int]:
+    # numerator and denominator both scaled by xd^2 * cd: the numerator is
+    # xn (L+1)(xn cd - cn xd) + (cn - cd) xd^2, a progression times xn plus
+    # a constant
+    first = (big + 1) * (xns.start * cd - cn * xd)
+    factors = _progression(first, (big + 1) * xns.step * cd, len(xns))
+    constant = (cn - cd) * xd * xd
+    return list(map(add, map(mul, xns, factors), repeat(constant))), xd * xd * (big * cn + cd)
 
 
 def hy_list_size(
@@ -411,7 +455,8 @@ def comparison_report(delta: Exact | float, list_size: int) -> ComparisonReport:
         interval = (0.0, upper_tau)
         p1 = None
     else:
-        num, den = _max_form(cn, cd, list_size, *_in_domain(cn, cd, first_hi))
+        xn, xd = _in_domain(cn, cd, first_hi)
+        (num,), den = _max_form(cn, cd, list_size, range(xn, xn + 1), xd)
         interval = (1 - first_hi, upper_tau)
         p1 = (1 - first_hi, num / den)
     return replace(

@@ -1,17 +1,21 @@
 """Deterministic CSV data behind the standard plots and bound tables.
 
 Rows are produced as plain strings with shortest-repr float formatting so the
-emitted bytes are identical across runs.  Inputs are validated once per call;
-grid points and bound values are integer pairs from the kernels of `bounds`,
-and a cell is repr(num / den): int / int division is correctly rounded, so
-this is repr(float(Fraction(num, den))) whether or not the pair is reduced.
+emitted bytes are identical across runs.  Inputs are validated once per call.
+Each generator walks an arithmetic progression of grid points with one shared
+denominator, so every column is one call of a `bounds` kernel over the whole
+progression: a list of numerators over one denominator.  A cell is
+repr(num / den): int / int division is correctly rounded, so this is
+repr(float(Fraction(num, den))) whether or not the pair is reduced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from operator import truediv
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bounds import (
     Exact,
@@ -28,8 +32,14 @@ from .bounds import (
 DEFAULT_POINTS = 512
 
 
-def _cell(pair: tuple[int, int]) -> str:
-    return repr(pair[0] / pair[1])
+def _cells(run: tuple[Iterable[int], int]) -> Iterator[str]:
+    """One CSV cell per numerator of a kernel run over its shared denominator."""
+    nums, den = run
+    return map(repr, map(truediv, nums, repeat(den)))
+
+
+def _rows(*columns: Iterable[str]) -> list[str]:
+    return list(map(",".join, zip(*columns)))
 
 
 def _validate_points(points: int) -> None:
@@ -46,21 +56,14 @@ def bound_table_rows(
     _validate_list_size(list_size)
     dn, steps = cd - cn, points - 1
     den = cd * steps  # tau_d = dn k / den and x = 1 - tau_d
-    rows = ["tau_d,rho,phi1,phi2,unique"]
-    for k in range(points):
-        xn = den - dn * k
-        rows.append(
-            ",".join(
-                (
-                    _cell((dn * k, den)),
-                    _cell(_max_form(cn, cd, list_size, xn, den)),
-                    _cell(_hy1(cn, cd, xn, den)),
-                    _cell(_hy2(cn, cd, list_size, xn, den)),
-                    _cell((dn * (steps - k), den)),
-                )
-            )
-        )
-    return rows
+    xns = range(den, den - dn * points, -dn)
+    return ["tau_d,rho,phi1,phi2,unique"] + _rows(
+        _cells((range(0, dn * points, dn), den)),
+        _cells(_max_form(cn, cd, list_size, xns, den)),
+        _cells(_hy1(cn, cd, xns, den)),
+        _cells(_hy2(cn, cd, list_size, xns, den)),
+        _cells((range(dn * steps, -dn, -dn), den)),
+    )
 
 
 def comparison_rows(
@@ -77,8 +80,22 @@ def comparison_rows(
     cn, cd = _one_minus_delta(as_fraction(delta))
     report = comparison_report(delta, list_size)
     dn, steps = cd - cn, points - 1
+
+    def block(tns: range, td: int) -> list[str]:
+        """Rows at tau_d = tn/td for tn in tns, each ending in an empty label."""
+        xns = range(td - tns.start, td - tns.stop, -tns.step)
+        # the unique-decoding line delta - tau_d, clipped at 0, over cd td
+        unique = range(dn * td - tns.start * cd, dn * td - tns.stop * cd, -tns.step * cd)
+        return _rows(
+            _cells((tns, td)),
+            _cells(_max_form(cn, cd, list_size, xns, td)),
+            _cells(_hy2(cn, cd, list_size, xns, td)),
+            _cells((map(max, unique, repeat(0)), cd * td)),
+            repeat(""),
+        )
+
     den = cd * steps  # grid point k is tau_d = dn k / den
-    taus = [(dn * k, den, "") for k in range(points)]
+    rows = block(range(0, dn * points, dn), den)
     labelled: dict[Fraction, str] = {}
     for point, label in ((report.p1, "P1"), (report.p2, "P2")):
         if point is not None:
@@ -88,24 +105,10 @@ def comparison_rows(
         xn, xd = _in_domain(cn, cd, 1 - tau)
         k, rest = divmod((xd - xn) * den, dn * xd)
         if rest:
-            taus.insert(k + 1, (xd - xn, xd, label))
+            rows.insert(k + 1, block(range(xd - xn, xd - xn + 1), xd)[0] + label)
         else:
-            taus[k] = (dn * k, den, label)
-    rows = ["tau_d,rho,phi2,unique,landmark"]
-    for tn, td, label in taus:
-        xn = td - tn
-        rows.append(
-            ",".join(
-                (
-                    _cell((tn, td)),
-                    _cell(_max_form(cn, cd, list_size, xn, td)),
-                    _cell(_hy2(cn, cd, list_size, xn, td)),
-                    _cell((max(dn * td - tn * cd, 0), cd * td)),
-                    label,
-                )
-            )
-        )
-    return rows
+            rows[k] += label
+    return ["tau_d,rho,phi2,unique,landmark"] + rows
 
 
 def bound_profile_rows(
@@ -120,12 +123,10 @@ def bound_profile_rows(
         _validate_list_size(L)
     dn, steps = cd - cn, points - 1
     den = cd * steps
-    rows = ["x," + ",".join(f"rho_L{L}" for L in list_sizes)]
-    for k in range(points):
-        xn = cn * steps + dn * k
-        values = [_cell(_max_form(cn, cd, L, xn, den)) for L in list_sizes]
-        rows.append(",".join([_cell((xn, den))] + values))
-    return rows
+    xns = range(cn * steps, cn * steps + dn * points, dn)
+    header = "x," + ",".join(f"rho_L{L}" for L in list_sizes)
+    columns = [_cells(_max_form(cn, cd, L, xns, den)) for L in list_sizes]
+    return [header] + _rows(_cells((xns, den)), *columns)
 
 
 def rate_region_rows(
@@ -148,11 +149,11 @@ def rate_region_rows(
         # 1 - delta = 2R; tau_d = dn k / den and x = 1 - tau_d
         cn, cd = 2 * r.numerator, r.denominator
         dn, den = cd - cn, cd * points
-        prefix = _cell((r.numerator, cd)) + ","
-        for k in range(points):
-            tau = _cell((dn * k, den))
-            rho = _cell(_max_form(cn, cd, list_size, den - dn * k, den))
-            rows.append(f"{prefix}{tau},{rho}")
+        rows += _rows(
+            repeat(repr(r.numerator / cd)),
+            _cells((range(0, dn * points, dn), den)),
+            _cells(_max_form(cn, cd, list_size, range(den, den - dn * points, -dn), den)),
+        )
     return rows
 
 

@@ -93,16 +93,17 @@ def test_bound_certificate_catches_a_broken_piece(monkeypatch, fields, message):
             for index, name in enumerate(fields):
                 changed = {name: getattr(pieces[index], name) + tiny}
                 pieces[index] = dataclasses.replace(pieces[index], **changed)
-        return SimpleNamespace(
-            r_min=bound.r_min,
-            pieces=tuple(pieces),
-            evaluate=bound.evaluate,
-            _pair=bound._pair,
-        )
+        return SimpleNamespace(r_min=bound.r_min, pieces=tuple(pieces), _pair=bound._pair)
 
     monkeypatch.setattr(acceptance, "insertion_bound_piecewise", broken)
     with pytest.raises(CriterionFailure, match=message):
         acceptance.criterion_bound_consistency()
+
+
+def _changed(run, xns, xd, points, change):
+    """A kernel run over xns / xd with change applied to its numerators at points."""
+    nums, den = run
+    return [change(num) if Fraction(xn, xd) in points else num for xn, num in zip(xns, nums)], den
 
 
 @pytest.mark.parametrize(
@@ -116,37 +117,55 @@ def test_bound_certificate_catches_a_broken_piece(monkeypatch, fields, message):
     ids=["mismatch", "not-positive"],
 )
 def test_bound_grid_catches_a_wrong_value(monkeypatch, both, message):
-    # grid point k = 600 of delta = 5/21 at L = 3
+    # grid point k = 600 of delta = 5/21 at L = 3; points k = 601, 602 are
+    # wrong too, and the message names the first
     big, delta = 3, Fraction(5, acceptance.GRID_DELTA_DENOMINATOR)
-    x = 1 - delta + delta * Fraction(600, acceptance.GRID_STEPS)
+    wrong = [1 - delta + delta * Fraction(k, acceptance.GRID_STEPS) for k in (602, 600, 601)]
+    change = (lambda num: -num) if both else (lambda num: num + 1)
     real_max_form = acceptance._max_form
     real_piecewise = acceptance.insertion_bound_piecewise
 
-    def max_form(cn, cd, list_size, xn, xd):
-        num, den = real_max_form(cn, cd, list_size, xn, xd)
-        if (list_size, Fraction(cn, cd), Fraction(xn, xd)) == (big, 1 - delta, x):
-            return (-num if both else num + 1), den
-        return num, den
+    def max_form(cn, cd, list_size, xns, xd):
+        run = real_max_form(cn, cd, list_size, xns, xd)
+        if (list_size, Fraction(cn, cd)) == (big, 1 - delta):
+            return _changed(run, xns, xd, wrong, change)
+        return run
 
     def piecewise(at_delta, list_size):
         bound = real_piecewise(at_delta, list_size)
 
-        def pair(xn, xd):
-            num, den = bound._pair(xn, xd)
-            if (list_size, at_delta, Fraction(xn, xd)) == (big, delta, x):
-                return -num, den
-            return num, den
+        def pair(xns, xd):
+            run = bound._pair(xns, xd)
+            if (list_size, at_delta) == (big, delta):
+                return _changed(run, xns, xd, wrong, lambda num: -num)
+            return run
 
-        return SimpleNamespace(
-            r_min=bound.r_min, pieces=bound.pieces, evaluate=bound.evaluate, _pair=pair
-        )
+        return SimpleNamespace(r_min=bound.r_min, pieces=bound.pieces, _pair=pair)
 
     monkeypatch.setattr(acceptance, "_max_form", max_form)
     if both:
         monkeypatch.setattr(acceptance, "insertion_bound_piecewise", piecewise)
-    where = re.escape(f"(delta={delta}, L={big}, x={x}): {message}")
+    where = re.escape(f"(delta={delta}, L={big}, x={wrong[1]}): {message}")
     with pytest.raises(CriterionFailure, match=f"^{where}$"):
         acceptance.criterion_bound_consistency()
+
+
+def test_hy_check_names_the_first_failing_point(monkeypatch):
+    # phi2 pushed to 100, above phi1 = x^2/(1 - delta) - x <= 50, at two
+    # points of one (L, delta) row; the message names the first of them
+    big, delta, wrong = 5, 1 - Fraction(7, 50), [Fraction(3, 5), Fraction(2, 5)]
+    real_hy2 = acceptance._hy2
+
+    def hy2(cn, cd, list_size, xns, xd):
+        run = real_hy2(cn, cd, list_size, xns, xd)
+        if (list_size, Fraction(cn, cd)) == (big, 1 - delta):
+            return _changed(run, xns, xd, wrong, lambda num: 100 * run[1])
+        return run
+
+    monkeypatch.setattr(acceptance, "_hy2", hy2)
+    where = re.escape(f"phi2 >= phi1 at (L={big}, delta={delta}, x={wrong[1]})")
+    with pytest.raises(CriterionFailure, match=f"^{where}$"):
+        acceptance.criterion_hy_golden()
 
 
 def _passes():

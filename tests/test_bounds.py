@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from insdel_lab.bounds import (
     ComparisonReport,
+    LinearPiece,
+    PiecewiseBound,
     _hy1,
     _hy2,
     _max_form,
@@ -149,6 +151,18 @@ class TestPiecewiseDecomposition:
         with pytest.raises(ValueError, match=r"^x=0 outside domain \[1/10, 1\]$"):
             bound.evaluate(0)
 
+    def test_evaluate_names_an_integer_lower_end_as_an_integer(self):
+        # a directly constructed bound on [0, 1], delta = 1
+        line = LinearPiece(
+            lower=Fraction(0), upper=Fraction(1), slope=Fraction(1), intercept=Fraction(0), r=2
+        )
+        bound = PiecewiseBound(delta=Fraction(1), list_size=2, r_min=2, pieces=(line,))
+        assert bound.evaluate(Fraction(1, 3)) == Fraction(1, 3)
+        with pytest.raises(ValueError, match=r"^x=-1/2 outside domain \[0, 1\]$"):
+            bound.evaluate(-0.5)
+        with pytest.raises(ValueError, match=r"^x=2 outside domain \[0, 1\]$"):
+            bound.evaluate(2)
+
     def test_evaluate_at_every_breakpoint(self):
         # a breakpoint belongs to the piece on its right; both ends of the
         # domain are exact too
@@ -280,50 +294,95 @@ class TestInputTypes:
 
 
 @st.composite
-def _kernel_inputs(draw):
-    """delta, L, x in [1 - delta, 1] with both ends, and two scale factors."""
+def _progressions(draw):
+    """delta, L, and a progression of x = xn/xd through one anchor point.
+
+    The anchor, hit at a drawn place of the run, is an end of the domain or
+    an interior breakpoint of the bound; steps rise or fall, runs may have one
+    point, and the run may leave the domain (the kernels check nothing).
+    """
     dd = draw(st.integers(2, 60))
     delta = Fraction(draw(st.integers(1, dd - 1)), dd)
-    steps = draw(st.integers(1, 40))
-    inner = 1 - delta * Fraction(draw(st.integers(0, steps)), steps)
-    scales = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    return delta, draw(st.integers(2, 12)), (1 - delta, inner, Fraction(1)), scales
+    big = draw(st.integers(2, 12))
+    bound = insertion_bound_piecewise(delta, big)
+    anchor = draw(st.sampled_from((1 - delta, *bound.breakpoints(), Fraction(1))))
+    count = draw(st.integers(1, 30))
+    at = draw(st.integers(0, count - 1))
+    step = draw(st.integers(1, 4)) * draw(st.sampled_from((1, -1)))
+    # a finer grid than the anchor's own denominator, scaled unreduced
+    xd = anchor.denominator * draw(st.integers(1, 12))
+    first = anchor.numerator * (xd // anchor.denominator) - step * at
+    return delta, big, range(first, first + step * count, step), xd
 
 
 def _unreduced(value, scale):
     return value.numerator * scale, value.denominator * scale
 
 
-def _exact(pair):
-    num, den = pair
-    assert den > 0
-    return Fraction(num, den)
+def _scaled(xns, scale):
+    return range(xns.start * scale, xns.stop * scale, xns.step * scale)
+
+
+def _values(run, count):
+    nums, den = run
+    assert den > 0 and len(nums) == count
+    return [Fraction(num, den) for num in nums]
+
+
+def _owner(pieces, x):
+    """Index of the piece whose value the bound takes at x: a linear lookup."""
+    return next((i for i, p in enumerate(pieces) if x < p.upper), len(pieces) - 1)
+
+
+SCALES = st.integers(1, 6)
 
 
 class TestKernels:
-    """Each integer kernel, fed unreduced pairs, equals its public function."""
+    """Each progression kernel, fed unreduced pairs, equals a Fraction oracle at every point."""
 
-    @given(_kernel_inputs())
-    def test_max_form(self, inputs):
-        delta, big, xs, (g, h) = inputs
-        for x in xs:
-            kernel = _max_form(*_unreduced(1 - delta, g), big, *_unreduced(x, h))
-            assert _exact(kernel) == insertion_bound(delta, big, x)
+    @given(_progressions(), SCALES, SCALES)
+    def test_max_form(self, inputs, g, h):
+        delta, big, xns, xd = inputs
+        run = _max_form(*_unreduced(1 - delta, g), big, _scaled(xns, h), xd * h)
+        expected = []
+        for xn in xns:
+            x = Fraction(xn, xd)
+            terms = (
+                Fraction(2 * big - r + 1, big + 1) * x - Fraction(big, r) * (1 - delta)
+                for r in range(1, big + 1)
+            )
+            expected.append(max(terms))
+        assert _values(run, len(xns)) == expected
 
-    @given(_kernel_inputs())
-    def test_hy_quadratics(self, inputs):
-        delta, big, xs, (g, h) = inputs
-        for x in xs:
-            c, pair = _unreduced(1 - delta, g), _unreduced(x, h)
-            assert _exact(_hy1(*c, *pair)) == hy_quadratic1(delta, x)
-            assert _exact(_hy2(*c, big, *pair)) == hy_quadratic2(delta, big, x)
+    @given(_progressions(), SCALES, SCALES)
+    def test_hy_quadratics(self, inputs, g, h):
+        delta, big, xns, xd = inputs
+        c, at = _unreduced(1 - delta, g), (_scaled(xns, h), xd * h)
+        xs = [Fraction(xn, xd) for xn in xns]
+        cf = 1 - delta
+        phi1 = [x * x / cf - x for x in xs]
+        phi2 = [((big + 1) * x * x - (big + 1) * cf * x + cf - 1) / (big * cf + 1) for x in xs]
+        assert _values(_hy1(*c, *at), len(xs)) == phi1
+        assert _values(_hy2(*c, big, *at), len(xs)) == phi2
 
-    @given(_kernel_inputs())
-    def test_pieces(self, inputs):
-        delta, big, xs, (_, h) = inputs
+    @given(_progressions(), SCALES)
+    def test_pieces(self, inputs, h):
+        delta, big, xns, xd = inputs
         bound = insertion_bound_piecewise(delta, big)
+        pieces = bound.pieces
+        xs = [Fraction(xn, xd) for xn in xns]
+        expected = []
         for x in xs:
-            assert _exact(bound._pair(*_unreduced(x, h))) == bound.evaluate(x)
+            piece = pieces[_owner(pieces, x)]
+            expected.append(piece.slope * x + piece.intercept)
+        assert _values(bound._pair(_scaled(xns, h), xd * h), len(xs)) == expected
+        # adjacent pieces agree at a breakpoint, so values cannot show which
+        # piece owns it; with piece i's line replaced by the constant i, each
+        # value names its owner, and a breakpoint belongs to the piece on its
+        # right
+        object.__setattr__(bound, "_lines", tuple((0, i) for i in range(len(pieces))))
+        owners = _values(bound._pair(_scaled(xns, h), xd * h), len(xs))
+        assert owners == [Fraction(_owner(pieces, x), bound._den) for x in xs]
 
 
 class TestCrossoverConstants:

@@ -204,13 +204,19 @@ def _digest(rows):
 
 
 class TestPinnedBytes:
-    """CSV bytes at delta = 9/10 and 512 points, recorded from the Fraction-per-point rows."""
+    """CSV bytes at delta = 9/10 and 512 points, recorded from per-point evaluation.
+
+    L <= 10 was recorded from Fraction-per-point rows, L = 40 and 100 from
+    per-point integer pairs; over a progression the max form's denominator
+    carries lcm(1..L), so those cells come from pairs far beyond 64 bits.
+    """
 
     DELTA = Fraction(9, 10)
     TABLE = {
         2: "1a24eaf3d3d069e2e699f0a3d6bd4a1b62f802a8c4deb610348f08a0d5e64e62",
         3: "762eb043d6d3f77e1affd2ffb9939d50d9c5e7a97672c863b7a72dcc41c1d053",
         10: "b1a3f71f44f63372e7ba5e951f1bdb2adf32d2af8c7b4565ca6279904187b851",
+        40: "cda40a30c92c48b3611b69e59cfd53f0e24cf2c43f69033d8cc671b535bcadd4",
     }
     COMPARISON = {
         2: "caca31a629de07dbbce9ee4234c8abd677e596d3d1a1794d58119a8b4e9d726f",
@@ -218,7 +224,7 @@ class TestPinnedBytes:
         10: "bd5b9cfff5fb6637c40109254029d66109d3a996981ab8fa4129efb3d75167ad",
     }
 
-    @pytest.mark.parametrize("list_size", (2, 3, 10))
+    @pytest.mark.parametrize("list_size", (2, 3, 10, 40))
     def test_bound_table(self, list_size):
         rows = bound_table_rows(self.DELTA, list_size, 512)
         assert _digest(rows) == self.TABLE[list_size]
@@ -231,6 +237,10 @@ class TestPinnedBytes:
     def test_profile(self):
         rows = bound_profile_rows(self.DELTA, (2, 3, 10), 512)
         assert _digest(rows) == "a7fe12ac7762cc185ea59471945c8ed97d13c9ed518dd4bb85d121c274120325"
+
+    def test_profile_large_list_sizes(self):
+        rows = bound_profile_rows(self.DELTA, (2, 10, 40, 100), 512)
+        assert _digest(rows) == "1984bc96f94aac4a1e5a88db8225f7dd91fa45e310ec078af100e2a658a008f8"
 
     def test_rate_region(self):
         rows = rate_region_rows(3, (Fraction(1, 10), Fraction(13, 97)), 512)
