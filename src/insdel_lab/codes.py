@@ -3,7 +3,16 @@ prime fields, binary and q-ary Varshamov-Tenengolts codes, and Helberg codes.
 
 All constructions materialize their codeword sets eagerly (subject to a size
 cap); Reed-Solomon codes additionally expose a streaming iterator for searches
-that only need one pass.
+that only need one pass.  Both are built from tables by C-level iterator
+pipelines, with no Python call per symbol:
+
+* Reed-Solomon codewords by linearity: coefficient i adds c * a^i mod p at
+  point a, so each block of p codewords that differ only in the leading
+  coefficient is one slice of a per-point table, and `zip` turns the slices
+  into codewords (`_rs_symbols`).
+* VT and Helberg codes by syndrome tables: the syndrome of every q-ary word
+  of length n is built position by position, in `itertools.product` order,
+  and `itertools.compress` picks out the members (`_syndrome_code`).
 """
 
 from __future__ import annotations
@@ -11,9 +20,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import comb, perm
+from itertools import compress, repeat
+from math import perm
+from operator import add, and_
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .words import Word, _min_distance
 
@@ -105,25 +116,64 @@ def _validate_rs_shape(field: PrimeField, n: int, k: int) -> None:
 
 
 def rs_codewords(
-    field: PrimeField, n: int, k: int, alpha: Sequence[int]
+    field: PrimeField, n: int, k: int, alpha: Sequence[int] | None = None
 ) -> Iterator[Word]:
     """Stream the p^k Reed-Solomon codewords (f(alpha_1), ..., f(alpha_n)).
 
     Polynomials f of degree < k are enumerated in lexicographic order of their
-    coefficient tuples (constant coefficient first).
+    coefficient tuples (constant coefficient first).  Defaults to evaluation
+    points 0..n-1.  The stream is built one block of p codewords at a time
+    (`_rs_symbols`), so it holds O(p * n * k) symbols however many
+    codewords are drawn from it.
     """
     _validate_rs_shape(field, n, k)
-    points = _validate_eval_points(field, n, alpha)
-    for symbols in _rs_symbols(field, k, points):
-        yield Word(symbols, field.p)
+    points = _validate_eval_points(field, n, range(n) if alpha is None else alpha)
+    yield from map(Word, _rs_symbols(field, k, points, {}), repeat(field.p))
 
 
 def _rs_symbols(
-    field: PrimeField, k: int, points: tuple[int, ...]
+    field: PrimeField,
+    k: int,
+    points: tuple[int, ...],
+    rotations: dict[int, tuple[list[int], list[int]]],
 ) -> Iterator[tuple[int, ...]]:
-    """The symbol tuples of rs_codewords, for valid distinct `points`."""
-    for coeffs in itertools.product(field.elements(), repeat=k):
-        yield tuple(field.poly_eval(coeffs, a) for a in points)
+    """The symbol tuples of rs_codewords, for valid distinct `points`.
+
+    By linearity, coefficient i adds c * a^i mod p at point a.  The
+    codewords come in blocks of p, one block per prefix of the k - 1 lower
+    coefficients, in the order of the prefixes, which is this stream for
+    k - 1; within a block the leading coefficient c runs over 0..p-1.  With
+    b the prefix's value at a and m = a^(k-1), the block's column at a is
+    (b + c * m) mod p.  When m != 0 that is the column for b = 0 rotated to
+    start at c = b / m, so it is one slice of that column written out
+    twice; when m = 0 (a = 0 and k > 1) it is b repeated.  `zip` turns a
+    block's columns into its codewords.
+
+    `rotations` caches, per multiplier m != 0, the doubled column and where
+    each value starts in it; a caller that streams many codes over one
+    field passes the same dict to each.  It holds at most p - 1 entries of
+    3p integers.  Each of the k nested streams holds one block,
+    so a stream holds O(p * n * k) symbols besides the cache.
+    """
+    if k == 0:
+        yield (0,) * len(points)
+        return
+    p = field.p
+    tables = []
+    for a in points:
+        m = pow(a, k - 1, p)
+        if m and m not in rotations:
+            inverse = pow(m, -1, p)
+            column = [c * m % p for c in range(p)]
+            rotations[m] = (column * 2, [b * inverse % p for b in range(p)])
+        tables.append(rotations[m] if m else (None, None))
+    for values in _rs_symbols(field, k - 1, points, rotations):
+        yield from zip(
+            *[
+                twice[start[b] : start[b] + p] if twice else repeat(b, p)
+                for b, (twice, start) in zip(values, tables)
+            ]
+        )
 
 
 def rs_code(field: PrimeField, n: int, k: int, alpha: Sequence[int] | None = None) -> Code:
@@ -133,8 +183,6 @@ def rs_code(field: PrimeField, n: int, k: int, alpha: Sequence[int] | None = Non
     code has exactly p^k codewords and minimum Hamming distance n - k + 1.
     Defaults to evaluation points 0..n-1.
     """
-    if alpha is None:
-        alpha = range(n)
     size = field.p**k
     if size > DEFAULT_CODE_CAP:
         raise CodeSizeError(
@@ -190,9 +238,10 @@ def rs_search_eval_points(
     best_alpha: tuple[int, ...] | None = None
     best_distance = -1
     examined = 0
+    rotations: dict[int, tuple[list[int], list[int]]] = {}
     for alpha in candidates:
         examined += 1
-        d = _min_distance(list(_rs_symbols(field, k, alpha)))
+        d = _min_distance(list(_rs_symbols(field, k, alpha, rotations)))
         if d > best_distance:
             best_alpha, best_distance = alpha, d
             if best_distance >= target:
@@ -208,21 +257,58 @@ def rs_search_eval_points(
     )
 
 
-def _filtered_code(
-    q: int, n: int, member: Callable[[tuple[int, ...]], bool], empty: str
+def _syndrome_code(
+    q: int,
+    n: int,
+    syndromes: Iterable[tuple[Iterable[Sequence[int]], int, int]],
+    empty: str,
 ) -> Code:
-    """The q-ary words of length n that satisfy `member`, in one code.
+    """The q-ary words of length n whose syndromes all hit their residues.
+
+    `syndromes` yields (terms, modulus, residue) triples.  A syndrome is a
+    sum over positions, and terms[j] is position j's table: with i the
+    index of the word's first j + 1 symbols in `itertools.product` order,
+    the position adds terms[j][i % len(terms[j])].  So a table of q entries
+    is read at symbol j, and one of q^2 entries (from position 1 on) at
+    q * (symbol j - 1) + symbol j.  A word is a member when every syndrome
+    is congruent to its residue modulo its modulus.
 
     Raises CodeSizeError when the q^n candidates exceed DEFAULT_CODE_CAP,
-    before any is built, and ValueError with the message `empty` when none
-    qualifies.
+    before `syndromes` is consumed, and ValueError with the message `empty`
+    when none qualifies.  The sums of all q^n words are built position by
+    position, in product order: the words whose index is r modulo a
+    table's length L take entry r, and their prefixes are every (L/q)-th
+    sum of the previous position, so each entry is one C-level `map` over a
+    slice.  A byte table over the sums' range then marks each word, and
+    `itertools.compress` picks the members out of `itertools.product`.
+    Each syndrome's q^n sums are held until the members are picked.
     """
     if q**n > DEFAULT_CODE_CAP:
         raise CodeSizeError(f"{q}^{n} words exceed cap {DEFAULT_CODE_CAP}")
-    members = list(filter(member, itertools.product(range(q), repeat=n)))
+    marks = []
+    for terms, modulus, residue in syndromes:
+        sums = [0]
+        for table in terms:
+            step = len(table)
+            grown = [0] * (len(sums) * q)
+            for r, term in enumerate(table):
+                grown[r::step] = map(add, sums[r // q :: step // q], repeat(term))
+            sums = grown
+        hits = bytearray(max(sums) + 1)
+        hits[residue::modulus] = bytes([1]) * len(range(residue, len(hits), modulus))
+        marks.append(map(hits.__getitem__, sums))
+    mask = marks[0]
+    for more in marks[1:]:
+        mask = map(and_, mask, more)
+    members = list(compress(itertools.product(range(q), repeat=n), mask))
     if not members:
         raise ValueError(empty)
-    return Code(q=q, n=n, codewords=frozenset(Word(w, q) for w in members))
+    return Code(q=q, n=n, codewords=frozenset(map(Word, members, repeat(q))))
+
+
+def _weighted(weights: Iterable[int], q: int) -> Iterator[range]:
+    """The syndrome tables of sum_j weights[j] * x_j, one `range` per position."""
+    return (range(0, q * w, w) for w in weights)
 
 
 def vt_binary(n: int, a: int) -> Code:
@@ -235,11 +321,8 @@ def vt_binary(n: int, a: int) -> Code:
         raise ValueError("need n >= 1")
     if not 0 <= a <= n:
         raise ValueError(f"residue a must lie in 0..n, got {a}")
-    return _filtered_code(
-        2,
-        n,
-        lambda c: sum(i * ci for i, ci in enumerate(c, start=1)) % (n + 1) == a,
-        f"VT_{a}({n}) is empty",
+    return _syndrome_code(
+        2, n, [(_weighted(range(1, n + 1), 2), n + 1, a)], f"VT_{a}({n}) is empty"
     )
 
 
@@ -259,12 +342,17 @@ def vt_qary(n: int, q: int, a: int, b: int) -> Code:
     if not 0 <= b < q:
         raise ValueError(f"residue b must lie in 0..q-1, got {b}")
 
-    def member(s: tuple[int, ...]) -> bool:
-        steps = sum(i for i in range(1, n) if s[i] >= s[i - 1])
-        return steps % n == a and sum(s) % q == b
+    def steps(j: int) -> tuple[int, ...]:
+        """Position j's term of the step sum, read at q * s_(j-1) + s_j."""
+        if j == 0:
+            return (0,) * q
+        return tuple(j if x >= y else 0 for y in range(q) for x in range(q))
 
-    return _filtered_code(
-        q, n, member, f"q-ary VT code (n={n}, q={q}, a={a}, b={b}) is empty"
+    return _syndrome_code(
+        q,
+        n,
+        [(map(steps, range(n)), n, a), (_weighted(repeat(1, n), q), q, b)],
+        f"q-ary VT code (n={n}, q={q}, a={a}, b={b}) is empty",
     )
 
 
@@ -298,10 +386,10 @@ def helberg(q: int, n: int, s: int, a: int, m: int | None = None) -> Code:
         raise ValueError(f"modulus {modulus} below the required v_(n+1) = {least_modulus}")
     if not 0 <= a < modulus:
         raise ValueError(f"residue a must lie in 0..{modulus - 1}, got {a}")
-    return _filtered_code(
+    return _syndrome_code(
         q,
         n,
-        lambda x: sum(v * xi for v, xi in zip(weights, x)) % modulus == a,
+        [(_weighted(weights, q), modulus, a)],
         f"Helberg code (q={q}, n={n}, s={s}, a={a}) is empty",
     )
 

@@ -11,6 +11,7 @@ asserts its equivalence with direct channel simulation on small instances.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,11 +26,11 @@ from .words import (
     BallSizeError,
     Word,
     _ball_layers,
+    _checked_ball_layers,
     _common_output,
     _lcs_masked,
     _match_masks,
     _min_distance,
-    all_words,
     in_insdel_ball,
     insdel_ball,
     insdel_ball_size_bound,
@@ -82,29 +83,43 @@ def _channel_tally(
     *,
     whole: bool,
 ) -> Counter[tuple[int, ...]] | None:
-    """Count, per channel output, the codewords of `symbols` that reach it, one
-    output length at a time, shortest first; return the tally of the first
-    length at which some count exceeds list_size, or None when none does.
+    """Count, per channel output, the codewords of `symbols` that reach it;
+    return a tally in which some count exceeds list_size, or None when no
+    received word is reached by more than list_size codewords.
 
-    Each codeword's outputs of length m come from `_ball_layers`.  Every
-    offender of that first length is shortlex smaller than every longer
-    received word, so the shortlex-smallest offender is the least one in the
-    returned tally.  With `whole` that length is tallied over every codeword,
-    so its counts are exact; without, the census stops after the first
-    codeword that takes a count above list_size.  Raises BallSizeError once
-    the lengths scanned so far have counted more than `cap` distinct received
-    words, checked after each codeword's layer is merged, so the census never
-    counts more than `cap` words plus one layer.
+    Each codeword's outputs come from `_ball_layers`, one length at a time.
+
+    * With `whole`, the census goes one output length at a time, shortest
+      first, over every codeword, and returns the tally of the first length
+      at which some count exceeds list_size.  Its counts are exact, and
+      every offender of that length is shortlex smaller than every longer
+      received word, so the shortlex-smallest offender is the least one in
+      the returned tally.  Raises BallSizeError once the lengths scanned so
+      far have counted more than `cap` distinct received words, checked
+      after each codeword's layer is merged, so the census never counts
+      more than `cap` words plus one layer.
+    * Without, it is a verdict only: the census goes codeword by codeword,
+      merging each one's whole ball, and returns as soon as a layer takes a
+      count above list_size.  Raises BallSizeError once it has counted more
+      than `cap` distinct received words, checked after each codeword, so
+      it never counts more than `cap` words plus one ball.
     """
+    if not whole:
+        tally: Counter[tuple[int, ...]] = Counter()
+        for word in symbols:
+            for layer in _ball_layers(word, t_ins, t_del, q):
+                tally.update(layer)
+                if max(map(tally.__getitem__, layer)) > list_size:
+                    return tally
+            if len(tally) > cap:
+                raise BallSizeError(len(tally), cap, counted=True)
+        return None
     layers = [_ball_layers(word, t_ins, t_del, q) for word in symbols]
     counted = 0
     for _ in range(t_del + t_ins + 1):
-        tally: Counter[tuple[int, ...]] = Counter()
+        tally = Counter()
         for word_layers in layers:
-            layer = next(word_layers)
-            tally.update(layer)
-            if not whole and max(map(tally.__getitem__, layer)) > list_size:
-                return tally
+            tally.update(next(word_layers))
             if counted + len(tally) > cap:
                 raise BallSizeError(counted + len(tally), cap, counted=True)
         if max(tally.values()) > list_size:
@@ -282,20 +297,27 @@ def list_decodable(
 def decoder_ball_matches_channel(codeword: Word, t_ins: int, t_del: int) -> bool:
     """Equivalence of the two list-decoding views for one codeword.
 
-    The set of channel outputs of `codeword` under (t_ins, t_del) must equal
-    the set of words whose decoder ball (swapped radii: t_del insertions,
-    t_ins deletions) contains `codeword`, quantified over every word in the
-    reachable length window.
+    The set of channel outputs of `codeword` under (t_ins, t_del), from the
+    ball enumerator, must equal the set of words whose decoder ball
+    (swapped radii: t_del insertions, t_ins deletions) contains `codeword`,
+    quantified over every word in the reachable length window.  The decoder
+    side tests each word y by the LCS kernel against the codeword's match
+    masks, built once: reaching the length-n codeword from y takes at least
+    n - LCS insertions and |y| - LCS deletions, and keeping a longest common
+    subsequence attains both at once.
     """
-    channel = insdel_ball(codeword, t_ins, t_del)
-    low = max(len(codeword) - t_del, 0)
-    high = len(codeword) + t_ins
-    decoder = {
-        y
-        for length in range(low, high + 1)
-        for y in all_words(codeword.q, length)
-        if in_insdel_ball(codeword, y, t_del, t_ins)
-    }
+    x, q, n = codeword.symbols, codeword.q, len(codeword)
+    channel = set().union(*_checked_ball_layers(x, t_ins, t_del, q))
+    masks = _match_masks(x)
+    decoder = set()
+    for length in range(n - t_del, n + t_ins + 1):
+        # y's decoder ball holds x iff LCS >= max(n - t_del, |y| - t_ins)
+        least = max(n - t_del, length - t_ins)
+        decoder.update(
+            y
+            for y in itertools.product(range(q), repeat=length)
+            if _lcs_masked(y, masks, n) >= least
+        )
     return channel == decoder
 
 

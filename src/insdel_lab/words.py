@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from itertools import chain, combinations, islice, repeat, tee
 from math import comb
+from operator import ne
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_BALL_CAP = 10_000_000
+# the subsequences _min_distance may hold at once, when |C| * n is smaller
+_LEVEL_MEMORY = 1 << 18
 
 
 class AlphabetMismatchError(ValueError):
@@ -157,24 +161,37 @@ def _min_distance(words: Sequence[tuple[int, ...]]) -> int:
       length-(n - s + 1) one, so a word's level-s set is the set of single
       deletions of its level-(s - 1) set; level 0 is the word itself.
 
-    Levels go in order, and within a level words go in order: each word's
-    level-s set is tested against the union of the earlier words' sets, and
-    the first hit returns 2s.  Only the previous level and the current one
-    are kept.  Level 1 is Levenshtein's test of a single-deletion-correcting
-    code, that the single-deletion balls are disjoint (Levenshtein, "Binary
-    codes capable of correcting deletions, insertions and reversals", 1966).
+    Levels go in order, and each level is one pipeline of C-level
+    iterators: it makes the single deletions of every parent, parents in
+    the order they were first made (so words in order), and claims each
+    subsequence for its parent's word in a dict (`dict.setdefault`).  A
+    parent belongs to one word, since no two words shared a level-(s - 1)
+    subsequence, and the first subsequence already claimed by another word
+    returns 2s.  Only the previous level and the current one are kept.
+    Level 1 is Levenshtein's test of a single-deletion-correcting code,
+    that the single-deletion balls are disjoint (Levenshtein, "Binary codes
+    capable of correcting deletions, insertions and reversals", 1966).
 
-    Guard: the subsequences built over all levels may not exceed the budget
-    B = min(|C|(|C| - 1)/2, |C| * n).  Before each parent's deletions are
-    added, the search checks that they cannot take it past B; if they could,
-    or for words of unequal length, the pair scan finishes the job.  A
-    handover at level s passes the scan a stop value of 2s, since no shared
-    level-(s - 1) subsequence means no pair is closer than 2s.  So at most
-    2B <= 2|C| * n subsequences are held at once (the previous and the
-    current level together, and the current one's union).  The levels make
-    at most n(|C| + B) single deletions in |C| + B calls to
-    itertools.combinations, where the pair scan makes n bit-parallel steps
-    for each of its |C|(|C| - 1)/2 >= B pairs.
+    Guard: the levels may build at most B subsequences in all.  A
+    subsequence costs one tuple from itertools.combinations and one dict
+    lookup; a pair of the scan costs a Python call plus n bit-parallel
+    steps.  Timed on CPython 3.11 over 150 random words (q in {2, 4, 7}, n
+    from 4 to 48, levels 1 to 3), one pair cost as much as 1 to 13
+    subsequences, rising with n; B prices a pair at (n + 12)/6 subsequences
+    (2.7 at n = 4, 4 at n = 12, 10 at n = 48), a fit to those timings:
+
+        B = min(P * (n + 12) // 6, max(|C| * n, 2^18)),  P = |C|(|C| - 1)/2.
+
+    The first term is the whole pair scan's cost, so the levels run as long
+    as they cost less than the scan they replace; the second bounds memory.
+    A level-s parent has exactly n - s + 1 single deletions, so a level
+    stops after the subsequences B has left.  If that cuts it short, or for
+    words of unequal length, the pair scan finishes the job.  A handover at
+    level s passes the scan a stop value of 2s, since no shared
+    level-(s - 1) subsequence means no pair is closer than 2s.  Memory:
+    every subsequence held (the previous level's dict and the current
+    one's) was built, so at most B <= max(|C| * n, 2^18) tuples of length
+    below n are held at once; 2^18 of them take about 50 MB at n = 12.
     """
     if len(set(words)) < len(words):
         return 0
@@ -182,24 +199,22 @@ def _min_distance(words: Sequence[tuple[int, ...]]) -> int:
     if any(len(w) != n for w in words):
         # distinct words are at least 1 apart
         return _pair_scan(words, 1)
-    budget = min(len(words) * (len(words) - 1) // 2, len(words) * n)
+    pairs = len(words) * (len(words) - 1) // 2
+    budget = min(pairs * (n + 12) // 6, max(len(words) * n, _LEVEL_MEMORY))
     built = 0
-    levels: list[Iterable[tuple[int, ...]]] = [(w,) for w in words]
+    # each subsequence of the current level, and the index of its word
+    level = dict(zip(words, range(len(words))))
     for s in range(1, n + 1):
-        # a parent has at most n - s + 1 single deletions
-        limit = budget - (n - s + 1)
-        seen: set[tuple[int, ...]] = set()
-        for i, parents in enumerate(levels):
-            level: set[tuple[int, ...]] = set()
-            for p in parents:
-                if built + len(level) > limit:
-                    return _pair_scan(words, 2 * s)
-                level.update(itertools.combinations(p, n - s))
-            if not seen.isdisjoint(level):
-                return 2 * s
-            seen |= level
-            built += len(level)
-            levels[i] = level
+        parents, level = level, {}
+        width = n - s + 1  # single deletions per parent
+        subsequences = chain.from_iterable(map(combinations, parents, repeat(n - s)))
+        owners, expected = tee(chain.from_iterable(map(repeat, parents.values(), repeat(width))))
+        claimed = map(level.setdefault, islice(subsequences, budget - built), owners)
+        if any(map(ne, claimed, expected)):
+            return 2 * s
+        built += len(parents) * width
+        if built > budget:
+            return _pair_scan(words, 2 * s)
     raise AssertionError("distinct words of one length share the empty subsequence")
 
 
@@ -403,6 +418,22 @@ def _common_output(
     return False, len(seen)
 
 
+def _checked_ball_layers(
+    symbols: tuple[int, ...], t_ins: int, t_del: int, q: int, cap: int = DEFAULT_BALL_CAP
+) -> Iterator[set[tuple[int, ...]]]:
+    """`_ball_layers` behind the checks of `insdel_ball`: ValueError for a
+    negative radius or t_del > len(symbols), and BallSizeError when the
+    ball's size bound exceeds `cap`, before anything is enumerated."""
+    if t_ins < 0 or t_del < 0:
+        raise ValueError("radii must be nonnegative")
+    if t_del > len(symbols):
+        raise ValueError(f"deletion radius {t_del} exceeds word length {len(symbols)}")
+    estimate = insdel_ball_size_bound(len(symbols), t_ins, t_del, q)
+    if estimate > cap:
+        raise BallSizeError(estimate, cap)
+    return _ball_layers(symbols, t_ins, t_del, q)
+
+
 def insdel_ball(x: Word, t_ins: int, t_del: int, cap: int = DEFAULT_BALL_CAP) -> set[Word]:
     """All words reachable from `x` by at most t_ins insertions and t_del deletions.
 
@@ -411,15 +442,8 @@ def insdel_ball(x: Word, t_ins: int, t_del: int, cap: int = DEFAULT_BALL_CAP) ->
     supersequences of subsequences of `x`.  Fails fast with BallSizeError
     when the predicted size exceeds `cap`.
     """
-    if t_ins < 0 or t_del < 0:
-        raise ValueError("radii must be nonnegative")
-    if t_del > len(x):
-        raise ValueError(f"deletion radius {t_del} exceeds word length {len(x)}")
-    estimate = insdel_ball_size_bound(len(x), t_ins, t_del, x.q)
-    if estimate > cap:
-        raise BallSizeError(estimate, cap)
     return {
         Word(symbols, x.q)
-        for layer in _ball_layers(x.symbols, t_ins, t_del, x.q)
+        for layer in _checked_ball_layers(x.symbols, t_ins, t_del, x.q, cap)
         for symbols in layer
     }

@@ -1,6 +1,9 @@
 """Code constructions: prime fields, RS, VT variants, Helberg, file I/O."""
 
 import itertools
+import random
+import re
+import tracemalloc
 
 import pytest
 
@@ -26,6 +29,45 @@ from insdel_lab.words import Word, word
 
 def hamming(a: Word, b: Word) -> int:
     return sum(x != y for x, y in zip(a.symbols, b.symbols))
+
+
+# Oracles: the member predicates the constructors used to apply to each word,
+# one Python call per word.
+
+
+def vt_member(n: int, a: int):
+    return lambda c: sum(i * ci for i, ci in enumerate(c, start=1)) % (n + 1) == a
+
+
+def vt_qary_member(n: int, q: int, a: int, b: int):
+    def member(s: tuple[int, ...]) -> bool:
+        steps = sum(i for i in range(1, n) if s[i] >= s[i - 1])
+        return steps % n == a and sum(s) % q == b
+
+    return member
+
+
+def helberg_member(weights: tuple[int, ...], modulus: int, a: int):
+    return lambda x: sum(v * xi for v, xi in zip(weights, x)) % modulus == a
+
+
+def assert_built_as_filtered(make, q: int, n: int, member, empty: str) -> None:
+    """`make()` holds exactly the q-ary length-n words that satisfy `member`,
+    or raises ValueError with the exact message `empty` when none does."""
+    expected = set(filter(member, itertools.product(range(q), repeat=n)))
+    if not expected:
+        with pytest.raises(ValueError, match=f"^{re.escape(empty)}$"):
+            make()
+        return
+    code = make()
+    assert (code.q, code.n) == (q, n)
+    assert {w.symbols for w in code.codewords} == expected
+
+
+def horner_codewords(field: PrimeField, k: int, alpha, count: int | None = None):
+    """The first `count` codewords of RS order, one poly_eval call per symbol."""
+    coefficients = itertools.islice(itertools.product(field.elements(), repeat=k), count)
+    return [tuple(field.poly_eval(c, a) for a in alpha) for c in coefficients]
 
 
 class TestPrimeField:
@@ -83,6 +125,33 @@ class TestReedSolomon:
         assert len(streamed) == 25  # duplicates would collapse in the set
         assert frozenset(streamed) == rs_code(field, 3, 2).codewords
         assert streamed[0] == word([0, 0, 0], 5)
+
+    def test_stream_order_matches_horner(self):
+        # every shape with p in {2, 3, 5, 7} and k <= 3, at evaluation points
+        # with and without 0, which the leading coefficient does not reach
+        rng = random.Random(16)
+        for p in (2, 3, 5, 7):
+            field = PrimeField(p)
+            for n in range(1, p + 1):
+                for k in range(1, min(n, 3) + 1):
+                    tuples = [tuple(range(n)), tuple(range(p - n, p))]
+                    tuples += [tuple(rng.sample(range(p), n)) for _ in range(3)]
+                    for alpha in tuples:
+                        streamed = [w.symbols for w in rs_codewords(field, n, k, alpha)]
+                        assert streamed == horner_codewords(field, k, alpha), (p, n, k, alpha)
+
+    def test_stream_is_lazy(self):
+        # p^k = 104,060,401 codewords; the first 1000 come from the first
+        # block prefixes, and drawing them holds only the per-point tables
+        field = PrimeField(101)
+        tracemalloc.start()
+        try:
+            head = [w.symbols for w in itertools.islice(rs_codewords(field, 4, 4), 1000)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert head == horner_codewords(field, 4, range(4), 1000)
+        assert peak < 2**20
 
     def test_parameter_validation(self):
         field = PrimeField(5)
@@ -171,6 +240,13 @@ class TestVarshamovTenengolts:
                 if code.size >= 2:
                     assert min_levenshtein_distance(code) >= 4
 
+    def test_matches_the_member_predicate(self):
+        for n in range(1, 13):
+            for a in range(n + 1):
+                assert_built_as_filtered(
+                    lambda: vt_binary(n, a), 2, n, vt_member(n, a), f"VT_{a}({n}) is empty"
+                )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             vt_binary(0, 0)
@@ -178,6 +254,8 @@ class TestVarshamovTenengolts:
             vt_binary(4, 5)
         with pytest.raises(CodeSizeError, match=r"^2\^21 words exceed cap 1000000$"):
             vt_binary(21, 0)
+        with pytest.raises(CodeSizeError, match=r"^2\^20 words exceed cap 1000000$"):
+            vt_binary(20, 0)  # one over the cap
 
 
 class TestQaryVarshamovTenengolts:
@@ -212,6 +290,17 @@ class TestQaryVarshamovTenengolts:
                 if code.size >= 2:
                     assert min_levenshtein_distance(code) >= 4
 
+    def test_matches_the_member_predicate(self):
+        # every class is nonempty here; Helberg codes cover the empty message
+        for q in (3, 4):
+            for n in range(1, 7):
+                for a in range(n):
+                    for b in range(q):
+                        message = f"q-ary VT code (n={n}, q={q}, a={a}, b={b}) is empty"
+                        assert_built_as_filtered(
+                            lambda: vt_qary(n, q, a, b), q, n, vt_qary_member(n, q, a, b), message
+                        )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             vt_qary(3, 2, 0, 0)  # binary alphabet has its own construction
@@ -221,6 +310,10 @@ class TestQaryVarshamovTenengolts:
             vt_qary(3, 3, 0, 3)
         with pytest.raises(CodeSizeError, match=r"^3\^13 words exceed cap 1000000$"):
             vt_qary(13, 3, 0, 0)
+        # before any table is built: the step tables alone would hold q^2
+        # entries per position
+        with pytest.raises(CodeSizeError, match=r"^100000\^3 words exceed cap 1000000$"):
+            vt_qary(3, 100_000, 0, 0)
 
 
 class TestHelberg:
@@ -274,6 +367,45 @@ class TestHelberg:
         weights = helberg_weights(3, 2, 5)
         for w in code.codewords:
             assert sum(v * x for v, x in zip(weights, w.symbols)) % weights[4] == 0
+
+    def test_matches_the_member_predicate(self):
+        # every residue where that costs at most 5,000 predicate calls, and
+        # otherwise a seeded sample that holds both ends
+        rng = random.Random(16)
+        for q in (2, 3):
+            for s in (1, 2):
+                for n in range(s + 1, 10):
+                    weights = helberg_weights(q, s, n + 1)
+                    modulus = weights[n]
+                    residues = range(modulus)
+                    if modulus * q**n > 5_000:
+                        residues = [0, modulus - 1, *rng.sample(range(1, modulus - 1), 4)]
+                    for a in residues:
+                        assert_built_as_filtered(
+                            lambda: helberg(q, n, s, a),
+                            q,
+                            n,
+                            helberg_member(weights[:n], modulus, a),
+                            f"Helberg code (q={q}, n={n}, s={s}, a={a}) is empty",
+                        )
+
+    def test_custom_modulus_matches_the_member_predicate(self):
+        # sums of the weights reach 0..46 only, so the largest modulus leaves
+        # residues empty
+        weights = helberg_weights(2, 2, 7)
+        empties = 0
+        for m in (weights[6], weights[6] + 5, 3 * weights[6]):
+            for a in range(m):
+                member = helberg_member(weights[:6], m, a)
+                empties += not any(map(member, itertools.product(range(2), repeat=6)))
+                assert_built_as_filtered(
+                    lambda: helberg(2, 6, 2, a, m=m),
+                    2,
+                    6,
+                    member,
+                    f"Helberg code (q=2, n=6, s=2, a={a}) is empty",
+                )
+        assert empties > 0
 
     def test_custom_modulus_can_leave_residue_empty(self):
         # weights (1, 2, 4) reach sums 0..7 only, so residue 8 mod 9 is empty

@@ -268,6 +268,41 @@ class TestCensus:
             assert (early is None) == (expected is None), args
         assert everything_deleted >= 30  # the shortest layer is the empty word
 
+    def test_verdict_census_stops_at_the_first_offending_codeword(self, monkeypatch):
+        # VT_0(12) at (1, 1), L = 1: two codewords share an output iff
+        # 12 - LCS <= 2, so the verdict census merges whole balls up to the
+        # first codeword that shares one with an earlier codeword, and no
+        # further
+        symbols = [w.symbols for w in vt_binary(12, 0).sorted_words()]
+        first = next(
+            j
+            for j, b in enumerate(symbols)
+            if any(12 - words._lcs(a, b) <= 2 for a in symbols[:j])
+        )
+        balls = []
+        real = verify._ball_layers
+
+        def spy(word, *args):
+            balls.append(word)
+            return real(word, *args)
+
+        monkeypatch.setattr(verify, "_ball_layers", spy)
+        tally = verify._channel_tally(symbols, 2, 1, 1, 1, 10**6, whole=False)
+        assert max(tally.values()) == 2
+        assert balls == symbols[: first + 1]
+        assert first < 10 < len(symbols)
+
+    def test_verdict_census_checks_the_cap_after_each_codeword(self):
+        # VT_0(8) at (1, 1): each ball holds at most 9 * 11 = 99 words; with
+        # a list size no output exceeds, only the cap stops the census
+        symbols = [w.symbols for w in vt_binary(8, 0).sorted_words()]
+        with pytest.raises(BallSizeError) as excinfo:
+            verify._channel_tally(symbols, 2, 1, 1, len(symbols), 150, whole=False)
+        assert excinfo.value.counted
+        assert 150 < excinfo.value.size <= 150 + 99
+        everything = verify._channel_tally(symbols, 2, 1, 1, len(symbols), 10**6, whole=False)
+        assert everything is None
+
     def test_layers_are_the_oracle_ball_by_length(self):
         rng = random.Random(RANDOM_CODE_SEED)
         for _ in range(300):
@@ -417,6 +452,41 @@ class TestRadiusSwap:
             for t_ins in range(3):
                 for t_del in range(min(2, len(w)) + 1):
                     assert decoder_ball_matches_channel(w, t_ins, t_del)
+
+    def test_equivalence_over_three_symbols(self):
+        for w in words_up_to(3, 3):
+            for t_ins in range(3):
+                for t_del in range(min(2, len(w)) + 1):
+                    assert decoder_ball_matches_channel(w, t_ins, t_del)
+
+    def test_a_broken_channel_is_caught(self, monkeypatch):
+        # the two views are computed independently: drop one channel output,
+        # or add one, and the check fails
+        real = verify._checked_ball_layers
+        centre = word([0, 1, 1, 0], 2)
+
+        def short(*args):
+            layers = [set(layer) for layer in real(*args)]
+            layers[-1].pop()
+            return layers
+
+        def padded(*args):
+            layers = [set(layer) for layer in real(*args)]
+            layers[0].add((1,) * len(next(iter(layers[0]))))
+            return layers
+
+        assert decoder_ball_matches_channel(centre, 1, 1)
+        monkeypatch.setattr(verify, "_checked_ball_layers", short)
+        assert not decoder_ball_matches_channel(centre, 1, 1)
+        monkeypatch.setattr(verify, "_checked_ball_layers", padded)
+        assert not decoder_ball_matches_channel(centre, 1, 1)
+
+    def test_radii_are_checked(self):
+        centre = word([0, 1], 2)
+        with pytest.raises(ValueError, match="^radii must be nonnegative$"):
+            decoder_ball_matches_channel(centre, -1, 0)
+        with pytest.raises(ValueError, match="^deletion radius 3 exceeds word length 2$"):
+            decoder_ball_matches_channel(centre, 0, 3)
 
     def test_membership_swap_identity(self):
         words = list(words_up_to(2, 3))

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from insdel_lab import words as words_module
-from insdel_lab.codes import helberg, helberg_weights, vt_binary, vt_qary
+from insdel_lab.codes import (
+    PrimeField,
+    helberg,
+    helberg_weights,
+    rs_codewords,
+    vt_binary,
+    vt_qary,
+)
 from insdel_lab.words import (
     AlphabetMismatchError,
     BallSizeError,
@@ -174,6 +181,16 @@ def plant_pair(rng: random.Random, x: tuple[int, ...], q: int, edits: int) -> tu
     return tuple(y)
 
 
+def greedy_code(rng: random.Random, q: int, n: int, size: int, floor: int) -> list[tuple[int, ...]]:
+    """`size` distinct random q-ary words of length n, pairwise at least `floor` apart."""
+    words: list[tuple[int, ...]] = []
+    while len(words) < size:
+        w = random_tuple(rng, q, n)
+        if all(2 * (n - dp_lcs(w, v)) >= floor for v in words):
+            words.append(w)
+    return words
+
+
 def spy_pair_scan(monkeypatch) -> list[int]:
     """Record the stop value of each handover from the levels to the pair scan."""
     stops: list[int] = []
@@ -243,6 +260,51 @@ class TestMinDistanceLevels:
             checked += 1
         assert checked > 100
 
+    def test_reed_solomon_codes(self):
+        # the evaluation-point search's codes: 49 words of length 5 at
+        # distance 2 or 4, decided inside level 1 or 2
+        rng = random.Random(16)
+        field = PrimeField(7)
+        for _ in range(50):
+            alpha = tuple(rng.sample(range(7), 5))
+            words = [w.symbols for w in rs_codewords(field, 5, 2, alpha)]
+            assert _min_distance(words) == dp_min_distance(words)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_levels_decide_without_the_pair_scan(self, monkeypatch, level):
+        # 60 7-ary words of length 8, pairwise at least 2 * level apart, and
+        # one more planted at exactly 2 * level from the first, next to it.
+        # The budget is 1830 * (8 + 12) // 6 = 6100 subsequences; levels 1
+        # and 2 build at most 61 * 8 + 61 * 8 * 7 = 3904, and the planted
+        # pair's level-3 subsequences are among the first 2 * 28 * 6 built.
+        rng = random.Random(level)
+        words = greedy_code(rng, 7, 8, 60, 2 * level)
+        while True:
+            planted = plant_pair(rng, words[0], 7, level)
+            if dp_lcs(planted, words[0]) == 8 - level and all(
+                2 * (8 - dp_lcs(planted, w)) >= 2 * level for w in words[1:]
+            ):
+                break
+        words.insert(1, planted)
+        stops = spy_pair_scan(monkeypatch)
+        assert _min_distance(words) == 2 * level == dp_min_distance(words)
+        assert stops == []
+
+    def test_guard_trips_inside_level_three(self, monkeypatch):
+        # 60 7-ary words of length 8, pairwise at least 8 apart: the budget is
+        # 1770 * (8 + 12) // 6 = 5900.  Level 1 builds 60 * 8 = 480 and level
+        # 2 builds 7 per distinct single deletion, so both run in full; level
+        # 3 would build 6 per distinct double deletion, more than is left, so
+        # the pair scan takes over at stop value 6.
+        rng = random.Random(8)
+        words = greedy_code(rng, 7, 8, 60, 8)
+        singles = {d for w in words for d in itertools.combinations(w, 7)}
+        doubles = {d for w in words for d in itertools.combinations(w, 6)}
+        assert 480 + 7 * len(singles) <= 5900 < 480 + 7 * len(singles) + 6 * len(doubles)
+        stops = spy_pair_scan(monkeypatch)
+        assert _min_distance(words) == dp_min_distance(words) == 8
+        assert stops == [6]
+
     def test_guard_hands_long_words_to_the_pair_scan(self, monkeypatch):
         # unguarded, the levels of three length-48 words would hold C(48, s)
         # subsequences each
@@ -254,18 +316,19 @@ class TestMinDistanceLevels:
 
     def test_guard_trips_partway_through_a_level(self, monkeypatch):
         # 25 4-ary words of length 12, a pair planted at distance 4 and none
-        # at 2: the budget is min(25 * 24 / 2, 25 * 12) = 300
+        # at 2: the budget is 300 * (12 + 12) // 6 = 1200
         rng = random.Random(7)
         while True:
             words = [random_tuple(rng, 4, 12) for _ in range(24)]
             words.append(plant_pair(rng, words[0], 4, 2))
             if dp_min_distance(words) == 4:
                 break
-        # A word's distinct single deletions number its runs.  Level 1 and
-        # the first level-2 parent fit the budget, so a handover at stop
-        # value 4 comes from inside level 2.
-        runs = sum(1 + sum(a != b for a, b in zip(w, w[1:])) for w in words)
-        assert runs + 11 <= 300
+        # A word's distinct single deletions number its runs.  Level 1
+        # builds 25 * 12 = 300 subsequences and level 2 builds 11 per run, in
+        # word order; the budget runs out before the planted word's turn, so
+        # a handover at stop value 4 comes from inside level 2.
+        runs = [1 + sum(a != b for a, b in zip(w, w[1:])) for w in words]
+        assert 300 + 11 * runs[0] <= 1200 < 300 + 11 * sum(runs[:-1])
         stops = spy_pair_scan(monkeypatch)
         assert _min_distance(words) == 4
         assert stops == [4]
