@@ -188,9 +188,10 @@ def criterion_bound_consistency() -> None:
             xns = range(base, base + i * (GRID_STEPS + 1), i)
             direct, direct_d = _max_form(cn, cd, L, xns, xd)
             piece, piece_d = pieces._pair(xns, xd)
-            # both denominators are positive, so cross-multiplying is exact
-            direct_x = list(map(mul, direct, repeat(piece_d)))
-            piece_x = list(map(mul, piece, repeat(direct_d)))
+            # both denominators are positive, so comparing over their lcm is exact
+            den = math.lcm(direct_d, piece_d)
+            direct_x = _over(direct, den // direct_d)
+            piece_x = _over(piece, den // piece_d)
             if direct_x != piece_x or min(direct[1:]) <= 0:
                 k, problem = next(
                     (k, "mismatch" if a != b else "not positive")
@@ -198,6 +199,11 @@ def criterion_bound_consistency() -> None:
                     if a != b or (k > 0 and value <= 0)
                 )
                 raise CriterionFailure(f"(delta={delta}, L={L}, x={Fraction(xns[k], xd)}): {problem}")
+
+
+def _over(nums: list[int], factor: int) -> list[int]:
+    """Numerators of a kernel run, each times factor."""
+    return nums if factor == 1 else list(map(mul, nums, repeat(factor)))
 
 
 def criterion_hy_golden() -> None:

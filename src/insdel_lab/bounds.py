@@ -11,10 +11,12 @@ Two competing bounds are implemented:
 Each exact evaluation is an unchecked integer kernel over an arithmetic
 progression of points x = xn/xd (``xns`` a ``range``, one denominator xd),
 with 1 - delta a (numerator, denominator) pair, reduced or not.  It returns
-one numerator per point over one shared positive denominator; each term is
-itself an integer progression, so the work per point runs in C.  A public
-function validates, runs its kernel on a one-point progression and returns a
-``Fraction``.
+one numerator per point over one shared positive denominator, and the work
+per point runs in C.  Over such a grid each linear term is itself an integer
+progression: the max form finds where each of its terms leads and emits one
+progression per leading run, as the pieces do for each piece, and the HY
+kernels multiply progressions point by point.  A public function validates,
+runs its kernel on a one-point progression and returns a ``Fraction``.
 The comparison report also uses float64 for the square-root landmarks, with
 a documented 1e-9 tolerance.  Floats passed as parameters are interpreted via
 their shortest decimal representation, so 0.9 means 9/10, not the nearest
@@ -95,19 +97,58 @@ def _progression(first: int, step: int, count: int) -> Sequence[int]:
 
 
 def _max_form(cn: int, cd: int, big: int, xns: range, xd: int) -> tuple[list[int], int]:
-    """insertion_bound's kernel over x = xn/xd for xn in xns, with 1 - delta = cn/cd."""
-    # Term r times (L+1) xd cd lcm(1..L) is the integer
-    # (2L-r+1) cd lcm * xn - L (L+1) cn xd lcm/r, linear in xn, so over the
-    # progression it is a progression too; the max at each point is taken
-    # over all L terms.
+    """insertion_bound's kernel over x = xn/xd for xn in xns, with 1 - delta = cn/cd.
+
+    Term r times (L+1) xd cd lcm(1..L) is the integer
+    (2L-r+1) cd lcm * xn - L (L+1) cn xd lcm/r, so at the k-th point of the
+    progression it is a line a_r + b_r k.  The slopes 2L-r+1 are distinct, so
+    the increments b_r are too, and the max over r is the upper envelope of
+    the L lines.  The kernel walks up in k and emits one progression per run
+    of a winning term:
+
+    * At k = 0 the winner is the term with the largest a_r, and on a tie the
+      one with the larger increment.
+    * A term with a smaller increment than the winner's is no larger at the
+      current point and falls further behind, so it never overtakes: the
+      winner only moves to a term with a larger increment.
+    * Such a term s first exceeds the winner (a, b) at
+      k_s = (a - a_s) // (b_s - b) + 1, and the winner holds until the least
+      k_s.  Of the terms tied at that k_s, the next winner is the one with
+      the largest value there, and on a tie the larger increment.  It is
+      then at least every other term, so every later crossing lies beyond it.
+      (The larger increment alone is not enough: two terms can pass the
+      winner between the same two points, the steeper one from further
+      below.)
+
+    There are at most L runs, and each costs O(L) integer operations and one
+    C-level ``range``, not L comparisons per point.
+    """
     scale = math.lcm(*range(1, big + 1))
     shared = big * (big + 1) * cn * xd
     start, step, count = xns.start, xns.step, len(xns)
-    terms = []
-    for r in range(1, big + 1):
-        slope = (2 * big - r + 1) * cd * scale
-        terms.append(_progression(slope * start - shared * (scale // r), slope * step, count))
-    return list(map(max, *terms)), (big + 1) * xd * cd * scale
+    # the terms in order of decreasing increment: slope (2L-r+1) cd lcm
+    # falls as r rises, and a falling step reverses the order
+    rs = range(1, big + 1) if step > 0 else range(big, 0, -1)
+    unit = cd * scale
+    bs = [(2 * big - r + 1) * unit * step for r in rs]
+    starts = [(2 * big - r + 1) * unit * start - shared * (scale // r) for r in rs]
+    i = starts.index(max(starts))  # the larger increment on a tie
+    k = 0
+    nums: list[int] = []
+    while True:
+        a, b = starts[i], bs[i]
+        end, nxt = count, i
+        for j in range(i):
+            bj = bs[j]
+            kj = (a - starts[j]) // (bj - b) + 1
+            if kj < end:
+                end, nxt, top = kj, j, starts[j] + bj * kj
+            elif kj == end and nxt != i and starts[j] + bj * kj > top:
+                nxt, top = j, starts[j] + bj * kj
+        nums += range(a + b * k, a + b * end, b)
+        if nxt == i:
+            return nums, (big + 1) * xd * cd * scale
+        i, k = nxt, end
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from insdel_lab import bounds
 from insdel_lab.bounds import (
     ComparisonReport,
     LinearPiece,
@@ -15,6 +16,7 @@ from insdel_lab.bounds import (
     _hy1,
     _hy2,
     _max_form,
+    _progression,
     as_fraction,
     comparison_report,
     hy_crossover_delta,
@@ -383,6 +385,100 @@ class TestKernels:
         object.__setattr__(bound, "_lines", tuple((0, i) for i in range(len(pieces))))
         owners = _values(bound._pair(_scaled(xns, h), xd * h), len(xs))
         assert owners == [Fraction(_owner(pieces, x), bound._den) for x in xs]
+
+
+def _literal_terms(cn, cd, big, xns, xd):
+    """The L term progressions of the max form, over its denominator."""
+    scale = math.lcm(*range(1, big + 1))
+    shared = big * (big + 1) * cn * xd
+    start, step, count = xns.start, xns.step, len(xns)
+    terms = []
+    for r in range(1, big + 1):
+        slope = (2 * big - r + 1) * cd * scale
+        terms.append(_progression(slope * start - shared * (scale // r), slope * step, count))
+    return terms, (big + 1) * xd * cd * scale
+
+
+def _literal_max_form(cn, cd, big, xns, xd):
+    """The max form as it reads: the max over all L terms at every point."""
+    terms, den = _literal_terms(cn, cd, big, xns, xd)
+    return list(map(max, *terms)), den
+
+
+def _most_passing(cn, cd, big, xns, xd):
+    """The most terms that pass the leader between two neighbouring points."""
+    terms, _ = _literal_terms(cn, cd, big, xns, xd)
+    most = 0
+    for k in range(len(xns) - 1):
+        leader = max(terms, key=lambda term: term[k])
+        most = max(most, sum(term[k + 1] > leader[k + 1] for term in terms))
+    return most
+
+
+def _envelope_runs(seed):
+    """Seeded (cn, cd, L, xns, xd) inputs of the max-form kernel.
+
+    Each run passes, at a drawn place, through an anchor: the crossing
+    x = L (L+1) (1 - delta) / (r s) of terms r < s (often neighbours, whose
+    crossing is a breakpoint of the bound), an end of the domain, or any
+    point in [0, 3/2].  Steps rise or fall, fine or coarse enough for many
+    terms to pass the leader between two points; counts run from 1 to
+    1,000, runs may leave [1 - delta, 1], and both pairs are unreduced.
+    """
+    rng = random.Random(seed)
+    for big in (*range(2, 13), 40, 100):
+        for _ in range(60):
+            dd = rng.randint(2, 60)
+            c = Fraction(rng.randint(1, dd - 1), dd)  # 1 - delta
+            r = rng.randint(1, big - 1)
+            s = r + 1 if rng.random() < 0.5 else rng.randint(r + 1, big)
+            anchor = rng.choice(
+                (c * big * (big + 1) / (r * s), c, Fraction(1), Fraction(rng.randint(0, 3 * dd), 2 * dd))
+            )
+            count = rng.choice((1, 2, 3, rng.randint(4, 12), rng.randint(1, 1000)))
+            xd = anchor.denominator * rng.randint(1, 12)
+            step = rng.choice((rng.randint(1, 4), rng.randint(1, xd)))
+            step *= rng.choice((1, -1))
+            first = anchor.numerator * (xd // anchor.denominator) - step * rng.randrange(count)
+            g, h = rng.randint(1, 4), rng.randint(1, 4)
+            xns = range(first * h, (first + step * count) * h, step * h)
+            yield c.numerator * g, c.denominator * g, big, xns, xd * h
+
+
+class TestMaxFormEnvelope:
+    """The max form walks the upper envelope of its L lines; the literal
+    max over every term at every point is the oracle."""
+
+    def test_equals_the_literal_max(self):
+        passes = []
+        for run in _envelope_runs(17):
+            assert _max_form(*run) == _literal_max_form(*run), run
+            if len(run[3]) <= 12:
+                passes.append(_most_passing(*run))
+        # the corpus reaches three or more terms passing the leader at once,
+        # where the next leader is the largest of them, not the steepest
+        assert max(passes) >= 3
+
+    def test_one_step_from_the_lower_end_to_one(self):
+        # at x = 1/10 term 10 leads; at x = 1 terms 2..9 all pass it, and the
+        # leader there is term 3, not the steepest passer, term 2
+        run = (1, 10, 10, range(1, 11, 9), 10)
+        assert _max_form(*run) == _literal_max_form(*run)
+        assert _most_passing(*run) == 8
+
+    def test_needs_no_piece_decomposition(self, monkeypatch):
+        # criterion 5 compares the max form with the pieces; it compares two
+        # derivations only if the max form never consults the pieces
+        runs = list(_envelope_runs(3))[::7]
+        points = [(Fraction(9, 10), big, Fraction(19, 20)) for big in (2, 10, 40, 100)]
+        expected = [_max_form(*run) for run in runs], [insertion_bound(*p) for p in points]
+
+        def refuse(*args):
+            raise AssertionError("the max form consulted the piece decomposition")
+
+        monkeypatch.setattr(bounds, "insertion_bound_piecewise", refuse)
+        monkeypatch.setattr(bounds.PiecewiseBound, "_pair", refuse)
+        assert ([_max_form(*run) for run in runs], [insertion_bound(*p) for p in points]) == expected
 
 
 class TestCrossoverConstants:
