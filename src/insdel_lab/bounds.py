@@ -26,7 +26,7 @@ binary double.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
 from numbers import Rational
@@ -160,20 +160,13 @@ class LinearPiece:
     slope: Fraction
     intercept: Fraction
     r: int
-    # slope and intercept over their common denominator: the value at
-    # x = xn/xd is (a*xn + b*xd) / (c*xd), built as one Fraction
-    _terms: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.lower > self.upper:
             raise ValueError("piece interval is empty")
-        s, i = self.slope, self.intercept
-        terms = (s.numerator * i.denominator, i.numerator * s.denominator)
-        object.__setattr__(self, "_terms", (*terms, s.denominator * i.denominator))
 
     def value(self, x: Fraction) -> Fraction:
-        a, b, c = self._terms
-        return Fraction(a * x.numerator + b * x.denominator, c * x.denominator)
+        return self.slope * x + self.intercept
 
 
 @dataclass(frozen=True)
@@ -184,19 +177,14 @@ class PiecewiseBound:
     down to r_min, where r_min is the least r whose linear term ever wins.
     Adjacent pieces agree at shared breakpoints (the function is continuous),
     and the value is 0 at x = 1 - delta and strictly positive beyond it.
+    The pieces are the only state: the integer form the kernel needs is
+    derived from them on each call.
     """
 
     delta: Fraction
     list_size: int
     r_min: int
     pieces: tuple[LinearPiece, ...]
-    # the domain's lower end and each interior breakpoint as integer pairs,
-    # and each piece's line over the pieces' shared denominator _den: its
-    # value at x = xn/xd is (a*xn + b*xd) / (_den*xd)
-    _lower: tuple[int, int] = field(init=False, repr=False, compare=False)
-    _cuts: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    _lines: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.pieces:
@@ -210,25 +198,24 @@ class PiecewiseBound:
                 raise ValueError("pieces must tile the domain without gaps")
             if left.value(left.upper) != right.value(right.lower):
                 raise ValueError("pieces must agree at shared breakpoints")
-        lower = self.pieces[0].lower
-        object.__setattr__(self, "_lower", (lower.numerator, lower.denominator))
-        cuts = tuple((u.numerator, u.denominator) for u in self.breakpoints())
-        object.__setattr__(self, "_cuts", cuts)
-        den = math.lcm(*(p._terms[2] for p in self.pieces))
-        lines = tuple((a * (den // c), b * (den // c)) for a, b, c in (p._terms for p in self.pieces))
-        object.__setattr__(self, "_lines", lines)
-        object.__setattr__(self, "_den", den)
 
     def breakpoints(self) -> tuple[Fraction, ...]:
         """Interior breakpoints, left to right (empty for a single piece)."""
         return tuple(p.upper for p in self.pieces[:-1])
 
     def evaluate(self, x: Exact | float) -> Fraction:
-        xn, xd = _in_domain(*self._lower, x)
+        lower = self.pieces[0].lower
+        xn, xd = _in_domain(lower.numerator, lower.denominator, x)
         return _value(self._pair(range(xn, xn + 1), xd))
 
     def _pair(self, xns: range, xd: int) -> tuple[list[int], int]:
-        """evaluate's kernel over x = xn/xd for xn in xns."""
+        """evaluate's kernel over x = xn/xd for xn in xns.
+
+        Over den, the lcm of the pieces' slope.den * intercept.den, each
+        piece is the integer line a*xn + b*xd, and its value at x = xn/xd is
+        (a*xn + b*xd) / (den*xd).
+        """
+        den = math.lcm(*(p.slope.denominator * p.intercept.denominator for p in self.pieces))
         # Walking x upwards, each piece owns the run of points left of its
         # upper end that no earlier piece owns, so a breakpoint belongs to the
         # piece on its right and the last piece owns x = 1.  The run's values
@@ -236,17 +223,18 @@ class PiecewiseBound:
         rising = xns if xns.step > 0 else xns[::-1]
         start, step, count = rising.start, rising.step, len(rising)
         # points with start + step*k < un/ud: k < (un*xd - start*ud) / (step*ud)
-        ends = [
-            min(count, max(0, (un * xd - start * ud - 1) // (step * ud) + 1))
-            for un, ud in self._cuts
-        ]
+        cuts = ((u.numerator, u.denominator) for u in self.breakpoints())
+        ends = [min(count, max(0, (un * xd - start * ud - 1) // (step * ud) + 1)) for un, ud in cuts]
         nums: list[int] = []
-        for (a, b), end in zip(self._lines, ends + [count]):
+        for p, end in zip(self.pieces, ends + [count]):
+            s, i = p.slope, p.intercept
+            a = s.numerator * den // s.denominator
+            b = i.numerator * den // i.denominator
             done = len(nums)
             nums += _progression(a * (start + step * done) + b * xd, a * step, end - done)
         if xns.step < 0:
             nums.reverse()
-        return nums, self._den * xd
+        return nums, den * xd
 
 
 def insertion_bound_piecewise(delta: Exact | float, list_size: int) -> PiecewiseBound:
@@ -490,15 +478,14 @@ def comparison_report(delta: Exact | float, list_size: int) -> ComparisonReport:
         # delta1 is a float threshold; just past it the window can be too thin
         # for float roots to resolve.  Report the landmarks only.
         return replace(base, p2=p2)
-    first_lo, first_hi = windows[0]
-    upper_tau = float(1 - breakpoint_x)
+    first_hi = windows[0][1]
     if first_hi >= 1 - 1e-12:
-        interval = (0.0, upper_tau)
+        interval = (0.0, p2[0])
         p1 = None
     else:
         xn, xd = _in_domain(cn, cd, first_hi)
         (num,), den = _max_form(cn, cd, list_size, range(xn, xn + 1), xd)
-        interval = (1 - first_hi, upper_tau)
+        interval = (1 - first_hi, p2[0])
         p1 = (1 - first_hi, num / den)
     return replace(
         base, interval=interval, p1=p1, p2=p2, extra_crossings=len(windows) > 1

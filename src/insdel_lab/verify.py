@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import ceil, comb
 from typing import Iterable, Sequence
 
 from .bounds import insertion_bound, unique_decoding_bound
@@ -235,8 +235,10 @@ def list_decodable(
     offender of the first offending length, when the census up to that
     length fits `cap`, and no witness otherwise; its codeword list is
     re-derived through the decoder-ball membership predicate (swapped
-    radii) as an independent check.  Without it, the census stops at its
-    first count above list_size.  Both engines run in the calling process.
+    radii) as an independent check; a census that finds no offender after
+    the DP failed raises AssertionError.  Without it, the census stops at
+    its first count above list_size.  Both engines run in the calling
+    process.
     """
     if list_size < 1:
         raise ValueError("list size must be at least 1")
@@ -274,6 +276,8 @@ def list_decodable(
         # the DP decided; only the witness census outgrew the cap
         return Verdict(False, t_ins, t_del, list_size)
     if tally is None:
+        if decodable is False:
+            raise AssertionError("sharing-set DP and channel census disagree")
         return Verdict(True, t_ins, t_del, list_size)
     if not want_witness:
         return Verdict(False, t_ins, t_del, list_size)
@@ -362,10 +366,8 @@ def bound_region_pairs(n: int, delta: Fraction, list_size: int) -> list[tuple[in
             limit = unique_decoding_bound(delta, tau)
         else:
             limit = insertion_bound(delta, list_size, 1 - tau)
-        t_ins = 0
-        while Fraction(t_ins, n) < limit:
-            pairs.append((t_ins, t_del))
-            t_ins += 1
+        # t_ins / n < limit exactly when t_ins < ceil(limit * n)
+        pairs += ((t_ins, t_del) for t_ins in range(ceil(limit * n)))
     return pairs
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from insdel_lab.bounds import (
     insertion_bound_piecewise,
     unique_decoding_bound,
 )
+from insdel_lab.cli import _plain
 
 
 class TestAsFraction:
@@ -178,6 +180,15 @@ class TestPiecewiseDecomposition:
                     assert bound.evaluate(point) == expected
                     assert bound.evaluate(point) == insertion_bound(delta, list_size, point)
                 assert bound.evaluate(1 - delta) == 0
+
+    def test_objects_hold_only_their_public_fields(self):
+        bound = insertion_bound_piecewise("9/10", 3)
+        for value, names in (
+            (bound, ("delta", "list_size", "r_min", "pieces")),
+            (bound.pieces[0], ("lower", "upper", "slope", "intercept", "r")),
+        ):
+            assert tuple(f.name for f in fields(value)) == names
+            assert sorted(_plain(value)) == sorted(names)
 
     @given(
         st.integers(2, 8),
@@ -379,12 +390,12 @@ class TestKernels:
             expected.append(piece.slope * x + piece.intercept)
         assert _values(bound._pair(_scaled(xns, h), xd * h), len(xs)) == expected
         # adjacent pieces agree at a breakpoint, so values cannot show which
-        # piece owns it; with piece i's line replaced by the constant i, each
-        # value names its owner, and a breakpoint belongs to the piece on its
-        # right
-        object.__setattr__(bound, "_lines", tuple((0, i) for i in range(len(pieces))))
+        # piece owns it; with piece i made the constant i, each value names
+        # its owner, and a breakpoint belongs to the piece on its right
+        flat = tuple(replace(p, slope=0, intercept=i) for i, p in enumerate(pieces))
+        object.__setattr__(bound, "pieces", flat)
         owners = _values(bound._pair(_scaled(xns, h), xd * h), len(xs))
-        assert owners == [Fraction(_owner(pieces, x), bound._den) for x in xs]
+        assert owners == [_owner(pieces, x) for x in xs]
 
 
 def _literal_terms(cn, cd, big, xns, xd):

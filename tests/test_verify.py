@@ -9,6 +9,7 @@ import pytest
 
 from insdel_lab import verify, words
 from insdel_lab.acceptance import RANDOM_CODE_SEED, RS_ALPHA, _random_binary_code
+from insdel_lab.bounds import insertion_bound, unique_decoding_bound
 from insdel_lab.codes import Code, PrimeField, helberg, rs_code, vt_binary, vt_qary
 from insdel_lab.verify import (
     Verdict,
@@ -444,6 +445,15 @@ class TestEngines:
         shared = insdel_ball(a, 2, 0) & insdel_ball(b, 2, 0)
         assert verdict.witness == Witness(min(shared, key=Word.sort_key), (a, b))
 
+    def test_dp_and_census_disagreeing_is_caught(self, monkeypatch):
+        # VT_0(6) is uniquely decodable at (0, 0), so a DP claiming that
+        # three codewords share an output contradicts the census
+        code = vt_binary(6, 0)
+        assert list_decodable(code, 0, 0, 2, want_witness=True).decodable
+        monkeypatch.setattr(verify, "_no_shared_output", lambda *args: False)
+        with pytest.raises(AssertionError, match="^sharing-set DP and channel census disagree$"):
+            list_decodable(code, 0, 0, 2, want_witness=True)
+
 
 class TestRadiusSwap:
     def test_equivalence_on_samples(self):
@@ -538,7 +548,56 @@ class TestUniqueVsList:
                 assert bound_region_pairs(n, Fraction(d, 2 * n), 1) == expected
 
 
+def _looped_region_pairs(n, delta, list_size):
+    """bound_region_pairs counting each row up one t_ins at a time.
+
+    t_ins / n < limit is compared as t_ins * den < num * n, exact because n
+    and den are positive, and far cheaper than a Fraction per step.
+    """
+    pairs = []
+    for t_del in range(n):
+        tau = Fraction(t_del, n)
+        if tau >= delta:
+            break
+        if list_size == 1:
+            limit = unique_decoding_bound(delta, tau)
+        else:
+            limit = insertion_bound(delta, list_size, 1 - tau)
+        num, den = limit.numerator, limit.denominator
+        t_ins = 0
+        while t_ins * den < num * n:
+            pairs.append((t_ins, t_del))
+            t_ins += 1
+    return pairs
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestBoundRegion:
+    def test_rows_match_the_counting_loop(self):
+        # a set: dn/dd and its multiples are one delta
+        cases = {
+            (n, Fraction(dn, dd), list_size)
+            for n in range(1, 25)
+            for dd in range(1, 2 * n + 3)
+            for dn in range(-1, dd + 2)
+            for list_size in (0, 1, 2, 3, 5)
+        }
+        rng = random.Random(0)
+        for _ in range(900):
+            n = rng.choice((40, 64, 100))
+            dd = rng.randint(1, 2 * n + 2)
+            delta = Fraction(rng.randint(-1, dd + 1), dd)
+            cases.add((n, delta, rng.choice((0, 1, 2, 3, 5))))
+        for case in cases:
+            assert _outcome(bound_region_pairs, *case) == _outcome(_looped_region_pairs, *case)
+
     def test_frozen_pairs_vt6_list2(self):
         pairs = bound_region_pairs(6, Fraction(1, 3), 2)
         assert pairs == [(0, 0), (1, 0), (0, 1)]
