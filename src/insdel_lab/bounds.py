@@ -99,6 +99,10 @@ def _progression(first: int, step: int, count: int) -> Sequence[int]:
 def _max_form(cn: int, cd: int, big: int, xns: range, xd: int) -> tuple[list[int], int]:
     """insertion_bound's kernel over x = xn/xd for xn in xns, with 1 - delta = cn/cd.
 
+    It holds, unchecked, for every L = big >= 1, cn >= 0 and progression.
+    At L = 1 its one term is x - (1 - delta), the unique-decoding line, also
+    at delta = 1 (cn = 0): the region rows and figure columns rely on it.
+
     Term r times (L+1) xd cd lcm(1..L) is the integer
     (2L-r+1) cd lcm * xn - L (L+1) cn xd lcm/r, so at the k-th point of the
     progression it is a line a_r + b_r k.  The slopes 2L-r+1 are distinct, so
@@ -401,12 +405,9 @@ class ComparisonReport:
 
 
 def _float_positive_intervals(
-    pieces: Sequence[LinearPiece],
-    delta: Fraction,
-    list_size: int,
-    start_x: float,
+    pieces: Sequence[LinearPiece], delta: Fraction, list_size: int
 ) -> list[tuple[float, float]]:
-    """Sub-intervals of [start_x, 1] where (piecewise bound) - (HY quadratic2) > 0.
+    """Sub-intervals of the pieces' span where (piecewise bound) - (HY quadratic2) > 0.
 
     Per piece the difference is a concave quadratic, so each piece contributes
     at most one positive interval; adjacent contributions are merged.
@@ -419,8 +420,7 @@ def _float_positive_intervals(
 
     found: list[tuple[float, float]] = []
     for piece in pieces:
-        lo = max(float(piece.lower), start_x)
-        hi = float(piece.upper)
+        lo, hi = float(piece.lower), float(piece.upper)
         if hi <= lo:
             continue
         # difference = -quad_a x^2 + (slope - quad_b) x + (intercept - quad_c)
@@ -464,16 +464,11 @@ def comparison_report(delta: Exact | float, list_size: int) -> ComparisonReport:
     if float(d) <= delta1:
         return base
 
-    one_minus = 1 - d
-    breakpoint_x = Fraction(list_size + 1, list_size - 1) * one_minus
-    p2 = (
-        float(1 - breakpoint_x),
-        float(Fraction(2, list_size - 1) * one_minus),
-    )
-    bound = insertion_bound_piecewise(d, list_size)
-    windows = _float_positive_intervals(
-        bound.pieces, d, list_size, start_x=float(breakpoint_x)
-    )
+    # past delta1 > 2/(L+1) there are two or more pieces, so the first ends
+    # at x = (L+1)/(L-1) (1 - delta), where it is 2/(L-1) (1 - delta)
+    first, *rest = insertion_bound_piecewise(d, list_size).pieces
+    p2 = (float(1 - first.upper), float(first.value(first.upper)))
+    windows = _float_positive_intervals(rest, d, list_size)
     if not windows:
         # delta1 is a float threshold; just past it the window can be too thin
         # for float roots to resolve.  Report the landmarks only.

@@ -44,6 +44,9 @@ class Code:
     codewords: frozenset[Word]
 
     def __post_init__(self) -> None:
+        # a list could repeat a codeword, and a set would leave the code unhashable
+        if not isinstance(self.codewords, frozenset):
+            raise TypeError(f"codewords must be a frozenset, got {type(self.codewords).__name__}")
         if self.q < 2 or self.n < 1:
             raise ValueError("need q >= 2 and n >= 1")
         if not self.codewords:
@@ -414,6 +417,8 @@ def read_code(path: str | Path) -> Code:
     header = lines[0].split()
     try:
         fields = dict(part.split("=", 1) for part in header)
+        if len(header) != 2 or fields.keys() != {"q", "n"}:
+            raise ValueError("the header holds q and n once each and nothing else")
         q, n = int(fields["q"]), int(fields["n"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed header {lines[0]!r}") from exc

@@ -4,9 +4,9 @@ Rows are produced as plain strings with shortest-repr float formatting so the
 emitted bytes are identical across runs.  Inputs are validated once per call.
 Each generator walks an arithmetic progression of grid points with one shared
 denominator, so every column is one call of a `bounds` kernel over the whole
-progression: a list of numerators over one denominator.  A cell is
-repr(num / den): int / int division is correctly rounded, so this is
-repr(float(Fraction(num, den))) whether or not the pair is reduced.
+progression, the unique-decoding column too: it is the max form at L = 1.
+A cell is repr(num / den): int / int division is correctly rounded, so this
+is repr(float(Fraction(num, den))) whether or not the pair is reduced.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def bound_table_rows(
         _cells(_max_form(cn, cd, list_size, xns, den)),
         _cells(_hy1(cn, cd, xns, den)),
         _cells(_hy2(cn, cd, list_size, xns, den)),
-        _cells((range(dn * steps, -dn, -dn), den)),
+        _cells(_max_form(cn, cd, 1, xns, den)),
     )
 
 
@@ -84,13 +84,11 @@ def comparison_rows(
     def block(tns: range, td: int) -> list[str]:
         """Rows at tau_d = tn/td for tn in tns, each ending in an empty label."""
         xns = range(td - tns.start, td - tns.stop, -tns.step)
-        # the unique-decoding line delta - tau_d, clipped at 0, over cd td
-        unique = range(dn * td - tns.start * cd, dn * td - tns.stop * cd, -tns.step * cd)
         return _rows(
             _cells((tns, td)),
             _cells(_max_form(cn, cd, list_size, xns, td)),
             _cells(_hy2(cn, cd, list_size, xns, td)),
-            _cells((map(max, unique, repeat(0)), cd * td)),
+            _cells(_max_form(cn, cd, 1, xns, td)),
             repeat(""),
         )
 

@@ -16,10 +16,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import ceil, comb
+from math import comb
 from typing import Iterable, Sequence
 
-from .bounds import insertion_bound, unique_decoding_bound
+from .bounds import _max_form, _one_minus_delta, _validate_list_size, unique_decoding_bound
 from .codes import Code
 from .words import (
     DEFAULT_BALL_CAP,
@@ -354,20 +354,24 @@ class RegionReport:
 def bound_region_pairs(n: int, delta: Fraction, list_size: int) -> list[tuple[int, int]]:
     """Integer (t_ins, t_del) pairs strictly inside the bound region, exactly.
 
-    Pairs come in order of t_del, then t_ins.  At list size 1 the limit is the
-    unique-decoding line delta - t_del/n, which is also defined at delta = 1.
+    Pairs come in order of t_del, then t_ins.  One max-form kernel run over
+    x = 1 - t_del/n for every t_del < delta n gives each row's limit; at list
+    size 1 that is the unique-decoding line delta - t_del/n, also at delta = 1.
     """
+    if delta <= 0 or n < 1:
+        return []
+    if list_size == 1:
+        unique_decoding_bound(delta, 0)  # checks 0 < delta <= 1
+        cn, cd = delta.denominator - delta.numerator, delta.denominator
+    else:
+        cn, cd = _one_minus_delta(delta)
+        _validate_list_size(list_size)
+    # x = k/n for k from n down to the last k/n above 1 - delta = cn/cd
+    nums, den = _max_form(cn, cd, list_size, range(n, cn * n // cd, -1), n)
     pairs = []
-    for t_del in range(n):
-        tau = Fraction(t_del, n)
-        if tau >= delta:
-            break
-        if list_size == 1:
-            limit = unique_decoding_bound(delta, tau)
-        else:
-            limit = insertion_bound(delta, list_size, 1 - tau)
-        # t_ins / n < limit exactly when t_ins < ceil(limit * n)
-        pairs += ((t_ins, t_del) for t_ins in range(ceil(limit * n)))
+    for t_del, num in enumerate(nums):
+        # t_ins / n < num / den exactly when t_ins < ceil(num n / den)
+        pairs += ((t_ins, t_del) for t_ins in range(-(-num * n // den)))
     return pairs
 
 

@@ -477,6 +477,22 @@ class TestMaxFormEnvelope:
         assert _max_form(*run) == _literal_max_form(*run)
         assert _most_passing(*run) == 8
 
+    def test_list_size_one_is_the_unique_decoding_line(self):
+        # the region rows and the figures' unique-decoding column rely on it,
+        # at delta = 1 (cn = 0) too; the pairs are mostly unreduced
+        rng = random.Random(1)
+        for _ in range(400):
+            cd = rng.randint(1, 40)
+            cn = rng.choice((0, rng.randrange(cd)))
+            g, xd = rng.randint(1, 4), rng.randint(1, 30)
+            step = rng.choice((1, -1)) * rng.randint(1, xd)
+            first = rng.randint(-xd, 2 * xd)
+            xns = range(first, first + step * rng.randint(1, 50), step)
+            nums, den = _max_form(cn * g, cd * g, 1, xns, xd)
+            assert [Fraction(num, den) for num in nums] == [
+                Fraction(xn, xd) - Fraction(cn, cd) for xn in xns
+            ]
+
     def test_needs_no_piece_decomposition(self, monkeypatch):
         # criterion 5 compares the max form with the pieces; it compares two
         # derivations only if the max form never consults the pieces
@@ -556,6 +572,19 @@ class TestComparisonReport:
                 if x <= 1:
                     assert insertion_bound(delta, list_size, x) == lhs
                 assert (lhs > rhs) == (float(delta) > delta1)
+
+    def test_p2_is_the_first_breakpoint(self):
+        # the report reads P2 off the first piece; the closed form is the oracle
+        for list_size in range(2, 13):
+            for i in range(1, 97):
+                delta = Fraction(i, 97)
+                if float(delta) <= hy_crossover_delta(list_size):
+                    continue
+                report = comparison_report(delta, list_size)
+                assert report.p2 == (
+                    float(1 - Fraction(list_size + 1, list_size - 1) * (1 - delta)),
+                    float(Fraction(2, list_size - 1) * (1 - delta)),
+                )
 
     def test_report_is_plain_data(self):
         report = comparison_report(0.9, 2)

@@ -469,6 +469,21 @@ class TestCodeFiles:
         with pytest.raises(ValueError):
             read_code(duplicated)
 
+    @pytest.mark.parametrize("header", ["q=2 n=3 q=5", "q=2 n=3 extra=7", "q=2 q=2 n=3", "n=3"])
+    def test_header_keys_are_never_merged(self, tmp_path, header):
+        path = tmp_path / "header.code"
+        path.write_text(header + "\n0,0,0\n")
+        with pytest.raises(ValueError, match="malformed header"):
+            read_code(path)
+        path.write_text("n=3 q=2\n0,0,0\n")
+        assert read_code(path) == Code(q=2, n=3, codewords=frozenset({word([0, 0, 0], 2)}))
+
+    def test_codewords_must_be_a_frozenset(self):
+        w, v = word([0, 0, 0], 2), word([1, 1, 1], 2)
+        for codewords in ([w, w, v], {w, v}, (w, v)):
+            with pytest.raises(TypeError, match="codewords must be a frozenset"):
+                Code(q=2, n=3, codewords=codewords)
+
     def test_code_constructor_validation(self):
         with pytest.raises(ValueError):
             Code(q=2, n=3, codewords=frozenset({word([0, 1], 2)}))
