@@ -151,10 +151,10 @@ def criterion_bound_consistency() -> None:
         for i in range(1, GRID_DELTA_DENOMINATOR):
             delta = Fraction(i, GRID_DELTA_DENOMINATOR)
             pieces = insertion_bound_piecewise(delta, L)
+            cn, cd = (1 - delta).numerator, (1 - delta).denominator
+            # L(L+1) / (r(r+1)) * (1 - delta) < 1, with 1 - delta = cn/cd
             threshold_r_min = next(
-                r
-                for r in range(1, L + 1)
-                if Fraction(L * (L + 1), r * (r + 1)) * (1 - delta) < 1
+                r for r in range(1, L + 1) if L * (L + 1) * cn < r * (r + 1) * cd
             )
             if pieces.r_min != threshold_r_min or len(pieces.pieces) != L - threshold_r_min + 1:
                 raise CriterionFailure(f"(delta={delta}, L={L}): piece structure")
@@ -163,7 +163,6 @@ def criterion_bound_consistency() -> None:
             # max form on the whole piece.  Term r at x = xn/xd is
             # (2L-r+1)/(L+1) x - (L/r)(cn/cd); times (L+1) xd cd lcm(1..L) it
             # is the integer below, so the terms compare exactly as integers.
-            cn, cd = (1 - delta).numerator, (1 - delta).denominator
             scale = math.lcm(*range(1, L + 1))
             for piece in pieces.pieces:
                 r = piece.r

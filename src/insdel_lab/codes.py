@@ -105,6 +105,9 @@ def _validate_eval_points(field: PrimeField, n: int, alpha: Sequence[int]) -> tu
     points = tuple(alpha)
     if len(points) != n:
         raise ValueError(f"expected {n} evaluation points, got {len(points)}")
+    for a in points:
+        if not isinstance(a, int):
+            raise ValueError(f"evaluation point {a!r} is not an integer")
     if len(set(points)) != n:
         raise ValueError("evaluation points must be distinct")
     for a in points:
@@ -221,6 +224,19 @@ def rs_search_eval_points(
     than raised.  When the number of ordered tuples P(p, n) fits the budget
     the search is exhaustive in lexicographic order; otherwise `budget`
     seeded random tuples are examined.
+
+    The minimum distance is computed once per class of tuples
+    (`_point_class`), since every tuple in a class gives the same one:
+
+    * for c != 0 and any b, f(x) -> f(cx + b) is a bijection on the
+      polynomials of degree < k, so the points c * alpha + b give exactly
+      the codeword set of alpha;
+    * reversing alpha reverses every codeword, and LCS(rev u, rev v) =
+      LCS(u, v), so the reversed tuple's code has the same distance.
+
+    Every tuple is still counted in `examined`.  For n >= 2 a class holds
+    up to 2p(p - 1) tuples, so there are about P(p, n) / (2p(p - 1))
+    classes, and the memo pays off once the budget nears that number.
     """
     _validate_rs_shape(field, n, k)
     if target is None:
@@ -242,9 +258,13 @@ def rs_search_eval_points(
     best_distance = -1
     examined = 0
     rotations: dict[int, tuple[list[int], list[int]]] = {}
+    distances: dict[tuple[int, ...], int] = {}
     for alpha in candidates:
         examined += 1
-        d = _min_distance(list(_rs_symbols(field, k, alpha, rotations)))
+        key = _point_class(alpha, field.p)
+        d = distances.get(key)
+        if d is None:
+            d = distances[key] = _min_distance(list(_rs_symbols(field, k, alpha, rotations)))
         if d > best_distance:
             best_alpha, best_distance = alpha, d
             if best_distance >= target:
@@ -258,6 +278,25 @@ def rs_search_eval_points(
         examined=examined,
         exhaustive=exhaustive,
     )
+
+
+def _point_class(points: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """One key per class of distinct evaluation points under x -> cx + b
+    (c != 0) and reversal.
+
+    The unique affine map that sends points[0] to 0 and points[1] to 1 puts
+    every affine image of `points` in one normal form; the key is the
+    smaller of the normal forms of `points` and of its reversal.  A single
+    point has the key ().
+    """
+    if len(points) < 2:
+        return ()
+    forms = []
+    for ordered in (points, points[::-1]):
+        a = ordered[0]
+        scale = pow(ordered[1] - a, -1, p)
+        forms.append(tuple((x - a) * scale % p for x in ordered[2:]))
+    return min(forms)
 
 
 def _syndrome_code(

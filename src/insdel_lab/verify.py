@@ -19,7 +19,14 @@ from functools import cache
 from math import comb
 from typing import Iterable, Sequence
 
-from .bounds import _max_form, _one_minus_delta, _validate_list_size, unique_decoding_bound
+from .bounds import (
+    Exact,
+    _max_form,
+    _one_minus_delta,
+    _validate_list_size,
+    as_fraction,
+    unique_decoding_bound,
+)
 from .codes import Code
 from .words import (
     DEFAULT_BALL_CAP,
@@ -351,13 +358,17 @@ class RegionReport:
         return not self.violations
 
 
-def bound_region_pairs(n: int, delta: Fraction, list_size: int) -> list[tuple[int, int]]:
+def bound_region_pairs(
+    n: int, delta: Exact | float, list_size: int
+) -> list[tuple[int, int]]:
     """Integer (t_ins, t_del) pairs strictly inside the bound region, exactly.
 
     Pairs come in order of t_del, then t_ins.  One max-form kernel run over
     x = 1 - t_del/n for every t_del < delta n gives each row's limit; at list
     size 1 that is the unique-decoding line delta - t_del/n, also at delta = 1.
+    `delta` is read by `as_fraction`, as by every bound function.
     """
+    delta = as_fraction(delta)
     if delta <= 0 or n < 1:
         return []
     if list_size == 1:

@@ -258,6 +258,21 @@ class TestCodeCommands:
         assert payload["exhaustive"] is True
         assert out.exists()
 
+    def test_rs_search_exhaustive_json(self):
+        # all 120 tuples are examined, in 4 classes of evaluation points, so
+        # most distances come from the search's per-class memo
+        result = run("code", "rs-search", "--p", "5", "--n", "5", "--k", "2")
+        expected = {
+            "achieved": 4,
+            "alpha": [0, 1, 4, 2, 3],
+            "examined": 120,
+            "exhaustive": True,
+            "met_target": False,
+            "target": 6,
+        }
+        assert payload_of(result) == expected
+        assert result.output == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
 
 class TestVerifyCommands:
     def test_list_decodable_pass(self, tmp_path):

@@ -4,9 +4,11 @@ import itertools
 import random
 import re
 import tracemalloc
+from math import perm
 
 import pytest
 
+import insdel_lab.codes as codes_module
 from insdel_lab.codes import (
     Code,
     CodeSizeError,
@@ -24,7 +26,7 @@ from insdel_lab.codes import (
     write_code,
 )
 from insdel_lab.verify import min_levenshtein_distance
-from insdel_lab.words import Word, word
+from insdel_lab.words import Word, _min_distance, word
 
 
 def hamming(a: Word, b: Word) -> int:
@@ -163,6 +165,12 @@ class TestReedSolomon:
             rs_code(field, 4, 2, alpha=(0, 0, 1, 2))
         with pytest.raises(ValueError):
             rs_code(field, 4, 2, alpha=(0, 1, 2, 7))
+        # a non-integer point is named before any power of it is taken
+        with pytest.raises(ValueError, match=r"^evaluation point 1\.0 is not an integer$"):
+            rs_code(PrimeField(7), 3, 2, (0, 1.0, 2))
+        with pytest.raises(ValueError, match=r"^evaluation point 1\.0 is not an integer$"):
+            list(rs_codewords(PrimeField(7), 2, 1, (0, 1.0)))
+        assert rs_code(field, 2, 1, (False, True)) == rs_code(field, 2, 1, (0, 1))
         message = r"^p\^k = 104060401 codewords exceed cap 1000000; use rs_codewords"
         with pytest.raises(CodeSizeError, match=message):
             rs_code(PrimeField(101), 4, 4)  # raises before building a codeword
@@ -209,6 +217,105 @@ class TestReedSolomon:
             examined=300,
             exhaustive=False,
         )
+
+
+def memo_free_search(field, n, k, target=None, budget=2000, seed=0):
+    """The evaluation-point search as it was before its per-class memo: one
+    `_min_distance` per examined tuple, on codewords by Horner's rule."""
+    if target is None:
+        target = min(2 * n, 2 * n - 4 * k + 4)
+    exhaustive = perm(field.p, n) <= budget
+    if exhaustive:
+        candidates = itertools.permutations(field.elements(), n)
+    else:
+        rng = random.Random(seed)
+        candidates = (tuple(rng.sample(field.elements(), n)) for _ in range(budget))
+    best_alpha, best_distance, examined = None, -1, 0
+    for alpha in candidates:
+        examined += 1
+        d = _min_distance(horner_codewords(field, k, alpha))
+        if d > best_distance:
+            best_alpha, best_distance = alpha, d
+            if best_distance >= target:
+                break
+    return EvalPointSearchResult(
+        alpha=best_alpha,
+        achieved=best_distance,
+        target=target,
+        met_target=best_distance >= target,
+        examined=examined,
+        exhaustive=exhaustive,
+    )
+
+
+class TestEvalPointClasses:
+    """The search computes one minimum distance per class of evaluation
+    tuples under x -> cx + b (c != 0) and reversal."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_codes_are_invariant_on_classes(self, p):
+        # x -> x + 1 and x -> g x, for g a generator of the nonzero elements,
+        # generate every affine map, so checking both on every tuple shows
+        # that each tuple's code equals the code of all its affine images.
+        # Reversal commutes with the affine maps, so it is enough to check
+        # it on the tuples that start with (0, 1), one per affine class.  The
+        # codes are compared as the symbol tuples `rs_code` wraps in Words,
+        # which hash far faster than 2,520 codes of 343 Words.
+        field = PrimeField(p)
+        g = next(g for g in range(2, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+        for n in range(1, min(p, 5) + 1):
+            for k in range(1, n + 1):
+                if p**k > 343:
+                    continue
+                codes = {
+                    alpha: frozenset(codes_module._rs_symbols(field, k, alpha, {}))
+                    for alpha in itertools.permutations(range(p), n)
+                }
+                for alpha, words in codes.items():
+                    for c, b in ((1, 1), (g, 0)):
+                        image = tuple((c * a + b) % p for a in alpha)
+                        assert codes[image] == words, (alpha, image, k)
+                    if n == 1 or alpha[:2] == (0, 1):
+                        assert codes[alpha[::-1]] == {w[::-1] for w in words}, (alpha, k)
+                        assert {w.symbols for w in rs_code(field, n, k, alpha).codewords} == words
+
+    @pytest.mark.parametrize(
+        "p, n, k, kwargs",
+        [
+            (5, 4, 1, {}),  # the first tuple meets the target
+            (7, 5, 2, {"target": 4}),  # a sampled run stopped at the target
+            (5, 5, 2, {}),  # exhaustive
+            (7, 5, 2, {"budget": 3000}),  # exhaustive over 2,520 tuples
+            (3, 3, 2, {"budget": 4, "seed": 5}),  # sampled, budget below P(3, 3)
+            (7, 5, 2, {"budget": 300, "seed": 7}),
+            (11, 4, 2, {"budget": 150, "seed": 4}),
+            (7, 3, 3, {"target": 99}),  # k = n, exhaustive
+            (5, 4, 4, {"target": 99, "budget": 30, "seed": 2}),  # k = n, sampled
+            (5, 1, 1, {"target": 99}),  # n = 1: one class
+            (7, 1, 1, {"target": 99, "budget": 3, "seed": 1}),
+            (5, 2, 1, {"target": 99}),  # n = 2: one class
+        ],
+    )
+    def test_search_matches_the_memo_free_loop(self, p, n, k, kwargs):
+        field = PrimeField(p)
+        assert rs_search_eval_points(field, n, k, **kwargs) == memo_free_search(
+            field, n, k, **kwargs
+        )
+
+    @pytest.mark.parametrize("budget, examined", [(300, 300), (3000, 2520)])
+    def test_min_distance_runs_once_per_class(self, monkeypatch, budget, examined):
+        # the 2,520 ordered 5-tuples over F_7 fall into 32 classes, and the
+        # 300 tuples sampled at seed 0 reach all of them
+        calls = []
+
+        def spy(words):
+            calls.append(len(words))
+            return _min_distance(words)
+
+        monkeypatch.setattr(codes_module, "_min_distance", spy)
+        result = rs_search_eval_points(PrimeField(7), 5, 2, budget=budget, seed=0)
+        assert result.examined == examined
+        assert calls == [49] * 32
 
 
 class TestVarshamovTenengolts:

@@ -598,6 +598,22 @@ class TestBoundRegion:
         for case in cases:
             assert _outcome(bound_region_pairs, *case) == _outcome(_looped_region_pairs, *case)
 
+    @pytest.mark.parametrize(
+        "n, delta, exact, list_size",
+        [
+            (6, 0.5, Fraction(1, 2), 2),
+            (10, 0.1, Fraction(1, 10), 1),
+            (6, "1/2", Fraction(1, 2), 3),
+        ],
+    )
+    def test_delta_is_read_as_a_fraction(self, n, delta, exact, list_size):
+        # floats go through their decimal repr, as in every bound function
+        assert bound_region_pairs(n, delta, list_size) == bound_region_pairs(n, exact, list_size)
+
+    def test_unreadable_delta_is_rejected(self):
+        with pytest.raises(ValueError):
+            bound_region_pairs(6, "abc", 2)
+
     def test_frozen_pairs_vt6_list2(self):
         pairs = bound_region_pairs(6, Fraction(1, 3), 2)
         assert pairs == [(0, 0), (1, 0), (0, 1)]
