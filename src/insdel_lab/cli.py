@@ -408,8 +408,8 @@ _ball_cap_option = click.option(
     type=click.IntRange(min=0),
     default=DEFAULT_BALL_CAP,
     show_default=True,
-    help="most distinct received words the enumerator may count over the "
-    "output lengths it scans; a single ball's estimate is checked against it first",
+    help="most distinct received words the enumerator may count in the layers "
+    "it builds; a single ball's estimate is checked against it first",
 )
 
 
@@ -422,7 +422,7 @@ _ball_cap_option = click.option(
     "--witness",
     is_flag=True,
     help="census the smallest offending received word, shortest lengths first, "
-    "when the census up to its length fits --cap",
+    "when the words the census builds to find it fit --cap",
 )
 @_ball_cap_option
 @_guarded

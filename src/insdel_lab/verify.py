@@ -35,7 +35,9 @@ from .words import (
     _ball_layers,
     _checked_ball_layers,
     _common_output,
+    _layer,
     _lcs_masked,
+    _least_subsequence,
     _match_masks,
     _min_distance,
     in_insdel_ball,
@@ -76,8 +78,15 @@ class Verdict:
     witness: Witness | None = None
 
     def __post_init__(self) -> None:
-        if self.decodable and self.witness is not None:
+        if self.witness is None:
+            return
+        if self.decodable:
             raise ValueError("a decodable verdict cannot carry a witness")
+        if len(self.witness.codewords) <= self.list_size:
+            raise ValueError(
+                f"a witness must list more than {self.list_size} codewords, "
+                f"not {len(self.witness.codewords)}"
+            )
 
 
 def _channel_tally(
@@ -89,27 +98,52 @@ def _channel_tally(
     cap: int,
     *,
     whole: bool,
-) -> Counter[tuple[int, ...]] | None:
-    """Count, per channel output, the codewords of `symbols` that reach it;
-    return a tally in which some count exceeds list_size, or None when no
-    received word is reached by more than list_size codewords.
+) -> Counter[tuple[int, ...]] | tuple[tuple[int, ...], int] | None:
+    """Count, per channel output, the codewords of the sorted `symbols` that
+    reach it; None when no received word is reached by more than list_size
+    codewords.
 
-    Each codeword's outputs come from `_ball_layers`, one length at a time.
+    * With `whole`, the census goes one output length m at a time, shortest
+      first, and returns the least offender of the first offending length,
+      with its count: the shortlex-smallest received word reached by more
+      than list_size codewords, since every offender of that length is
+      shortlex smaller than every longer received word.  A codeword's
+      outputs of length m are its layer `_layer(word, l, m, q)`, with
+      l = max(n - t_del, m - t_ins) (see `_ball_layers`).  Each length
+      merges whole layers in the sorted order until the first offender
+      appears; a length with none has merged every layer, so its counts
+      are exact.  Then it merges the remaining codewords in the order of
+      their layer's least word, 0^(m - l) + `_least_subsequence`(word, l),
+      keeping the least offender so far, and stops at the first codeword
+      whose least word is above it.  That offender is the least one:
 
-    * With `whole`, the census goes one output length at a time, shortest
-      first, over every codeword, and returns the tally of the first length
-      at which some count exceeds list_size.  Its counts are exact, and
-      every offender of that length is shortlex smaller than every longer
-      received word, so the shortlex-smallest offender is the least one in
-      the returned tally.  Raises BallSizeError once the lengths scanned so
-      far have counted more than `cap` distinct received words, checked
-      after each codeword's layer is merged, so the census never counts
-      more than `cap` words plus one layer.
+      (a) 0^j.s is the lexicographically least length-(|s| + j)
+          supersequence y of s.  By induction on |s| + j, with j = 0
+          immediate: if y_1 > 0, then y > 0^j.s.  Otherwise drop y_1: the
+          rest y' is a supersequence of s, or of s' = s minus its first
+          symbol if that symbol is the 0 matched to y_1.  So y' >= 0^(j-1).s
+          or y' >= 0^j.s', and either way y = 0.y' >= 0^j.s.  A layer is
+          the union, over the length-l subsequences s of the codeword, of
+          the length-m supersequences of s, so its least word is
+          0^(m - l) followed by the least s.
+      (b) A skipped codeword reaches no word at or below the least
+          offender: its least word is above it, and so are those of the
+          codewords after it in the order.
+      (c) Every codeword that is not skipped is merged whole, so by (b) the
+          count of every word at or below the least offender is exact.  A
+          word below it with a count above list_size would have been taken
+          as the offender when its last layer was merged, so there is none.
+
+      Raises BallSizeError once the lengths scanned so far have counted
+      more than `cap` distinct received words, checked after each layer is
+      merged, so the census never counts more than `cap` words plus one
+      layer, and the cap counts only the layers it builds.
     * Without, it is a verdict only: the census goes codeword by codeword,
-      merging each one's whole ball, and returns as soon as a layer takes a
-      count above list_size.  Raises BallSizeError once it has counted more
-      than `cap` distinct received words, checked after each codeword, so
-      it never counts more than `cap` words plus one ball.
+      merging each one's whole ball from `_ball_layers`, and returns the
+      tally as soon as a layer takes a count above list_size.  Raises
+      BallSizeError once it has counted more than `cap` distinct received
+      words, checked after each codeword, so it never counts more than
+      `cap` words plus one ball.
     """
     if not whole:
         tally: Counter[tuple[int, ...]] = Counter()
@@ -121,17 +155,36 @@ def _channel_tally(
             if len(tally) > cap:
                 raise BallSizeError(len(tally), cap, counted=True)
         return None
-    layers = [_ball_layers(word, t_ins, t_del, q) for word in symbols]
+    n = len(symbols[0])
     counted = 0
-    for _ in range(t_del + t_ins + 1):
+    for m in range(n - t_del, n + t_ins + 1):
+        ell = max(n - t_del, m - t_ins)
         tally = Counter()
-        for word_layers in layers:
-            tally.update(next(word_layers))
+        rest = iter(symbols)
+        for word in rest:
+            layer = _layer(word, ell, m, q)
+            tally.update(layer)
             if counted + len(tally) > cap:
                 raise BallSizeError(counted + len(tally), cap, counted=True)
-        if max(tally.values()) > list_size:
-            return tally
-        counted += len(tally)
+            if max(map(tally.__getitem__, layer)) > list_size:
+                offender = min(y for y in layer if tally[y] > list_size)
+                break
+        else:
+            counted += len(tally)
+            continue
+        pad = (0,) * (m - ell)
+        for least, word in sorted((pad + _least_subsequence(w, ell), w) for w in rest):
+            if least > offender:
+                break
+            layer = _layer(word, ell, m, q)
+            tally.update(layer)
+            if counted + len(tally) > cap:
+                raise BallSizeError(counted + len(tally), cap, counted=True)
+            offender = min(
+                (y for y in layer if tally[y] > list_size and y < offender),
+                default=offender,
+            )
+        return offender, tally[offender]
     return None
 
 
@@ -233,18 +286,21 @@ def list_decodable(
       empty list, so a census that scans every length is exhaustive.  A
       length's cost grows like |C| * q^(its insertions).  The enumerator
       runs only when its ball estimate fits `cap`, checked once, before any
-      enumeration, and it stops once the lengths it has scanned count more
+      enumeration, and it stops once the layers it has built count more
       than `cap` distinct received words.
 
     BallSizeError is raised only when neither engine decides the verdict.
     The DP returns verdicts only.  With want_witness a failing verdict
     carries the shortlex smallest offending received word, the least
-    offender of the first offending length, when the census up to that
-    length fits `cap`, and no witness otherwise; its codeword list is
-    re-derived through the decoder-ball membership predicate (swapped
-    radii) as an independent check; a census that finds no offender after
-    the DP failed raises AssertionError.  Without it, the census stops at
-    its first count above list_size.  Both engines run in the calling
+    offender of the first offending length, when the layers the census
+    builds to find it fit `cap`, and no witness otherwise: at that length
+    the census skips the codewords whose least output is above the least
+    offender.  The census returns the offender with its count; its
+    codeword list is re-derived through the decoder-ball membership
+    predicate (swapped radii), and must match that count, as an
+    independent check; a census that finds no offender after the DP
+    failed raises AssertionError.  Without want_witness, the census stops
+    at its first count above list_size.  Both engines run in the calling
     process.
     """
     if list_size < 1:
@@ -272,9 +328,9 @@ def list_decodable(
         raise BallSizeError(estimate, cap)
     # a failing DP verdict gets its witness from the enumerator, so the
     # witness is the same whichever engine decided; a witness needs exact
-    # counts over the whole length it lies at
+    # counts at every word of its length up to it
     try:
-        tally = _channel_tally(
+        found = _channel_tally(
             symbols, code.q, t_ins, t_del, list_size, cap, whole=want_witness
         )
     except BallSizeError:
@@ -282,20 +338,19 @@ def list_decodable(
             raise
         # the DP decided; only the witness census outgrew the cap
         return Verdict(False, t_ins, t_del, list_size)
-    if tally is None:
+    if found is None:
         if decodable is False:
             raise AssertionError("sharing-set DP and channel census disagree")
         return Verdict(True, t_ins, t_del, list_size)
     if not want_witness:
         return Verdict(False, t_ins, t_del, list_size)
-    # every key of the tally has the same length
-    offender = min(key for key, count in tally.items() if count > list_size)
+    offender, count = found
     received = Word(offender, code.q)
     # decoder-ball view: the channel deleted what we now insert and vice versa
     members = tuple(
         w for w in sorted_words if in_insdel_ball(w, received, t_del, t_ins)
     )
-    if len(members) != tally[offender]:
+    if len(members) != count:
         raise AssertionError(
             "channel tally and decoder-ball membership disagree; "
             "the radius swap is broken"

@@ -330,6 +330,24 @@ def _layer(symbols: tuple[int, ...], ell: int, m: int, q: int) -> set[tuple[int,
     return layer
 
 
+def _least_subsequence(symbols: tuple[int, ...], ell: int) -> tuple[int, ...]:
+    """The lexicographically least length-ell subsequence of `symbols`.
+
+    A greedy stack: each symbol pops the larger symbols before it while
+    enough symbols remain to refill the stack to ell, then is pushed if the
+    stack is short.  O(len(symbols)).
+    """
+    stack: list[int] = []
+    left = len(symbols)
+    for s in symbols:
+        while stack and stack[-1] > s and len(stack) + left > ell:
+            stack.pop()
+        if len(stack) < ell:
+            stack.append(s)
+        left -= 1
+    return tuple(stack)
+
+
 def _ball_layers(
     symbols: tuple[int, ...], t_ins: int, t_del: int, q: int
 ) -> Iterator[set[tuple[int, ...]]]:
@@ -348,8 +366,8 @@ def _ball_layers(
     length-l_m subsequences of `symbols` (`_layer`).
 
     Each layer is built afresh when it is asked for, and the generator keeps
-    no reference to it, so a census that advances one generator per codeword
-    holds no codeword's layer between lengths.
+    no reference to it, so a consumer that merges each layer before asking
+    for the next holds one layer of the ball at a time.
     """
     n = len(symbols)
     shortest = n - t_del

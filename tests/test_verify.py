@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -194,21 +195,23 @@ class TestListDecodable:
         with pytest.raises(BallSizeError) as excinfo:
             list_decodable(vt_binary(8, 0), 1, 1, 3, want_witness=True, cap=99)
         assert excinfo.value.counted
-        # VT_0(10) at (2, 1), L = 2: the DP decides, and only the witness
-        # census outgrows the cap, so the verdict stands bare
-        verdict = list_decodable(vt_binary(10, 0), 2, 1, 2, want_witness=True, cap=1012)
-        assert verdict == Verdict(False, 2, 1, 2)
+        # VT_0(10) at (2, 0), L = 2: the DP decides, the cap is the ball
+        # estimate, 92, and only the witness census outgrows it, so the
+        # verdict stands bare
+        verdict = list_decodable(vt_binary(10, 0), 2, 0, 2, want_witness=True, cap=92)
+        assert verdict == Verdict(False, 2, 0, 2)
 
     def test_cap_counts_only_the_lengths_scanned(self):
-        # VT_0(10) at (2, 1), L = 2: the witness lies at length 10, and
-        # lengths 9 and 10 count 1,536 received words of the full census's
-        # 7,344, so a cap of 1,536 is enough for the witness
+        # VT_0(10) at (3, 0), L = 2: the witness lies at length 12 of 10-13;
+        # lengths 10 and 11 count 94 + 1,128 received words, and the 8
+        # layers length 12 builds bring that to 1,762 of the full census's
+        # 13,038, so a cap of 1,762 is enough for the witness
         code = vt_binary(10, 0)
-        full = list_decodable(code, 2, 1, 2, want_witness=True)
-        assert len(full.witness.received) == 10
-        assert list_decodable(code, 2, 1, 2, want_witness=True, cap=1536) == full
-        bare = list_decodable(code, 2, 1, 2, want_witness=True, cap=1535)
-        assert bare == Verdict(False, 2, 1, 2)
+        full = list_decodable(code, 3, 0, 2, want_witness=True)
+        assert len(full.witness.received) == 12
+        assert list_decodable(code, 3, 0, 2, want_witness=True, cap=1762) == full
+        bare = list_decodable(code, 3, 0, 2, want_witness=True, cap=1761)
+        assert bare == Verdict(False, 3, 0, 2)
 
     def test_witnesses_of_long_censuses(self):
         # the offenders lie at the shortest lengths, so the census stops
@@ -243,6 +246,14 @@ class TestListDecodable:
                 witness=Witness(word([0], 2), (word([0], 2),)),
             )
 
+    def test_witness_lists_more_than_the_list_size(self):
+        received, a, b = word([0, 1], 2), word([0], 2), word([1], 2)
+        with pytest.raises(ValueError, match="^a witness must list more than 1 codewords, not 1$"):
+            Verdict(False, 1, 0, 1, witness=Witness(received, (a,)))
+        with pytest.raises(ValueError):
+            Verdict(False, 1, 0, 2, witness=Witness(received, (a, b)))
+        assert Verdict(False, 1, 0, 1, witness=Witness(received, (a, b))).witness
+
 
 class TestCensus:
     """The length-ordered census against the whole-ball oracle."""
@@ -259,12 +270,7 @@ class TestCensus:
             everything_deleted += t_del == n
             args = (symbols, q, t_ins, t_del, list_size, 10**18)
             expected = whole_ball_census(symbols, q, t_ins, t_del, list_size)
-            tally = verify._channel_tally(*args, whole=True)
-            if expected is None:
-                assert tally is None, args
-            else:
-                offender = min(y for y, count in tally.items() if count > list_size)
-                assert (offender, tally[offender]) == expected, args
+            assert verify._channel_tally(*args, whole=True) == expected, args
             early = verify._channel_tally(*args, whole=False)
             assert (early is None) == (expected is None), args
         assert everything_deleted >= 30  # the shortest layer is the empty word
@@ -292,6 +298,27 @@ class TestCensus:
         assert max(tally.values()) == 2
         assert balls == symbols[: first + 1]
         assert first < 10 < len(symbols)
+
+    def test_witness_census_stops_above_the_least_offender(self, monkeypatch):
+        # VT_0(12) at (2, 1), L = 2: length 11 has no offender, so every
+        # layer is built; at length 12 only the codewords whose least word
+        # is not above the least offender are
+        built = Counter()
+        real = verify._layer
+
+        def spy(word, ell, m, q):
+            built[m] += 1
+            return real(word, ell, m, q)
+
+        monkeypatch.setattr(verify, "_layer", spy)
+        verdict = list_decodable(vt_binary(12, 0), 2, 1, 2, want_witness=True)
+        assert built == {11: 316, 12: 6}
+        assert verdict.witness.received.to_text() == "0,0,0,0,0,0,0,0,0,0,1,0"
+        assert [c.to_text() for c in verdict.witness.codewords] == [
+            "0,0,0,0,0,0,0,0,0,0,0,0",
+            "0,1,0,0,0,0,0,0,0,0,1,0",
+            "1,0,0,0,0,0,0,0,0,0,0,1",
+        ]
 
     def test_verdict_census_checks_the_cap_after_each_codeword(self):
         # VT_0(8) at (1, 1): each ball holds at most 9 * 11 = 99 words; with

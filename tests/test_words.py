@@ -22,6 +22,8 @@ from insdel_lab.words import (
     Word,
     _ball_layers,
     _common_output,
+    _layer,
+    _least_subsequence,
     _min_distance,
     all_words,
     in_insdel_ball,
@@ -416,6 +418,21 @@ class TestInsdelBall:
         assert info.value.cap == 10
         assert not info.value.counted
         assert str(info.value).startswith(f"estimated ball size {info.value.size} ")
+
+    def test_least_word_of_a_layer(self):
+        # the witness census orders codewords by their layer's least word:
+        # zeros, then the least length-ell subsequence (m = ell checks the
+        # greedy stack on its own, since that layer is the subsequences)
+        rng = random.Random(20_221)
+        cases = 0
+        while cases < 1000:
+            q, n = rng.randint(2, 5), rng.randint(1, 7)
+            symbols = tuple(rng.randrange(q) for _ in range(n))
+            for ell in range(n + 1):
+                for m in range(ell, ell + 4):
+                    least = (0,) * (m - ell) + _least_subsequence(symbols, ell)
+                    assert min(_layer(symbols, ell, m, q)) == least, (symbols, ell, m)
+                    cases += 1
 
     def test_size_bound_dominates_actual_size(self):
         for centre in [word([0, 1, 0], 2), word([1, 1, 1, 0], 2)]:
