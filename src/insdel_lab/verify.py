@@ -40,10 +40,7 @@ from .words import (
     _least_subsequence,
     _match_masks,
     _min_distance,
-    in_insdel_ball,
-    insdel_ball,
     insdel_ball_size_bound,
-    levenshtein_distance,
 )
 
 
@@ -56,7 +53,7 @@ def min_levenshtein_distance(code: Code) -> int:
     """
     if code.size < 2:
         raise ValueError("minimum distance needs at least two codewords")
-    return _min_distance([w.symbols for w in code.sorted_words()])
+    return _min_distance(sorted(w.symbols for w in code.codewords))
 
 
 @dataclass(frozen=True)
@@ -89,77 +86,73 @@ class Verdict:
             )
 
 
-def _channel_tally(
-    symbols: list[tuple[int, ...]],
-    q: int,
-    t_ins: int,
-    t_del: int,
-    list_size: int,
-    cap: int,
-    *,
-    whole: bool,
-) -> Counter[tuple[int, ...]] | tuple[tuple[int, ...], int] | None:
-    """Count, per channel output, the codewords of the sorted `symbols` that
-    reach it; None when no received word is reached by more than list_size
-    codewords.
-
-    * With `whole`, the census goes one output length m at a time, shortest
-      first, and returns the least offender of the first offending length,
-      with its count: the shortlex-smallest received word reached by more
-      than list_size codewords, since every offender of that length is
-      shortlex smaller than every longer received word.  A codeword's
-      outputs of length m are its layer `_layer(word, l, m, q)`, with
-      l = max(n - t_del, m - t_ins) (see `_ball_layers`).  Each length
-      merges whole layers in the sorted order until the first offender
-      appears; a length with none has merged every layer, so its counts
-      are exact.  Then it merges the remaining codewords in the order of
-      their layer's least word, 0^(m - l) + `_least_subsequence`(word, l),
-      keeping the least offender so far, and stops at the first codeword
-      whose least word is above it.  That offender is the least one:
-
-      (a) 0^j.s is the lexicographically least length-(|s| + j)
-          supersequence y of s.  By induction on |s| + j, with j = 0
-          immediate: if y_1 > 0, then y > 0^j.s.  Otherwise drop y_1: the
-          rest y' is a supersequence of s, or of s' = s minus its first
-          symbol if that symbol is the 0 matched to y_1.  So y' >= 0^(j-1).s
-          or y' >= 0^j.s', and either way y = 0.y' >= 0^j.s.  A layer is
-          the union, over the length-l subsequences s of the codeword, of
-          the length-m supersequences of s, so its least word is
-          0^(m - l) followed by the least s.
-      (b) A skipped codeword reaches no word at or below the least
-          offender: its least word is above it, and so are those of the
-          codewords after it in the order.
-      (c) Every codeword that is not skipped is merged whole, so by (b) the
-          count of every word at or below the least offender is exact.  A
-          word below it with a count above list_size would have been taken
-          as the offender when its last layer was merged, so there is none.
-
-      Raises BallSizeError once the lengths scanned so far have counted
-      more than `cap` distinct received words, checked after each layer is
-      merged, so the census never counts more than `cap` words plus one
-      layer, and the cap counts only the layers it builds.
-    * Without, it is a verdict only: the census goes codeword by codeword,
-      merging each one's whole ball from `_ball_layers`, and returns the
-      tally as soon as a layer takes a count above list_size.  Raises
-      BallSizeError once it has counted more than `cap` distinct received
-      words, checked after each codeword, so it never counts more than
-      `cap` words plus one ball.
+def _verdict_census(
+    symbols: list[tuple[int, ...]], q: int, t_ins: int, t_del: int, list_size: int, cap: int
+) -> bool:
+    """Whether some channel output is reached by more than list_size of the
+    codewords `symbols`, merging whole balls from `_ball_layers` codeword by
+    codeword until a layer takes a count above list_size.  Raises
+    BallSizeError once it has counted more than `cap` distinct received
+    words, checked after each codeword, so it never counts more than `cap`
+    words plus one ball.
     """
-    if not whole:
-        tally: Counter[tuple[int, ...]] = Counter()
-        for word in symbols:
-            for layer in _ball_layers(word, t_ins, t_del, q):
-                tally.update(layer)
-                if max(map(tally.__getitem__, layer)) > list_size:
-                    return tally
-            if len(tally) > cap:
-                raise BallSizeError(len(tally), cap, counted=True)
-        return None
+    tally: Counter[tuple[int, ...]] = Counter()
+    for word in symbols:
+        for layer in _ball_layers(word, t_ins, t_del, q):
+            tally.update(layer)
+            if max(map(tally.__getitem__, layer)) > list_size:
+                return True
+        if len(tally) > cap:
+            raise BallSizeError(len(tally), cap, counted=True)
+    return False
+
+
+def _witness_census(
+    symbols: list[tuple[int, ...]], q: int, t_ins: int, t_del: int, list_size: int, cap: int
+) -> tuple[tuple[int, ...], int] | None:
+    """The shortlex-smallest channel output reached by more than list_size
+    of the sorted codewords `symbols`, with its count, or None.
+
+    The census goes one output length m at a time, shortest first, and
+    returns the least offender of the first offending length, since every
+    offender of that length is shortlex smaller than every longer received
+    word.  A codeword's outputs of length m are its layer
+    `_layer(word, l, m, q)`, with l = max(n - t_del, m - t_ins) (see
+    `_ball_layers`).  Each length merges whole layers in the sorted order
+    until the first offender appears; a length with none has merged every
+    layer, so its counts are exact.  Then it merges the remaining codewords
+    in the order of their layer's least word, 0^(m - l) +
+    `_least_subsequence`(word, l), keeping the least offender so far, and
+    stops at the first codeword whose least word is above it.  That
+    offender is the least one:
+
+    (a) 0^j.s is the lexicographically least length-(|s| + j)
+        supersequence y of s.  By induction on |s| + j, with j = 0
+        immediate: if y_1 > 0, then y > 0^j.s.  Otherwise drop y_1: the
+        rest y' is a supersequence of s, or of s' = s minus its first
+        symbol if that symbol is the 0 matched to y_1.  So y' >= 0^(j-1).s
+        or y' >= 0^j.s', and either way y = 0.y' >= 0^j.s.  A layer is the
+        union, over the length-l subsequences s of the codeword, of the
+        length-m supersequences of s, so its least word is 0^(m - l)
+        followed by the least s.
+    (b) A skipped codeword reaches no word at or below the least offender:
+        its least word is above it, and so are those of the codewords after
+        it in the order.
+    (c) Every codeword that is not skipped is merged whole, so by (b) the
+        count of every word at or below the least offender is exact.  A
+        word below it with a count above list_size would have been taken as
+        the offender when its last layer was merged, so there is none.
+
+    Raises BallSizeError once the lengths scanned so far have counted more
+    than `cap` distinct received words, checked after each layer is merged,
+    so the census never counts more than `cap` words plus one layer, and
+    the cap counts only the layers it builds.
+    """
     n = len(symbols[0])
     counted = 0
     for m in range(n - t_del, n + t_ins + 1):
         ell = max(n - t_del, m - t_ins)
-        tally = Counter()
+        tally: Counter[tuple[int, ...]] = Counter()
         rest = iter(symbols)
         for word in rest:
             layer = _layer(word, ell, m, q)
@@ -278,29 +271,30 @@ def list_decodable(
       does, and gives up once it has spent it.  When that cost is over `cap`
       the budget is at least the DP's pair join plus one unit per codeword,
       so a pair at which no two codewords share an output is always decided.
-    * The enumerator (`_channel_tally`) tallies the channel outputs of every
-      codeword one length at a time, shortest first, and stops at the first
-      length at which some received word is reachable from more than
-      list_size codewords; the code fails exactly when there is one.
-      Received words outside every codeword's output set decode to the
-      empty list, so a census that scans every length is exhaustive.  A
-      length's cost grows like |C| * q^(its insertions).  The enumerator
+    * The enumerator tallies channel outputs until some received word is
+      reached by more than list_size codewords; the code fails exactly when
+      there is one.  Received words outside every codeword's output set
+      decode to the empty list, so a census that merges every ball is
+      exhaustive.  Its verdict census goes codeword by codeword over whole
+      balls and checks the cap after each codeword; its witness census goes
+      one output length at a time, shortest first, and checks the cap after
+      each layer.  A length's cost grows like |C| * q^(its insertions).  It
       runs only when its ball estimate fits `cap`, checked once, before any
-      enumeration, and it stops once the layers it has built count more
-      than `cap` distinct received words.
+      enumeration, and stops once the layers it has built count more than
+      `cap` distinct received words.
 
     BallSizeError is raised only when neither engine decides the verdict.
     The DP returns verdicts only.  With want_witness a failing verdict
     carries the shortlex smallest offending received word, the least
-    offender of the first offending length, when the layers the census
-    builds to find it fit `cap`, and no witness otherwise: at that length
-    the census skips the codewords whose least output is above the least
-    offender.  The census returns the offender with its count; its
-    codeword list is re-derived through the decoder-ball membership
-    predicate (swapped radii), and must match that count, as an
-    independent check; a census that finds no offender after the DP
-    failed raises AssertionError.  Without want_witness, the census stops
-    at its first count above list_size.  Both engines run in the calling
+    offender of the first offending length, when the layers the witness
+    census builds to find it fit `cap`, and no witness otherwise: at that
+    length the census skips the codewords whose least output is above the
+    least offender.  The census returns the offender with its count; its
+    codeword list is re-derived by one LCS pass against the offender in the
+    decoder-ball view (swapped radii), and must match that count, as an
+    independent check; a census that finds no offender after the DP failed
+    raises AssertionError.  Without want_witness, the verdict census
+    decides what the DP left open.  Both engines run in the calling
     process.
     """
     if list_size < 1:
@@ -311,8 +305,7 @@ def list_decodable(
         raise ValueError(f"deletion radius {t_del} exceeds block length {code.n}")
     # every codeword has length n, so one estimate covers every ball
     estimate = insdel_ball_size_bound(code.n, t_ins, t_del, code.q)
-    sorted_words = code.sorted_words()
-    symbols = [w.symbols for w in sorted_words]
+    symbols = sorted(w.symbols for w in code.codewords)
     # the DP's cost does not grow with q; it gives up once it would cost more
     # than enumerating every ball, but when the cap may refuse the enumerator
     # (one ball, or the tally of all of them, over it) it can always afford
@@ -326,13 +319,14 @@ def list_decodable(
         return Verdict(decodable, t_ins, t_del, list_size)
     if estimate > cap:
         raise BallSizeError(estimate, cap)
+    if not want_witness:
+        shared = _verdict_census(symbols, code.q, t_ins, t_del, list_size, cap)
+        return Verdict(not shared, t_ins, t_del, list_size)
     # a failing DP verdict gets its witness from the enumerator, so the
     # witness is the same whichever engine decided; a witness needs exact
     # counts at every word of its length up to it
     try:
-        found = _channel_tally(
-            symbols, code.q, t_ins, t_del, list_size, cap, whole=want_witness
-        )
+        found = _witness_census(symbols, code.q, t_ins, t_del, list_size, cap)
     except BallSizeError:
         if decodable is None:
             raise
@@ -342,22 +336,22 @@ def list_decodable(
         if decodable is False:
             raise AssertionError("sharing-set DP and channel census disagree")
         return Verdict(True, t_ins, t_del, list_size)
-    if not want_witness:
-        return Verdict(False, t_ins, t_del, list_size)
     offender, count = found
-    received = Word(offender, code.q)
-    # decoder-ball view: the channel deleted what we now insert and vice versa
-    members = tuple(
-        w for w in sorted_words if in_insdel_ball(w, received, t_del, t_ins)
-    )
+    masks, m = _match_masks(offender), len(offender)
+    # decoder-ball view: the channel deleted what we now insert and vice
+    # versa, so y reaches c by n - LCS insertions and |y| - LCS deletions
+    members = [
+        c
+        for c in symbols
+        if code.n - (ell := _lcs_masked(c, masks, m)) <= t_del and m - ell <= t_ins
+    ]
     if len(members) != count:
         raise AssertionError(
             "channel tally and decoder-ball membership disagree; "
             "the radius swap is broken"
         )
-    return Verdict(
-        False, t_ins, t_del, list_size, witness=Witness(received, members)
-    )
+    witness = Witness(Word(offender, code.q), tuple(Word(c, code.q) for c in members))
+    return Verdict(False, t_ins, t_del, list_size, witness=witness)
 
 
 def decoder_ball_matches_channel(codeword: Word, t_ins: int, t_del: int) -> bool:
@@ -492,16 +486,24 @@ def check_ball_containment(
     For each sample word y and radius pair (t_ins, t_del) with t_del <= |y|,
     every word of the enumerated insdel ball must lie within Levenshtein
     distance t_ins + t_del of y, by the LCS kernel rather than by a second
-    enumeration.  Returns the list of failing (word, t_ins, t_del) triples;
-    empty means the containment held throughout.
+    enumeration: d(y, z) = |y| + |z| - 2 LCS, against y's match masks,
+    built once per sample.  The ball's layers come with `insdel_ball`'s
+    radius and cap checks.  Returns the list of failing (word, t_ins, t_del)
+    triples; empty means the containment held throughout.
     """
     failures = []
     for y in samples:
+        symbols, m = y.symbols, len(y)
+        masks = _match_masks(symbols)
         for t_ins, t_del in radii:
-            if t_del > len(y):
+            if t_del > m:
                 continue
             radius = t_ins + t_del
-            ball = insdel_ball(y, t_ins, t_del)
-            if any(levenshtein_distance(y, z) > radius for z in ball):
+            layers = _checked_ball_layers(symbols, t_ins, t_del, y.q)
+            if any(
+                m + len(z) - 2 * _lcs_masked(z, masks, m) > radius
+                for layer in layers
+                for z in layer
+            ):
                 failures.append((y, t_ins, t_del))
     return failures

@@ -55,7 +55,7 @@ class Word:
         if self.q < 2:
             raise ValueError(f"alphabet size must be at least 2, got {self.q}")
         for s in self.symbols:
-            if not isinstance(s, int) or not 0 <= s < self.q:
+            if type(s) is not int or not 0 <= s < self.q:
                 raise ValueError(f"symbol {s!r} outside alphabet of size {self.q}")
 
     def __len__(self) -> int:
@@ -252,9 +252,6 @@ class InsdelPair:
     def total(self) -> int:
         return self.insertions + self.deletions
 
-    def within(self, t_ins: int, t_del: int) -> bool:
-        return self.insertions <= t_ins and self.deletions <= t_del
-
 
 def minimal_insdel_pair(a: Word, b: Word) -> InsdelPair:
     """Componentwise-minimal (insertions, deletions) transforming `a` into `b`.
@@ -273,8 +270,8 @@ def in_insdel_ball(target: Word, centre: Word, t_ins: int, t_del: int) -> bool:
     Lazy membership test, no enumeration: O(len(centre)) big-int steps on
     len(target)-bit integers.
     """
-    _require_same_alphabet(target, centre)
-    return minimal_insdel_pair(centre, target).within(t_ins, t_del)
+    ell = lcs_length(centre, target)
+    return len(target) - ell <= t_ins and len(centre) - ell <= t_del
 
 
 def insertion_ball_size(length: int, t_ins: int, q: int) -> int:

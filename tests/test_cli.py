@@ -6,6 +6,7 @@ from pathlib import Path
 from click.testing import CliRunner
 
 from insdel_lab.cli import main
+from insdel_lab.codes import vt_binary, write_code
 
 GREEDY_CODE = Path(__file__).resolve().parent.parent / "perfbench/frozen/greedy_seed0_0.code"
 
@@ -333,6 +334,37 @@ class TestVerifyCommands:
         assert result.exit_code == 1, result.output
         assert '"witness": null' in result.output
         assert json.loads(result.output)["decodable"] is False
+
+    def test_list_decodable_bytes_of_both_censuses(self, tmp_path):
+        # VT_0(12) without --witness reaches the verdict census, with it the
+        # witness census; the greedy code at (7, 0) is decided by the DP
+        vt12 = tmp_path / "vt12.code"
+        write_code(vt_binary(12, 0), vt12)
+        pins = [
+            (vt12, "2 1 2", "", '{\n  "decodable": false,\n  "list_size": 2,\n'
+             '  "t_del": 1,\n  "t_ins": 2,\n  "witness": null\n}\n'),
+            (vt12, "2 1 2", "--witness", '{\n  "decodable": false,\n  "list_size": 2,\n'
+             '  "t_del": 1,\n  "t_ins": 2,\n  "witness": {\n    "codewords": [\n'
+             '      "0,0,0,0,0,0,0,0,0,0,0,0",\n      "0,1,0,0,0,0,0,0,0,0,1,0",\n'
+             '      "1,0,0,0,0,0,0,0,0,0,0,1"\n    ],\n'
+             '    "received": "0,0,0,0,0,0,0,0,0,0,1,0"\n  }\n}\n'),
+            (vt12, "1 1 1", "", '{\n  "decodable": false,\n  "list_size": 1,\n'
+             '  "t_del": 1,\n  "t_ins": 1,\n  "witness": null\n}\n'),
+            (vt12, "1 1 1", "--witness", '{\n  "decodable": false,\n  "list_size": 1,\n'
+             '  "t_del": 1,\n  "t_ins": 1,\n  "witness": {\n    "codewords": [\n'
+             '      "0,0,0,0,0,0,0,0,0,0,0,0",\n      "1,0,0,0,0,0,0,0,0,0,0,1"\n    ],\n'
+             '    "received": "0,0,0,0,0,0,0,0,0,0,0,1"\n  }\n}\n'),
+        ]
+        greedy = (
+            '{\n  "decodable": false,\n  "list_size": 2,\n'
+            '  "t_del": 0,\n  "t_ins": 7,\n  "witness": null\n}\n'
+        )
+        pins += [(GREEDY_CODE, "7 0 2", extra, greedy) for extra in ("", "--cap 1000")]
+        for path, radii, extra, expected in pins:
+            ti, td, list_size = radii.split()
+            args = ["--ti", ti, "--td", td, "--list-size", list_size, *extra.split()]
+            result = run("verify", "list-decodable", "--code", str(path), *args)
+            assert (result.exit_code, result.output) == (1, expected), args
 
     def test_theorem_pass(self, tmp_path):
         out = tmp_path / "vt6.code"

@@ -545,6 +545,16 @@ class TestCodeFiles:
         write_code(code, path)
         assert read_code(path) == code
 
+    def test_bool_symbols_never_reach_a_code_file(self, tmp_path):
+        # a bool symbol would be written as "True", which read_code rejects
+        with pytest.raises(ValueError, match="^symbol True outside alphabet of size 2$"):
+            Word((True, 0), 2)
+        code = Code(q=2, n=2, codewords=frozenset({Word((1, 0), 2), Word((0, 0), 2)}))
+        path = tmp_path / "ints.code"
+        write_code(code, path)
+        assert path.read_text() == "q=2 n=2\n0,0\n1,0\n"
+        assert read_code(path) == code
+
     def test_output_is_sorted_and_deterministic(self, tmp_path):
         code = vt_binary(6, 0)
         first, second = tmp_path / "a.code", tmp_path / "b.code"

@@ -133,6 +133,29 @@ class TestListDecodable:
         for c in others:
             assert not in_insdel_ball(witness.received, c, 1, 1)
 
+    def test_witness_members_match_the_membership_predicate(self):
+        # the members come from one LCS pass against the offender's match
+        # masks; the Word-level predicate, radii swapped, must agree
+        rng = random.Random(RANDOM_CODE_SEED)
+        witnesses = 0
+        for _ in range(200):
+            q, n = rng.randint(2, 4), rng.randint(1, 6)
+            size = rng.randint(2, min(10, q**n))
+            chosen = rng.sample(sorted(itertools.product(range(q), repeat=n)), size)
+            code = Code(q=q, n=n, codewords=frozenset(Word(w, q) for w in chosen))
+            t_ins, t_del = rng.randint(0, 2), rng.randint(0, min(2, n))
+            list_size = rng.randint(1, 3)
+            verdict = list_decodable(code, t_ins, t_del, list_size, want_witness=True)
+            if verdict.witness is None:
+                continue
+            witnesses += 1
+            received = verdict.witness.received
+            expected = tuple(
+                c for c in code.sorted_words() if in_insdel_ball(c, received, t_del, t_ins)
+            )
+            assert verdict.witness.codewords == expected, (chosen, t_ins, t_del)
+        assert witnesses >= 50
+
     def test_monotone_in_radii_and_list_size(self):
         code = vt_binary(5, 0)
         verdicts = {
@@ -182,7 +205,7 @@ class TestListDecodable:
         code = rs_code(PrimeField(7), 5, 2, RS_ALPHA)
         symbols = [w.symbols for w in code.sorted_words()]
         with pytest.raises(BallSizeError) as excinfo:
-            verify._channel_tally(symbols, 7, 3, 0, code.size, 10**5, whole=True)
+            verify._witness_census(symbols, 7, 3, 0, code.size, 10**5)
         assert excinfo.value.counted
         assert 10**5 < excinfo.value.size <= 10**5 + 13_990
         assert str(excinfo.value).startswith(
@@ -270,9 +293,8 @@ class TestCensus:
             everything_deleted += t_del == n
             args = (symbols, q, t_ins, t_del, list_size, 10**18)
             expected = whole_ball_census(symbols, q, t_ins, t_del, list_size)
-            assert verify._channel_tally(*args, whole=True) == expected, args
-            early = verify._channel_tally(*args, whole=False)
-            assert (early is None) == (expected is None), args
+            assert verify._witness_census(*args) == expected, args
+            assert verify._verdict_census(*args) is (expected is not None), args
         assert everything_deleted >= 30  # the shortest layer is the empty word
 
     def test_verdict_census_stops_at_the_first_offending_codeword(self, monkeypatch):
@@ -294,8 +316,7 @@ class TestCensus:
             return real(word, *args)
 
         monkeypatch.setattr(verify, "_ball_layers", spy)
-        tally = verify._channel_tally(symbols, 2, 1, 1, 1, 10**6, whole=False)
-        assert max(tally.values()) == 2
+        assert verify._verdict_census(symbols, 2, 1, 1, 1, 10**6) is True
         assert balls == symbols[: first + 1]
         assert first < 10 < len(symbols)
 
@@ -325,11 +346,10 @@ class TestCensus:
         # a list size no output exceeds, only the cap stops the census
         symbols = [w.symbols for w in vt_binary(8, 0).sorted_words()]
         with pytest.raises(BallSizeError) as excinfo:
-            verify._channel_tally(symbols, 2, 1, 1, len(symbols), 150, whole=False)
+            verify._verdict_census(symbols, 2, 1, 1, len(symbols), 150)
         assert excinfo.value.counted
         assert 150 < excinfo.value.size <= 150 + 99
-        everything = verify._channel_tally(symbols, 2, 1, 1, len(symbols), 10**6, whole=False)
-        assert everything is None
+        assert verify._verdict_census(symbols, 2, 1, 1, len(symbols), 10**6) is False
 
     def test_layers_are_the_oracle_ball_by_length(self):
         rng = random.Random(RANDOM_CODE_SEED)
@@ -368,10 +388,9 @@ class TestEngines:
             # the unbudgeted DP's states grow like (t_del + 1)^(L+1)
             max_del = 3 if list_size <= 3 else 1
             t_ins, t_del = rng.randint(0, 3), rng.randint(0, min(max_del, n))
-            tally = verify._channel_tally(
-                symbols, q, t_ins, t_del, list_size, 10**18, whole=False
+            enumerated = not verify._verdict_census(
+                symbols, q, t_ins, t_del, list_size, 10**18
             )
-            enumerated = tally is None
             dp = verify._no_shared_output(symbols, t_ins, t_del, list_size, 10**18)
             assert dp == enumerated, (symbols, t_ins, t_del, list_size)
 
@@ -427,14 +446,15 @@ class TestEngines:
             assert words._common_output([a, b], t_ins, t_del, 10**18)[0] is joined
 
     def test_routing(self, monkeypatch):
-        real = verify._channel_tally
         tallies = []
+        for name in ("_verdict_census", "_witness_census"):
+            real = getattr(verify, name)
 
-        def spy(*args, **kwargs):
-            tallies.append(args)
-            return real(*args, **kwargs)
+            def spy(*args, real=real):
+                tallies.append(args)
+                return real(*args)
 
-        monkeypatch.setattr(verify, "_channel_tally", spy)
+            monkeypatch.setattr(verify, name, spy)
         assert list_decodable(GREEDY, 4, 0, 2).decodable
         assert not tallies  # the DP decided
         assert not list_decodable(vt_binary(8, 0), 1, 1, 3).decodable
