@@ -51,7 +51,6 @@ from .verify import (
     Verdict,
     Witness,
     bound_region_pairs,
-    check_ball_containment,
     check_bound_region,
     decoder_ball_matches_channel,
     list_decodable,

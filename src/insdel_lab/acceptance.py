@@ -52,7 +52,6 @@ from .combinatorics import (
 )
 from .verify import (
     bound_region_pairs,
-    check_ball_containment,
     check_bound_region,
     decoder_ball_matches_channel,
     list_decodable,
@@ -351,16 +350,6 @@ def criterion_region_harness() -> list[str]:
     return skipped
 
 
-def criterion_ball_containment() -> None:
-    """Insdel balls sit inside the summed-radius Levenshtein ball (exhaustive)."""
-    samples = list(words_up_to(2, 3))
-    radii = [(a, b) for a in range(3) for b in range(3)]
-    failures = check_ball_containment(samples, radii)
-    if failures:
-        y, a, b = failures[0]
-        raise CriterionFailure(f"containment fails at ({y.to_text() or 'empty'}, {a}, {b})")
-
-
 def criterion_direction_equivalence() -> None:
     """Channel-output view equals swapped-radii decoder-ball view (exhaustive)."""
     for centre in words_up_to(2, 4):
@@ -407,7 +396,6 @@ ALL_CRITERIA: tuple[tuple[str, Callable[[], list[str] | None]], ...] = (
     ("HY comparison: crossover constants and landmarks", criterion_hy_golden),
     ("code families meet distance floors (VT, q-ary VT, Helberg)", criterion_code_distances),
     ("bound region harness: zero violations (VT + 50 random)", criterion_region_harness),
-    ("insdel balls contained in Levenshtein balls (|y| <= 3)", criterion_ball_containment),
     (
         "decoder-ball radius swap matches channel outputs (n <= 4)",
         criterion_direction_equivalence,

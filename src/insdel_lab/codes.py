@@ -26,7 +26,7 @@ from operator import add, and_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .words import Word, _min_distance
+from .words import Word, _min_distance, _require_int
 
 DEFAULT_CODE_CAP = 10**6
 
@@ -47,6 +47,8 @@ class Code:
         # a list could repeat a codeword, and a set would leave the code unhashable
         if not isinstance(self.codewords, frozenset):
             raise TypeError(f"codewords must be a frozenset, got {type(self.codewords).__name__}")
+        _require_int("alphabet size", self.q)
+        _require_int("block length", self.n)
         if self.q < 2 or self.n < 1:
             raise ValueError("need q >= 2 and n >= 1")
         if not self.codewords:

@@ -7,6 +7,9 @@ decoder's ball around a received word uses the swapped radii (t_del insertions
 and t_ins deletions): re-inserting what the channel deleted and deleting what
 it inserted.  That swap is hard-coded here and `decoder_ball_matches_channel`
 asserts its equivalence with direct channel simulation on small instances.
+Containment in the Levenshtein ball follows: an output y of a length-n word
+x has LCS(x, y) >= max(n - t_del, |y| - t_ins), so
+d(x, y) = n + |y| - 2 LCS <= t_ins + t_del.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb
-from typing import Iterable, Sequence
 
 from .bounds import (
     Exact,
@@ -37,9 +39,10 @@ from .words import (
     _common_output,
     _layer,
     _lcs_masked,
-    _least_subsequence,
+    _least_output,
     _match_masks,
     _min_distance,
+    _require_int,
     insdel_ball_size_bound,
 )
 
@@ -117,24 +120,15 @@ def _witness_census(
     returns the least offender of the first offending length, since every
     offender of that length is shortlex smaller than every longer received
     word.  A codeword's outputs of length m are its layer
-    `_layer(word, l, m, q)`, with l = max(n - t_del, m - t_ins) (see
-    `_ball_layers`).  Each length merges whole layers in the sorted order
-    until the first offender appears; a length with none has merged every
-    layer, so its counts are exact.  Then it merges the remaining codewords
-    in the order of their layer's least word, 0^(m - l) +
-    `_least_subsequence`(word, l), keeping the least offender so far, and
-    stops at the first codeword whose least word is above it.  That
-    offender is the least one:
+    `_layer(word, m, t_ins, t_del, q)`.  Each length merges whole layers in
+    the sorted order until the first offender appears; a length with none
+    has merged every layer, so its counts are exact.  Then it merges the
+    remaining codewords in the order of their layer's least word,
+    `_least_output(word, m, t_ins, t_del)`, keeping the least offender so
+    far, and stops at the first codeword whose least word is above it.
+    That offender is the least one:
 
-    (a) 0^j.s is the lexicographically least length-(|s| + j)
-        supersequence y of s.  By induction on |s| + j, with j = 0
-        immediate: if y_1 > 0, then y > 0^j.s.  Otherwise drop y_1: the
-        rest y' is a supersequence of s, or of s' = s minus its first
-        symbol if that symbol is the 0 matched to y_1.  So y' >= 0^(j-1).s
-        or y' >= 0^j.s', and either way y = 0.y' >= 0^j.s.  A layer is the
-        union, over the length-l subsequences s of the codeword, of the
-        length-m supersequences of s, so its least word is 0^(m - l)
-        followed by the least s.
+    (a) A layer holds no word below its least word (`_least_output`).
     (b) A skipped codeword reaches no word at or below the least offender:
         its least word is above it, and so are those of the codewords after
         it in the order.
@@ -151,11 +145,10 @@ def _witness_census(
     n = len(symbols[0])
     counted = 0
     for m in range(n - t_del, n + t_ins + 1):
-        ell = max(n - t_del, m - t_ins)
         tally: Counter[tuple[int, ...]] = Counter()
         rest = iter(symbols)
         for word in rest:
-            layer = _layer(word, ell, m, q)
+            layer = _layer(word, m, t_ins, t_del, q)
             tally.update(layer)
             if counted + len(tally) > cap:
                 raise BallSizeError(counted + len(tally), cap, counted=True)
@@ -165,11 +158,10 @@ def _witness_census(
         else:
             counted += len(tally)
             continue
-        pad = (0,) * (m - ell)
-        for least, word in sorted((pad + _least_subsequence(w, ell), w) for w in rest):
+        for least, word in sorted((_least_output(w, m, t_ins, t_del), w) for w in rest):
             if least > offender:
                 break
-            layer = _layer(word, ell, m, q)
+            layer = _layer(word, m, t_ins, t_del, q)
             tally.update(layer)
             if counted + len(tally) > cap:
                 raise BallSizeError(counted + len(tally), cap, counted=True)
@@ -295,8 +287,11 @@ def list_decodable(
     independent check; a census that finds no offender after the DP failed
     raises AssertionError.  Without want_witness, the verdict census
     decides what the DP left open.  Both engines run in the calling
-    process.
+    process.  The list size and radii must be ints.
     """
+    _require_int("list size", list_size)
+    _require_int("insertion radius", t_ins)
+    _require_int("deletion radius", t_del)
     if list_size < 1:
         raise ValueError("list size must be at least 1")
     if t_ins < 0 or t_del < 0:
@@ -446,8 +441,10 @@ def check_bound_region(
     the witness census fits the cap.  At list size 1 a
     code of relative distance 1 (two symbol-disjoint codewords) is checked on
     the unique-decoding region; at list size 2 or more it raises ValueError,
-    since the bound is formulated for delta < 1.
+    since the bound is formulated for delta < 1.  The list size must be an
+    int.
     """
+    _require_int("list size", list_size)
     if list_size < 1:
         raise ValueError("list size must be at least 1")
     distance = min_levenshtein_distance(code)
@@ -476,34 +473,3 @@ def check_bound_region(
         skipped=tuple(skipped),
         beats_unique_decoding=delta > Fraction(2, list_size + 1),
     )
-
-
-def check_ball_containment(
-    samples: Iterable[Word], radii: Sequence[tuple[int, int]]
-) -> list[tuple[Word, int, int]]:
-    """Check insdel balls sit inside the Levenshtein ball of the summed radius.
-
-    For each sample word y and radius pair (t_ins, t_del) with t_del <= |y|,
-    every word of the enumerated insdel ball must lie within Levenshtein
-    distance t_ins + t_del of y, by the LCS kernel rather than by a second
-    enumeration: d(y, z) = |y| + |z| - 2 LCS, against y's match masks,
-    built once per sample.  The ball's layers come with `insdel_ball`'s
-    radius and cap checks.  Returns the list of failing (word, t_ins, t_del)
-    triples; empty means the containment held throughout.
-    """
-    failures = []
-    for y in samples:
-        symbols, m = y.symbols, len(y)
-        masks = _match_masks(symbols)
-        for t_ins, t_del in radii:
-            if t_del > m:
-                continue
-            radius = t_ins + t_del
-            layers = _checked_ball_layers(symbols, t_ins, t_del, y.q)
-            if any(
-                m + len(z) - 2 * _lcs_masked(z, masks, m) > radius
-                for layer in layers
-                for z in layer
-            ):
-                failures.append((y, t_ins, t_del))
-    return failures

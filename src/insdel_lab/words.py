@@ -44,6 +44,15 @@ class BallSizeError(RuntimeError):
         self.counted = counted
 
 
+def _require_int(name: str, value: object) -> None:
+    """ValueError unless `value` is exactly an int.  A bool, float or
+    Fraction passes a range check but then counts, compares and prints in
+    its own way, so it is refused at the boundary, as `Word` refuses it as
+    a symbol."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Word:
     """Immutable sequence of symbols drawn from {0, ..., q-1}."""
@@ -52,6 +61,7 @@ class Word:
     q: int
 
     def __post_init__(self) -> None:
+        _require_int("alphabet size", self.q)
         if self.q < 2:
             raise ValueError(f"alphabet size must be at least 2, got {self.q}")
         for s in self.symbols:
@@ -295,16 +305,28 @@ def insdel_ball_size_bound(length: int, t_ins: int, t_del: int, q: int) -> int:
     return dels * insertion_ball_size(length, t_ins, q)
 
 
-def _layer(symbols: tuple[int, ...], ell: int, m: int, q: int) -> set[tuple[int, ...]]:
-    """The length-m supersequences, over {0, ..., q-1}, of the length-ell
-    subsequences of `symbols`: `symbols` cut by len(symbols) - ell rounds of
-    one deletion each, then grown by m - ell rounds of one insertion each.
+def _layer(
+    symbols: tuple[int, ...], m: int, t_ins: int, t_del: int, q: int
+) -> set[tuple[int, ...]]:
+    """The channel outputs of length m of `symbols` (at most t_ins
+    insertions and t_del deletions over {0, ..., q-1}).
+
+    A word y of length m is an output iff LCS(symbols, y) >= l, where
+    l = max(n - t_del, m - t_ins).  Turning the length-n `symbols` into y
+    takes at least n - LCS deletions and m - LCS insertions, and keeping a
+    longest common subsequence attains both at once (`minimal_insdel_pair`);
+    they fit the radii iff LCS >= n - t_del and LCS >= m - t_ins.  And
+    LCS(symbols, y) >= l iff y is a supersequence of some length-l
+    subsequence of `symbols`, since a longer common subsequence can be
+    shortened.  So the layer is `symbols` cut by n - l rounds of one
+    deletion each, then grown by m - l rounds of one insertion each.
 
     Deleting any symbol of a run gives the same tuple, so only the first of
     each run is deleted; inserting s just after an s gives the same tuple as
     inserting it just before, so s is inserted only where the symbol before
     differs.
     """
+    ell = max(len(symbols) - t_del, m - t_ins)
     layer = {symbols}
     for _ in range(len(symbols) - ell):
         layer = {
@@ -327,13 +349,25 @@ def _layer(symbols: tuple[int, ...], ell: int, m: int, q: int) -> set[tuple[int,
     return layer
 
 
-def _least_subsequence(symbols: tuple[int, ...], ell: int) -> tuple[int, ...]:
-    """The lexicographically least length-ell subsequence of `symbols`.
+def _least_output(symbols: tuple[int, ...], m: int, t_ins: int, t_del: int) -> tuple[int, ...]:
+    """The lexicographically least word of `_layer(symbols, m, t_ins, t_del,
+    q)`, for every q: 0^(m - l) followed by the least length-l subsequence
+    s of `symbols`, with l = max(n - t_del, m - t_ins).
 
-    A greedy stack: each symbol pops the larger symbols before it while
-    enough symbols remain to refill the stack to ell, then is pushed if the
-    stack is short.  O(len(symbols)).
+    0^j.s is the least length-(|s| + j) supersequence y of s.  By induction
+    on |s| + j, with j = 0 immediate: if y_1 > 0, then y > 0^j.s.
+    Otherwise drop y_1: the rest y' is a supersequence of s, or of s' = s
+    minus its first symbol if that symbol is the 0 matched to y_1.  So
+    y' >= 0^(j-1).s or y' >= 0^j.s', and either way y = 0.y' >= 0^j.s.  The
+    layer is the union, over the length-l subsequences s, of the length-m
+    supersequences of s, so its least word is 0^(m - l) followed by the
+    least s.
+
+    The least s comes from a greedy stack: each symbol pops the larger
+    symbols before it while enough symbols remain to refill the stack to l,
+    then is pushed if the stack is short.  O(n + m).
     """
+    ell = max(len(symbols) - t_del, m - t_ins)
     stack: list[int] = []
     left = len(symbols)
     for s in symbols:
@@ -342,7 +376,7 @@ def _least_subsequence(symbols: tuple[int, ...], ell: int) -> tuple[int, ...]:
         if len(stack) < ell:
             stack.append(s)
         left -= 1
-    return tuple(stack)
+    return (0,) * (m - ell) + tuple(stack)
 
 
 def _ball_layers(
@@ -350,28 +384,15 @@ def _ball_layers(
 ) -> Iterator[set[tuple[int, ...]]]:
     """The channel outputs of `symbols` (at most t_ins insertions and t_del
     deletions over {0, ..., q-1}), one length at a time, shortest first: the
-    outputs of length m, for m = n - t_del, ..., n + t_ins.
-
-    A word y of length m is an output iff LCS(symbols, y) >= l_m, where
-    l_m = max(n - t_del, m - t_ins).  Turning the length-n `symbols` into y
-    takes at least n - LCS deletions and m - LCS insertions, and keeping a
-    longest common subsequence attains both at once (`minimal_insdel_pair`);
-    they fit the radii iff LCS >= n - t_del and LCS >= m - t_ins.  And
-    LCS(symbols, y) >= l iff y is a supersequence of some length-l
-    subsequence of `symbols`, since a longer common subsequence can be
-    shortened.  So layer m is the set of length-m supersequences of the
-    length-l_m subsequences of `symbols` (`_layer`).
+    layers `_layer(symbols, m, t_ins, t_del, q)` for m = n - t_del, ...,
+    n + t_ins.
 
     Each layer is built afresh when it is asked for, and the generator keeps
     no reference to it, so a consumer that merges each layer before asking
     for the next holds one layer of the ball at a time.
     """
     n = len(symbols)
-    shortest = n - t_del
-    return (
-        _layer(symbols, max(shortest, m - t_ins), m, q)
-        for m in range(shortest, n + t_ins + 1)
-    )
+    return (_layer(symbols, m, t_ins, t_del, q) for m in range(n - t_del, n + t_ins + 1))
 
 
 def _common_output(
@@ -437,8 +458,11 @@ def _checked_ball_layers(
     symbols: tuple[int, ...], t_ins: int, t_del: int, q: int, cap: int = DEFAULT_BALL_CAP
 ) -> Iterator[set[tuple[int, ...]]]:
     """`_ball_layers` behind the checks of `insdel_ball`: ValueError for a
-    negative radius or t_del > len(symbols), and BallSizeError when the
-    ball's size bound exceeds `cap`, before anything is enumerated."""
+    radius that is not an int, a negative radius or t_del > len(symbols),
+    and BallSizeError when the ball's size bound exceeds `cap`, before
+    anything is enumerated."""
+    _require_int("insertion radius", t_ins)
+    _require_int("deletion radius", t_del)
     if t_ins < 0 or t_del < 0:
         raise ValueError("radii must be nonnegative")
     if t_del > len(symbols):

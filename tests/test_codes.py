@@ -608,3 +608,12 @@ class TestCodeFiles:
             Code(q=2, n=1, codewords=frozenset({word([0], 3)}))
         with pytest.raises(ValueError):
             Code(q=2, n=1, codewords=frozenset())
+
+    def test_alphabet_size_and_block_length_must_be_ints(self):
+        codewords = frozenset({word([0, 1], 2)})
+        with pytest.raises(ValueError, match="^alphabet size must be an int, got 2.0$"):
+            Code(q=2.0, n=2, codewords=codewords)
+        with pytest.raises(ValueError, match="^block length must be an int, got 2.0$"):
+            Code(q=2, n=2.0, codewords=codewords)
+        with pytest.raises(ValueError, match="^block length must be an int, got True$"):
+            Code(q=2, n=True, codewords=frozenset({word([0], 2)}))

@@ -9,14 +9,20 @@ from fractions import Fraction
 import pytest
 
 from insdel_lab import verify, words
-from insdel_lab.acceptance import RANDOM_CODE_SEED, RS_ALPHA, _random_binary_code
+from insdel_lab.acceptance import (
+    ALL_CRITERIA,
+    RANDOM_CODE_SEED,
+    RS_ALPHA,
+    _random_binary_code,
+    criterion_direction_equivalence,
+    run_criterion,
+)
 from insdel_lab.bounds import insertion_bound, unique_decoding_bound
 from insdel_lab.codes import Code, PrimeField, helberg, rs_code, vt_binary, vt_qary
 from insdel_lab.verify import (
     Verdict,
     Witness,
     bound_region_pairs,
-    check_ball_containment,
     check_bound_region,
     decoder_ball_matches_channel,
     list_decodable,
@@ -186,6 +192,21 @@ class TestListDecodable:
         with pytest.raises(ValueError):
             list_decodable(cube(2), 0, 3, 1)
 
+    @pytest.mark.parametrize(
+        "radii, list_size, message",
+        [
+            # "more than 2.5" is "more than 2", which fails at (7, 0), but the
+            # DP stops only at exactly list_size + 1 words, so it would pass
+            ((7, 0), 2.5, "list size must be an int, got 2.5"),
+            ((0, 0), True, "list size must be an int, got True"),
+            ((1.0, 0), 2, "insertion radius must be an int, got 1.0"),
+            ((0, True), 2, "deletion radius must be an int, got True"),
+        ],
+    )
+    def test_list_size_and_radii_must_be_ints(self, radii, list_size, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            list_decodable(GREEDY, *radii, list_size)
+
     def test_cap_checked_before_enumerating(self):
         # VT_0(8) at (1, 1), L = 3: the size bound is 9 * 11 = 99, and the DP
         # gives up within its budget floor
@@ -327,9 +348,9 @@ class TestCensus:
         built = Counter()
         real = verify._layer
 
-        def spy(word, ell, m, q):
+        def spy(word, m, *args):
             built[m] += 1
-            return real(word, ell, m, q)
+            return real(word, m, *args)
 
         monkeypatch.setattr(verify, "_layer", spy)
         verdict = list_decodable(vt_binary(12, 0), 2, 1, 2, want_witness=True)
@@ -537,6 +558,26 @@ class TestRadiusSwap:
         assert not decoder_ball_matches_channel(centre, 1, 1)
         monkeypatch.setattr(verify, "_checked_ball_layers", padded)
         assert not decoder_ball_matches_channel(centre, 1, 1)
+
+    def test_a_widened_ball_is_caught(self, monkeypatch):
+        # a ball with one layer t_ins + t_del + 2 insertions out leaves the
+        # Levenshtein ball of radius t_ins + t_del; the radius swap catches it,
+        # so that containment needs no check of its own
+        real_layers = words._ball_layers
+
+        def wide_layers(symbols, t_ins, t_del, q):
+            yield from real_layers(symbols, t_ins, t_del, q)
+            yield {symbols + (0,) * (t_ins + t_del + 2)}
+
+        monkeypatch.setattr(words, "_ball_layers", wide_layers)
+        for t_ins, t_del in [(1, 0), (0, 1)]:
+            assert not decoder_ball_matches_channel(word([0, 1], 2), t_ins, t_del)
+        number = 1 + [check for _, check in ALL_CRITERIA].index(
+            criterion_direction_equivalence
+        )
+        result = run_criterion(number)
+        assert not result.ok
+        assert result.detail == "mismatch at centre=empty, t_ins=0, t_del=0"
 
     def test_radii_are_checked(self):
         centre = word([0, 1], 2)
@@ -755,28 +796,18 @@ class TestBoundRegion:
         with pytest.raises(ValueError, match="list size must be at least 1"):
             check_bound_region(vt_binary(6, 0), list_size)
 
+    @pytest.mark.parametrize("list_size", [True, 2.5])
+    def test_list_size_must_be_an_int(self, list_size, monkeypatch):
+        def no_distance(code):
+            raise AssertionError("a bad list size must be rejected first")
+
+        monkeypatch.setattr(verify, "min_levenshtein_distance", no_distance)
+        with pytest.raises(ValueError, match=f"^list size must be an int, got {list_size}$"):
+            check_bound_region(vt_binary(6, 0), list_size)
+
     def test_full_distance_rejected(self):
         two_words = Code(
             q=2, n=2, codewords=frozenset({word([0, 0], 2), word([1, 1], 2)})
         )
         with pytest.raises(ValueError):
             check_bound_region(two_words, 2)
-
-
-class TestBallContainment:
-    def test_holds_on_small_samples(self):
-        samples = list(words_up_to(2, 3))
-        radii = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
-        assert check_ball_containment(samples, radii) == []
-
-    def test_reports_a_ball_outside_the_levenshtein_ball(self, monkeypatch):
-        real_layers = words._ball_layers
-
-        def wide_layers(symbols, t_ins, t_del, q):
-            yield from real_layers(symbols, t_ins, t_del, q)
-            # one extra word, t_ins + t_del + 2 insertions away from the centre
-            yield {symbols + (0,) * (t_ins + t_del + 2)}
-
-        monkeypatch.setattr(words, "_ball_layers", wide_layers)
-        y = word([0, 1], 2)
-        assert check_ball_containment([y], [(1, 0), (0, 1)]) == [(y, 1, 0), (y, 0, 1)]

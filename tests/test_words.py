@@ -23,7 +23,7 @@ from insdel_lab.words import (
     _ball_layers,
     _common_output,
     _layer,
-    _least_subsequence,
+    _least_output,
     _min_distance,
     all_words,
     in_insdel_ball,
@@ -411,6 +411,13 @@ class TestInsdelBall:
         with pytest.raises(ValueError):
             insdel_ball(word([0], 2), 0, 2)
 
+    def test_radii_must_be_ints(self):
+        # a float radius used to reach range() and raise TypeError there
+        with pytest.raises(ValueError, match="^insertion radius must be an int, got 1.0$"):
+            insdel_ball(word([0, 1], 2), 1.0, 0)
+        with pytest.raises(ValueError, match="^deletion radius must be an int, got True$"):
+            insdel_ball(word([0, 1], 2), 0, True)
+
     def test_cap_triggers_estimate_error(self):
         with pytest.raises(BallSizeError) as info:
             insdel_ball(word([0, 1] * 4, 2), 3, 3, cap=10)
@@ -421,18 +428,21 @@ class TestInsdelBall:
 
     def test_least_word_of_a_layer(self):
         # the witness census orders codewords by their layer's least word:
-        # zeros, then the least length-ell subsequence (m = ell checks the
-        # greedy stack on its own, since that layer is the subsequences)
+        # zeros, then the least length-l subsequence (the shortest layer,
+        # m = n - t_del, checks the greedy stack on its own, since that layer
+        # is the subsequences)
         rng = random.Random(20_221)
         cases = 0
         while cases < 1000:
             q, n = rng.randint(2, 5), rng.randint(1, 7)
             symbols = tuple(rng.randrange(q) for _ in range(n))
-            for ell in range(n + 1):
-                for m in range(ell, ell + 4):
-                    least = (0,) * (m - ell) + _least_subsequence(symbols, ell)
-                    assert min(_layer(symbols, ell, m, q)) == least, (symbols, ell, m)
-                    cases += 1
+            for t_del in range(n + 1):
+                for t_ins in range(4):
+                    for m in range(n - t_del, n + t_ins + 1):
+                        least = _least_output(symbols, m, t_ins, t_del)
+                        layer = _layer(symbols, m, t_ins, t_del, q)
+                        assert min(layer) == least, (symbols, m, t_ins, t_del)
+                        cases += 1
 
     def test_size_bound_dominates_actual_size(self):
         for centre in [word([0, 1, 0], 2), word([1, 1, 1, 0], 2)]:
@@ -561,6 +571,12 @@ class TestSerializationAndValidation:
     def test_tiny_alphabet_rejected(self):
         with pytest.raises(ValueError):
             word([0], 1)
+
+    def test_alphabet_size_must_be_an_int(self):
+        with pytest.raises(ValueError, match="^alphabet size must be an int, got 2.0$"):
+            Word((0, 1), 2.0)
+        with pytest.raises(ValueError, match="^alphabet size must be an int, got True$"):
+            Word((), True)
 
     @settings(max_examples=50)
     @given(st.lists(st.integers(0, 2), max_size=8))
