@@ -29,7 +29,6 @@ from .codes import (
     helberg_weights,
     read_code,
     rs_code,
-    rs_codewords,
     rs_search_eval_points,
     vt_binary,
     vt_qary,

@@ -2,9 +2,8 @@
 prime fields, binary and q-ary Varshamov-Tenengolts codes, and Helberg codes.
 
 All constructions materialize their codeword sets eagerly (subject to a size
-cap); Reed-Solomon codes additionally expose a streaming iterator for searches
-that only need one pass.  Both are built from tables by C-level iterator
-pipelines, with no Python call per symbol:
+cap).  Both kinds are built from tables by C-level iterator pipelines, with
+no Python call per symbol:
 
 * Reed-Solomon codewords by linearity: coefficient i adds c * a^i mod p at
   point a, so each block of p codewords that differ only in the leading
@@ -85,6 +84,7 @@ class PrimeField:
     """The prime field F_p; elements are the integers 0..p-1."""
 
     def __init__(self, p: int):
+        _require_int("field size", p)
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -119,24 +119,14 @@ def _validate_eval_points(field: PrimeField, n: int, alpha: Sequence[int]) -> tu
 
 
 def _validate_rs_shape(field: PrimeField, n: int, k: int) -> None:
+    """Check the shape of RS(n, k) and the cap on its p^k codewords."""
+    _require_int("block length", n)
+    _require_int("dimension", k)
     if not 1 <= k <= n <= field.p:
         raise ValueError(f"need 1 <= k <= n <= p, got k={k}, n={n}, p={field.p}")
-
-
-def rs_codewords(
-    field: PrimeField, n: int, k: int, alpha: Sequence[int] | None = None
-) -> Iterator[Word]:
-    """Stream the p^k Reed-Solomon codewords (f(alpha_1), ..., f(alpha_n)).
-
-    Polynomials f of degree < k are enumerated in lexicographic order of their
-    coefficient tuples (constant coefficient first).  Defaults to evaluation
-    points 0..n-1.  The stream is built one block of p codewords at a time
-    (`_rs_symbols`), so it holds O(p * n * k) symbols however many
-    codewords are drawn from it.
-    """
-    _validate_rs_shape(field, n, k)
-    points = _validate_eval_points(field, n, range(n) if alpha is None else alpha)
-    yield from map(Word, _rs_symbols(field, k, points, {}), repeat(field.p))
+    size = field.p**k
+    if size > DEFAULT_CODE_CAP:
+        raise CodeSizeError(f"p^k = {size} codewords exceed cap {DEFAULT_CODE_CAP}")
 
 
 def _rs_symbols(
@@ -145,7 +135,10 @@ def _rs_symbols(
     points: tuple[int, ...],
     rotations: dict[int, tuple[list[int], list[int]]],
 ) -> Iterator[tuple[int, ...]]:
-    """The symbol tuples of rs_codewords, for valid distinct `points`.
+    """The symbol tuples of the p^k Reed-Solomon codewords
+    (f(points_1), ..., f(points_n)) for deg f < k, for valid distinct
+    `points`, with polynomials in lexicographic order of their coefficient
+    tuples (constant coefficient first).
 
     By linearity, coefficient i adds c * a^i mod p at point a.  The
     codewords come in blocks of p, one block per prefix of the k - 1 lower
@@ -191,12 +184,10 @@ def rs_code(field: PrimeField, n: int, k: int, alpha: Sequence[int] | None = Non
     code has exactly p^k codewords and minimum Hamming distance n - k + 1.
     Defaults to evaluation points 0..n-1.
     """
-    size = field.p**k
-    if size > DEFAULT_CODE_CAP:
-        raise CodeSizeError(
-            f"p^k = {size} codewords exceed cap {DEFAULT_CODE_CAP}; use rs_codewords to stream"
-        )
-    return Code(q=field.p, n=n, codewords=frozenset(rs_codewords(field, n, k, alpha)))
+    _validate_rs_shape(field, n, k)
+    points = _validate_eval_points(field, n, range(n) if alpha is None else alpha)
+    symbols = _rs_symbols(field, k, points, {})
+    return Code(q=field.p, n=n, codewords=frozenset(map(Word, symbols, repeat(field.p))))
 
 
 @dataclass(frozen=True)

@@ -412,6 +412,8 @@ def bound_region_pairs(
     size 1 that is the unique-decoding line delta - t_del/n, also at delta = 1.
     `delta` is read by `as_fraction`, as by every bound function.
     """
+    _require_int("block length", n)
+    _require_int("list size", list_size)
     delta = as_fraction(delta)
     if delta <= 0 or n < 1:
         return []

@@ -291,6 +291,9 @@ def insertion_ball_size(length: int, t_ins: int, q: int) -> int:
     sum_j C(length+i, j) (q-1)^j for j = 0..i, independent of the centre word;
     summing over i = 0..t_ins gives the ball size (lengths are disjoint).
     """
+    _require_int("word length", length)
+    _require_int("insertion radius", t_ins)
+    _require_int("alphabet size", q)
     if length < 0 or t_ins < 0 or q < 2:
         raise ValueError("need length >= 0, t_ins >= 0, q >= 2")
     return sum(

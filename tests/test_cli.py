@@ -240,6 +240,12 @@ class TestCodeCommands:
         assert result.exit_code == 2, result.output
         assert "need 1 <= k <= n <= p, got k=1, n=7, p=5" in result.output
 
+    def test_rs_search_over_the_cap_exit_one(self):
+        # the cap is checked before any of the 101^4 codewords is built
+        result = run("code", "rs-search", "--p", "101", "--n", "5", "--k", "4")
+        assert result.exit_code == 1, result.output
+        assert "p^k = 104060401 codewords exceed cap 1000000" in result.stderr
+
     def test_rs_search(self, tmp_path):
         out = tmp_path / "searched.code"
         payload = payload_of(

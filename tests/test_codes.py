@@ -14,12 +14,12 @@ from insdel_lab.codes import (
     CodeSizeError,
     EvalPointSearchResult,
     PrimeField,
+    _rs_symbols,
     helberg,
     helberg_weights,
     is_prime,
     read_code,
     rs_code,
-    rs_codewords,
     rs_search_eval_points,
     vt_binary,
     vt_qary,
@@ -79,6 +79,12 @@ class TestPrimeField:
             with pytest.raises(ValueError):
                 PrimeField(bad)
 
+    def test_field_size_must_be_an_int(self):
+        # 7.0 would pass the primality test and fail later, in pow
+        for bad in (7.0, True):
+            with pytest.raises(ValueError, match=f"^field size must be an int, got {bad}$"):
+                PrimeField(bad)
+
     def test_poly_eval_matches_power_sum(self):
         field = PrimeField(11)
         coeffs = (3, 0, 7, 1)
@@ -123,7 +129,7 @@ class TestReedSolomon:
 
     def test_streaming_matches_materialized(self):
         field = PrimeField(5)
-        streamed = list(rs_codewords(field, 3, 2, (0, 1, 2)))
+        streamed = [word(s, 5) for s in _rs_symbols(field, 2, (0, 1, 2), {})]
         assert len(streamed) == 25  # duplicates would collapse in the set
         assert frozenset(streamed) == rs_code(field, 3, 2).codewords
         assert streamed[0] == word([0, 0, 0], 5)
@@ -139,7 +145,7 @@ class TestReedSolomon:
                     tuples = [tuple(range(n)), tuple(range(p - n, p))]
                     tuples += [tuple(rng.sample(range(p), n)) for _ in range(3)]
                     for alpha in tuples:
-                        streamed = [w.symbols for w in rs_codewords(field, n, k, alpha)]
+                        streamed = list(_rs_symbols(field, k, alpha, {}))
                         assert streamed == horner_codewords(field, k, alpha), (p, n, k, alpha)
 
     def test_stream_is_lazy(self):
@@ -148,7 +154,7 @@ class TestReedSolomon:
         field = PrimeField(101)
         tracemalloc.start()
         try:
-            head = [w.symbols for w in itertools.islice(rs_codewords(field, 4, 4), 1000)]
+            head = list(itertools.islice(_rs_symbols(field, 4, (0, 1, 2, 3), {}), 1000))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -168,10 +174,8 @@ class TestReedSolomon:
         # a non-integer point is named before any power of it is taken
         with pytest.raises(ValueError, match=r"^evaluation point 1\.0 is not an integer$"):
             rs_code(PrimeField(7), 3, 2, (0, 1.0, 2))
-        with pytest.raises(ValueError, match=r"^evaluation point 1\.0 is not an integer$"):
-            list(rs_codewords(PrimeField(7), 2, 1, (0, 1.0)))
         assert rs_code(field, 2, 1, (False, True)) == rs_code(field, 2, 1, (0, 1))
-        message = r"^p\^k = 104060401 codewords exceed cap 1000000; use rs_codewords"
+        message = r"^p\^k = 104060401 codewords exceed cap 1000000$"
         with pytest.raises(CodeSizeError, match=message):
             rs_code(PrimeField(101), 4, 4)  # raises before building a codeword
         # the search checks the shape before it looks at any tuple
@@ -179,6 +183,32 @@ class TestReedSolomon:
             message = f"need 1 <= k <= n <= p, got k={k}, n={n}, p=5"
             with pytest.raises(ValueError, match=message):
                 rs_search_eval_points(field, n, k)
+
+    def test_block_length_and_dimension_must_be_ints(self):
+        # a float would fail later, in range, and True would pass as k = 1
+        field = PrimeField(7)
+        cases = [
+            ((5.0, 2), "^block length must be an int, got 5.0$"),
+            ((5, 2.0), "^dimension must be an int, got 2.0$"),
+            ((5, True), "^dimension must be an int, got True$"),
+        ]
+        for (n, k), message in cases:
+            with pytest.raises(ValueError, match=message):
+                rs_code(field, n, k)
+            with pytest.raises(ValueError, match=message):
+                rs_search_eval_points(field, n, k)
+
+    def test_search_applies_the_codeword_cap(self, monkeypatch):
+        # every class builds all p^k codewords, so the cap is checked first
+        monkeypatch.setattr(codes_module, "DEFAULT_CODE_CAP", 10)
+        with pytest.raises(CodeSizeError, match=r"^p\^k = 25 codewords exceed cap 10$"):
+            rs_search_eval_points(PrimeField(5), 3, 2, budget=1)
+
+    def test_shape_is_checked_before_the_cap(self):
+        message = "need 1 <= k <= n <= p, got k=4, n=3, p=101"
+        for call in (rs_code, rs_search_eval_points):
+            with pytest.raises(ValueError, match=message):
+                call(PrimeField(101), 3, 4)
 
     def test_eval_point_search_degree_zero(self):
         result = rs_search_eval_points(PrimeField(5), 4, 1)

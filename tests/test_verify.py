@@ -702,6 +702,15 @@ class TestBoundRegion:
         with pytest.raises(ValueError):
             bound_region_pairs(6, "abc", 2)
 
+    def test_block_length_and_list_size_must_be_ints(self):
+        # True would pass as list size 1, and 6.0 would fail later, in range
+        with pytest.raises(ValueError, match="^list size must be an int, got True$"):
+            bound_region_pairs(6, Fraction(1, 2), True)
+        with pytest.raises(ValueError, match="^block length must be an int, got 6.0$"):
+            bound_region_pairs(6.0, Fraction(1, 2), 2)
+        unique = [(t_ins, t_del) for t_del in range(3) for t_ins in range(3 - t_del)]
+        assert bound_region_pairs(6, Fraction(1, 2), 1) == unique
+
     def test_frozen_pairs_vt6_list2(self):
         pairs = bound_region_pairs(6, Fraction(1, 3), 2)
         assert pairs == [(0, 0), (1, 0), (0, 1)]

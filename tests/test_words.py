@@ -12,7 +12,7 @@ from insdel_lab.codes import (
     PrimeField,
     helberg,
     helberg_weights,
-    rs_codewords,
+    rs_code,
     vt_binary,
     vt_qary,
 )
@@ -269,7 +269,7 @@ class TestMinDistanceLevels:
         field = PrimeField(7)
         for _ in range(50):
             alpha = tuple(rng.sample(range(7), 5))
-            words = [w.symbols for w in rs_codewords(field, 5, 2, alpha)]
+            words = [w.symbols for w in rs_code(field, 5, 2, alpha).sorted_words()]
             assert _min_distance(words) == dp_min_distance(words)
 
     @pytest.mark.parametrize("level", [1, 2, 3])
@@ -398,6 +398,20 @@ class TestInsdelBall:
                         for centre in all_words(q, length)
                     }
                     assert sizes == {expected}
+
+    def test_insertion_ball_size_arguments_must_be_ints(self):
+        # a float would fail later, in range, and True would count as radius 1
+        cases = [
+            ((3, 1.0, 2), "^insertion radius must be an int, got 1.0$"),
+            ((3, True, 2), "^insertion radius must be an int, got True$"),
+            ((3.0, 1, 2), "^word length must be an int, got 3.0$"),
+            ((3, 1, 2.0), "^alphabet size must be an int, got 2.0$"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError, match=message):
+                insertion_ball_size(*args)
+        with pytest.raises(ValueError, match="^need length >= 0, t_ins >= 0, q >= 2$"):
+            insertion_ball_size(3, -1, 2)
 
     def test_deletion_ball_depends_on_center(self):
         # unlike insertion balls, deletion balls vary with the centre's runs
