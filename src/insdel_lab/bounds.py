@@ -13,10 +13,11 @@ progression of points x = xn/xd (``xns`` a ``range``, one denominator xd),
 with 1 - delta a (numerator, denominator) pair, reduced or not.  It returns
 one numerator per point over one shared positive denominator, and the work
 per point runs in C.  Over such a grid each linear term is itself an integer
-progression: the max form finds where each of its terms leads and emits one
-progression per leading run, as the pieces do for each piece, and the HY
-kernels multiply progressions point by point.  A public function validates,
-runs its kernel on a one-point progression and returns a ``Fraction``.
+progression: the max form cuts the grid where neighbouring terms cross, at
+T_r = L(L+1)(1 - delta)/(r(r+1)), and emits one progression per term's run,
+as the pieces do for each piece, and the HY kernels multiply progressions
+point by point.  A public function validates, runs its kernel on a one-point
+progression and returns a ``Fraction``.
 The comparison report also uses float64 for the square-root landmarks, with
 a documented 1e-9 tolerance.  Floats passed as parameters are interpreted via
 their shortest decimal representation, so 0.9 means 9/10, not the nearest
@@ -103,56 +104,35 @@ def _max_form(cn: int, cd: int, big: int, xns: range, xd: int) -> tuple[list[int
     At L = 1 its one term is x - (1 - delta), the unique-decoding line, also
     at delta = 1 (cn = 0): the region rows and figure columns rely on it.
 
-    Term r times (L+1) xd cd lcm(1..L) is the integer
-    (2L-r+1) cd lcm * xn - L (L+1) cn xd lcm/r, so at the k-th point of the
-    progression it is a line a_r + b_r k.  The slopes 2L-r+1 are distinct, so
-    the increments b_r are too, and the max over r is the upper envelope of
-    the L lines.  The kernel walks up in k and emits one progression per run
-    of a winning term:
-
-    * At k = 0 the winner is the term with the largest a_r, and on a tie the
-      one with the larger increment.
-    * A term with a smaller increment than the winner's is no larger at the
-      current point and falls further behind, so it never overtakes: the
-      winner only moves to a term with a larger increment.
-    * Such a term s first exceeds the winner (a, b) at
-      k_s = (a - a_s) // (b_s - b) + 1, and the winner holds until the least
-      k_s.  Of the terms tied at that k_s, the next winner is the one with
-      the largest value there, and on a tie the larger increment.  It is
-      then at least every other term, so every later crossing lies beyond it.
-      (The larger increment alone is not enough: two terms can pass the
-      winner between the same two points, the steeper one from further
-      below.)
-
-    There are at most L runs, and each costs O(L) integer operations and one
-    C-level ``range``, not L comparisons per point.
+    With c = 1 - delta, term r minus term r+1 is x/(L+1) - L c/(r(r+1)), so
+    term r is at least term r+1 exactly when x >= T_r = L(L+1) c/(r(r+1)).
+    T_r never rises with r, so the terms rise up to the least r with
+    x >= T_r (r = L if none) and fall from there: that term is the max.  On
+    a rising grid, walked from r = L down, term r leads up to the first point
+    with x >= T_(r-1): one integer cut, and one C-level ``range`` of the
+    integer (2L-r+1) cd lcm * xn - L (L+1) cn xd lcm/r, its value times
+    (L+1) xd cd lcm(1..L).  A falling grid is walked reversed.
     """
     scale = math.lcm(*range(1, big + 1))
     shared = big * (big + 1) * cn * xd
-    start, step, count = xns.start, xns.step, len(xns)
-    # the terms in order of decreasing increment: slope (2L-r+1) cd lcm
-    # falls as r rises, and a falling step reverses the order
-    rs = range(1, big + 1) if step > 0 else range(big, 0, -1)
+    rising = xns if xns.step > 0 else xns[::-1]
+    start, step, count = rising.start, rising.step, len(rising)
     unit = cd * scale
-    bs = [(2 * big - r + 1) * unit * step for r in rs]
-    starts = [(2 * big - r + 1) * unit * start - shared * (scale // r) for r in rs]
-    i = starts.index(max(starts))  # the larger increment on a tie
-    k = 0
     nums: list[int] = []
-    while True:
-        a, b = starts[i], bs[i]
-        end, nxt = count, i
-        for j in range(i):
-            bj = bs[j]
-            kj = (a - starts[j]) // (bj - b) + 1
-            if kj < end:
-                end, nxt, top = kj, j, starts[j] + bj * kj
-            elif kj == end and nxt != i and starts[j] + bj * kj > top:
-                nxt, top = j, starts[j] + bj * kj
-        nums += range(a + b * k, a + b * end, b)
-        if nxt == i:
-            return nums, (big + 1) * xd * cd * scale
-        i, k = nxt, end
+    for r in range(big, 0, -1):
+        # points with start + step*k < T_(r-1) xd: k < (shared - start*w) / (step*w)
+        w = (r - 1) * r * cd
+        end = min(count, (shared - start * w - 1) // (step * w) + 1) if r > 1 else count
+        done = len(nums)
+        if end > done:
+            b = (2 * big - r + 1) * unit * step
+            a = (2 * big - r + 1) * unit * start - shared * (scale // r)
+            nums += range(a + b * done, a + b * end, b)
+            if end == count:
+                break
+    if xns.step < 0:
+        nums.reverse()
+    return nums, (big + 1) * xd * cd * scale
 
 
 @dataclass(frozen=True)
@@ -363,13 +343,14 @@ def hy_crossover_root(list_size: int) -> float:
 
 def hy_crossover_delta(list_size: int) -> float:
     """Least delta beyond which the piecewise bound beats the HY quadratic
-    somewhere: max(2 / (L+1), 1 - beta2).
+    somewhere: max(2 / (L+1), 1 - beta2) = 1 - beta2.
 
-    The second argument of the max always dominates because
-    beta2 < (L-1)/(L+1); the max is kept as a guard.
+    The second argument of the max always dominates: beta2 < (L-1)/(L+1)
+    reduces to sqrt(L^2 + 18L + 17) < (L^2 + 10L + 1)/(L+1), that is to
+    (L+1)^2 (L^2 + 18L + 17) < (L^2 + 10L + 1)^2, and the gap between the
+    two sides is 16 (3L+1)(L-1) > 0 for L >= 2.
     """
-    _validate_list_size(list_size)
-    return max(2 / (list_size + 1), 1 - hy_crossover_root(list_size))
+    return 1 - hy_crossover_root(list_size)
 
 
 def hy_crossover_delta_closed_form(list_size: int) -> float:
@@ -421,8 +402,6 @@ def _float_positive_intervals(
     found: list[tuple[float, float]] = []
     for piece in pieces:
         lo, hi = float(piece.lower), float(piece.upper)
-        if hi <= lo:
-            continue
         # difference = -quad_a x^2 + (slope - quad_b) x + (intercept - quad_c)
         a2 = -quad_a
         b2 = float(piece.slope) - quad_b

@@ -108,7 +108,7 @@ def _validate_eval_points(field: PrimeField, n: int, alpha: Sequence[int]) -> tu
     if len(points) != n:
         raise ValueError(f"expected {n} evaluation points, got {len(points)}")
     for a in points:
-        if not isinstance(a, int):
+        if type(a) is not int:
             raise ValueError(f"evaluation point {a!r} is not an integer")
     if len(set(points)) != n:
         raise ValueError("evaluation points must be distinct")
@@ -231,6 +231,9 @@ def rs_search_eval_points(
     up to 2p(p - 1) tuples, so there are about P(p, n) / (2p(p - 1))
     classes, and the memo pays off once the budget nears that number.
     """
+    _require_int("budget", budget)
+    if target is not None:
+        _require_int("target", target)
     _validate_rs_shape(field, n, k)
     if target is None:
         target = min(2 * n, 2 * n - 4 * k + 4)
@@ -352,6 +355,8 @@ def vt_binary(n: int, a: int) -> Code:
     Codewords are the binary words c of length n with
     sum_i i * c_i = a (mod n+1), positions numbered from 1.
     """
+    _require_int("block length", n)
+    _require_int("residue a", a)
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0 <= a <= n:
@@ -368,6 +373,10 @@ def vt_qary(n: int, q: int, a: int, b: int) -> Code:
     sum_{i=1}^{n-1} i * step_i = a (mod n), where step_i is 1 if
     s_i >= s_(i-1) and 0 otherwise, and sum_i s_i = b (mod q).
     """
+    _require_int("block length", n)
+    _require_int("alphabet size", q)
+    _require_int("residue a", a)
+    _require_int("residue b", b)
     if q <= 2:
         raise ValueError("q-ary construction needs q > 2")
     if n < 1:
@@ -396,6 +405,9 @@ def helberg_weights(q: int, s: int, count: int) -> tuple[int, ...]:
 
     v_i = 0 for i <= 0 and v_i = 1 + (q-1) * sum_{j=1}^{s} v_(i-j) otherwise.
     """
+    _require_int("alphabet size", q)
+    _require_int("s", s)
+    _require_int("weight count", count)
     if q < 2 or s < 1 or count < 1:
         raise ValueError("need q >= 2, s >= 1, count >= 1")
     values: list[int] = []
@@ -412,6 +424,12 @@ def helberg(q: int, n: int, s: int, a: int, m: int | None = None) -> Code:
     v_(n+1), the smallest value for which the construction's distance
     guarantee (minimum Levenshtein distance at least 2s + 2) applies.
     """
+    _require_int("alphabet size", q)
+    _require_int("block length", n)
+    _require_int("s", s)
+    _require_int("residue a", a)
+    if m is not None:
+        _require_int("modulus", m)
     if not 1 <= s < n:
         raise ValueError(f"need 1 <= s < n, got s={s}, n={n}")
     through_next = helberg_weights(q, s, n + 1)

@@ -29,11 +29,11 @@ class EnumerationCapError(RuntimeError):
 
 def _validate_positive(**kwargs: int) -> None:
     for name, value in kwargs.items():
-        if not isinstance(value, int) or value < 1:
+        if type(value) is not int or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def count_v_covers(j: int, ell: int, v: int) -> int:
     """Number of size-`ell` families of v-subsets of {1..j} covering {1..j}.
 

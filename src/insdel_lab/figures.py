@@ -28,6 +28,7 @@ from .bounds import (
     as_fraction,
     comparison_report,
 )
+from .words import _require_int
 
 DEFAULT_POINTS = 512
 
@@ -43,6 +44,7 @@ def _rows(*columns: Iterable[str]) -> list[str]:
 
 
 def _validate_points(points: int) -> None:
+    _require_int("points", points)
     if points < 2:
         raise ValueError("need at least two grid points")
 

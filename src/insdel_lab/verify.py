@@ -34,7 +34,6 @@ from .words import (
     DEFAULT_BALL_CAP,
     BallSizeError,
     Word,
-    _ball_layers,
     _checked_ball_layers,
     _common_output,
     _layer,
@@ -93,15 +92,17 @@ def _verdict_census(
     symbols: list[tuple[int, ...]], q: int, t_ins: int, t_del: int, list_size: int, cap: int
 ) -> bool:
     """Whether some channel output is reached by more than list_size of the
-    codewords `symbols`, merging whole balls from `_ball_layers` codeword by
-    codeword until a layer takes a count above list_size.  Raises
-    BallSizeError once it has counted more than `cap` distinct received
-    words, checked after each codeword, so it never counts more than `cap`
-    words plus one ball.
+    codewords `symbols`, merging whole balls, a codeword's layers
+    `_layer(word, m, t_ins, t_del, q)` shortest first, codeword by codeword
+    until a layer takes a count above list_size.  Raises BallSizeError once
+    it has counted more than `cap` distinct received words, checked after
+    each codeword, so it never counts more than `cap` words plus one ball.
     """
+    n = len(symbols[0])
     tally: Counter[tuple[int, ...]] = Counter()
     for word in symbols:
-        for layer in _ball_layers(word, t_ins, t_del, q):
+        for m in range(n - t_del, n + t_ins + 1):
+            layer = _layer(word, m, t_ins, t_del, q)
             tally.update(layer)
             if max(map(tally.__getitem__, layer)) > list_size:
                 return True
@@ -360,9 +361,17 @@ def decoder_ball_matches_channel(codeword: Word, t_ins: int, t_del: int) -> bool
     masks, built once: reaching the length-n codeword from y takes at least
     n - LCS insertions and |y| - LCS deletions, and keeping a longest common
     subsequence attains both at once.
+
+    After the channel side's checks, and before anything is enumerated,
+    BallSizeError is raised when the window holds more than
+    DEFAULT_BALL_CAP words.
     """
     x, q, n = codeword.symbols, codeword.q, len(codeword)
-    channel = set().union(*_checked_ball_layers(x, t_ins, t_del, q))
+    layers = _checked_ball_layers(x, t_ins, t_del, q, DEFAULT_BALL_CAP)
+    window = sum(q**m for m in range(n - t_del, n + t_ins + 1))
+    if window > DEFAULT_BALL_CAP:
+        raise BallSizeError(window, DEFAULT_BALL_CAP)
+    channel = set().union(*layers)
     masks = _match_masks(x)
     decoder = set()
     for length in range(n - t_del, n + t_ins + 1):

@@ -382,22 +382,6 @@ def _least_output(symbols: tuple[int, ...], m: int, t_ins: int, t_del: int) -> t
     return (0,) * (m - ell) + tuple(stack)
 
 
-def _ball_layers(
-    symbols: tuple[int, ...], t_ins: int, t_del: int, q: int
-) -> Iterator[set[tuple[int, ...]]]:
-    """The channel outputs of `symbols` (at most t_ins insertions and t_del
-    deletions over {0, ..., q-1}), one length at a time, shortest first: the
-    layers `_layer(symbols, m, t_ins, t_del, q)` for m = n - t_del, ...,
-    n + t_ins.
-
-    Each layer is built afresh when it is asked for, and the generator keeps
-    no reference to it, so a consumer that merges each layer before asking
-    for the next holds one layer of the ball at a time.
-    """
-    n = len(symbols)
-    return (_layer(symbols, m, t_ins, t_del, q) for m in range(n - t_del, n + t_ins + 1))
-
-
 def _common_output(
     words: Sequence[tuple[int, ...]], t_ins: int, t_del: int, limit: int
 ) -> tuple[bool | None, int]:
@@ -458,30 +442,39 @@ def _common_output(
 
 
 def _checked_ball_layers(
-    symbols: tuple[int, ...], t_ins: int, t_del: int, q: int, cap: int = DEFAULT_BALL_CAP
+    symbols: tuple[int, ...], t_ins: int, t_del: int, q: int, cap: int
 ) -> Iterator[set[tuple[int, ...]]]:
-    """`_ball_layers` behind the checks of `insdel_ball`: ValueError for a
-    radius that is not an int, a negative radius or t_del > len(symbols),
-    and BallSizeError when the ball's size bound exceeds `cap`, before
-    anything is enumerated."""
+    """The channel outputs of `symbols` (at most t_ins insertions and t_del
+    deletions over {0, ..., q-1}), one length at a time, shortest first: the
+    layers `_layer(symbols, m, t_ins, t_del, q)` for m = n - t_del, ...,
+    n + t_ins.
+
+    The checks of `insdel_ball` run first: ValueError for a radius that is
+    not an int, a negative radius or t_del > len(symbols), and BallSizeError
+    when the ball's size bound exceeds `cap`, before anything is enumerated.
+    Each layer is built afresh when it is asked for, and the generator keeps
+    no reference to it, so a consumer that merges each layer before asking
+    for the next holds one layer of the ball at a time.
+    """
     _require_int("insertion radius", t_ins)
     _require_int("deletion radius", t_del)
     if t_ins < 0 or t_del < 0:
         raise ValueError("radii must be nonnegative")
-    if t_del > len(symbols):
-        raise ValueError(f"deletion radius {t_del} exceeds word length {len(symbols)}")
-    estimate = insdel_ball_size_bound(len(symbols), t_ins, t_del, q)
+    n = len(symbols)
+    if t_del > n:
+        raise ValueError(f"deletion radius {t_del} exceeds word length {n}")
+    estimate = insdel_ball_size_bound(n, t_ins, t_del, q)
     if estimate > cap:
         raise BallSizeError(estimate, cap)
-    return _ball_layers(symbols, t_ins, t_del, q)
+    return (_layer(symbols, m, t_ins, t_del, q) for m in range(n - t_del, n + t_ins + 1))
 
 
 def insdel_ball(x: Word, t_ins: int, t_del: int, cap: int = DEFAULT_BALL_CAP) -> set[Word]:
     """All words reachable from `x` by at most t_ins insertions and t_del deletions.
 
-    The ball is the union of its length layers (`_ball_layers`): the words y
-    of each length m with LCS(x, y) >= max(|x| - t_del, m - t_ins), built as
-    supersequences of subsequences of `x`.  Fails fast with BallSizeError
+    The ball is the union of its length layers (`_checked_ball_layers`):
+    the words y of each length m with LCS(x, y) >= max(|x| - t_del,
+    m - t_ins), built as supersequences of subsequences of `x`.  Fails fast with BallSizeError
     when the predicted size exceeds `cap`.
     """
     return {

@@ -457,8 +457,8 @@ def _envelope_runs(seed):
 
 
 class TestMaxFormEnvelope:
-    """The max form walks the upper envelope of its L lines; the literal
-    max over every term at every point is the oracle."""
+    """The max form cuts each term's run where neighbouring terms cross; the
+    literal max over every term at every point is the oracle."""
 
     def test_equals_the_literal_max(self):
         passes = []
@@ -521,7 +521,7 @@ class TestCrossoverConstants:
             assert abs(direct - closed) < 1e-9
 
     def test_root_below_breakpoint_slope_ratio(self):
-        # guarantees the max() guard in hy_crossover_delta never fires
+        # why hy_crossover_delta is 1 - beta2, the larger argument of its max
         for list_size in range(2, 51):
             ratio = (list_size - 1) / (list_size + 1)
             assert 0 < hy_crossover_root(list_size) < ratio

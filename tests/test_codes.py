@@ -174,7 +174,8 @@ class TestReedSolomon:
         # a non-integer point is named before any power of it is taken
         with pytest.raises(ValueError, match=r"^evaluation point 1\.0 is not an integer$"):
             rs_code(PrimeField(7), 3, 2, (0, 1.0, 2))
-        assert rs_code(field, 2, 1, (False, True)) == rs_code(field, 2, 1, (0, 1))
+        with pytest.raises(ValueError, match="^evaluation point False is not an integer$"):
+            rs_code(field, 2, 1, (False, True))
         message = r"^p\^k = 104060401 codewords exceed cap 1000000$"
         with pytest.raises(CodeSizeError, match=message):
             rs_code(PrimeField(101), 4, 4)  # raises before building a codeword
@@ -197,6 +198,24 @@ class TestReedSolomon:
                 rs_code(field, n, k)
             with pytest.raises(ValueError, match=message):
                 rs_search_eval_points(field, n, k)
+
+    def test_eval_points_must_be_ints(self):
+        # True passed as the point 1
+        with pytest.raises(ValueError, match="^evaluation point True is not an integer$"):
+            rs_code(PrimeField(7), 2, 1, (True, 0))
+
+    def test_search_budget_and_target_must_be_ints(self):
+        # True ran as a budget of 1, 2.5 failed later in range, and 1.5 was
+        # accepted as a target
+        field = PrimeField(7)
+        cases = [
+            ({"budget": True}, "^budget must be an int, got True$"),
+            ({"budget": 2.5}, "^budget must be an int, got 2.5$"),
+            ({"target": 1.5}, "^target must be an int, got 1.5$"),
+        ]
+        for kwargs, message in cases:
+            with pytest.raises(ValueError, match=message):
+                rs_search_eval_points(field, 5, 2, **kwargs)
 
     def test_search_applies_the_codeword_cap(self, monkeypatch):
         # every class builds all p^k codewords, so the cap is checked first
@@ -394,6 +413,13 @@ class TestVarshamovTenengolts:
         with pytest.raises(CodeSizeError, match=r"^2\^20 words exceed cap 1000000$"):
             vt_binary(20, 0)  # one over the cap
 
+    def test_arguments_must_be_ints(self):
+        # True built VT_1(6), and a float failed later with TypeError
+        with pytest.raises(ValueError, match="^residue a must be an int, got True$"):
+            vt_binary(6, True)
+        with pytest.raises(ValueError, match="^block length must be an int, got 6.0$"):
+            vt_binary(6.0, 0)
+
 
 class TestQaryVarshamovTenengolts:
     def test_frozen_tiny_example(self):
@@ -451,6 +477,10 @@ class TestQaryVarshamovTenengolts:
         # entries per position
         with pytest.raises(CodeSizeError, match=r"^100000\^3 words exceed cap 1000000$"):
             vt_qary(3, 100_000, 0, 0)
+
+    def test_arguments_must_be_ints(self):
+        with pytest.raises(ValueError, match="^alphabet size must be an int, got 3.0$"):
+            vt_qary(4, 3.0, 0, 0)
 
 
 class TestHelberg:
@@ -558,6 +588,15 @@ class TestHelberg:
             helberg(2, 5, 2, 0, m=5)  # modulus below v_6
         with pytest.raises(CodeSizeError, match=r"^3\^13 words exceed cap 1000000$"):
             helberg(3, 13, 2, 0)
+
+    def test_arguments_must_be_ints(self):
+        # floats failed later with TypeError, and True passed as s = 1
+        with pytest.raises(ValueError, match="^block length must be an int, got 5.0$"):
+            helberg(2, 5.0, 2, 0)
+        with pytest.raises(ValueError, match="^modulus must be an int, got 100.0$"):
+            helberg(2, 5, 2, 0, m=100.0)
+        with pytest.raises(ValueError, match="^s must be an int, got True$"):
+            helberg_weights(2, True, 3)
 
 
 class TestCodeFiles:

@@ -55,6 +55,12 @@ class TestCoverCounts:
             count_v_covers(3, 1, 0)
         assert count_v_covers(3, 1, 4) == 0  # no 4-subsets of a 3-set exist
 
+    def test_arguments_must_be_ints(self):
+        # True must not pass as 1, nor hit the cached entry for 1
+        assert count_v_covers(1, 1, 1) == 1
+        with pytest.raises(ValueError, match="^j must be a positive integer, got True$"):
+            count_v_covers(True, 1, 1)
+
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationCapError):
             enumerate_v_covers(8, 10, 4, cap=100)

@@ -39,6 +39,11 @@ class TestBoundTable:
         with pytest.raises(ValueError):
             bound_table_rows(0.9, 2, points=1)
 
+    def test_points_must_be_an_int(self):
+        # a float failed later, in range, with TypeError
+        with pytest.raises(ValueError, match="^points must be an int, got 3.0$"):
+            bound_table_rows(0.9, 2, 3.0)
+
 
 class TestComparisonRows:
     def test_landmark_rows_spliced_in(self):

@@ -330,13 +330,14 @@ class TestCensus:
             if any(12 - words._lcs(a, b) <= 2 for a in symbols[:j])
         )
         balls = []
-        real = verify._ball_layers
+        real = verify._layer
 
         def spy(word, *args):
-            balls.append(word)
+            if not balls or balls[-1] != word:
+                balls.append(word)
             return real(word, *args)
 
-        monkeypatch.setattr(verify, "_ball_layers", spy)
+        monkeypatch.setattr(verify, "_layer", spy)
         assert verify._verdict_census(symbols, 2, 1, 1, 1, 10**6) is True
         assert balls == symbols[: first + 1]
         assert first < 10 < len(symbols)
@@ -379,7 +380,7 @@ class TestCensus:
             symbols = tuple(rng.randrange(q) for _ in range(n))
             t_ins, t_del = rng.randint(0, 3), rng.randint(0, min(3, n))
             ball = whole_ball(symbols, t_ins, t_del, q)
-            layers = list(words._ball_layers(symbols, t_ins, t_del, q))
+            layers = list(words._checked_ball_layers(symbols, t_ins, t_del, q, 10**18))
             assert len(layers) == t_del + t_ins + 1
             for m, layer in enumerate(layers, start=n - t_del):
                 assert layer == {y for y in ball if len(y) == m}, (symbols, m)
@@ -563,13 +564,13 @@ class TestRadiusSwap:
         # a ball with one layer t_ins + t_del + 2 insertions out leaves the
         # Levenshtein ball of radius t_ins + t_del; the radius swap catches it,
         # so that containment needs no check of its own
-        real_layers = words._ball_layers
+        real_layers = verify._checked_ball_layers
 
-        def wide_layers(symbols, t_ins, t_del, q):
-            yield from real_layers(symbols, t_ins, t_del, q)
+        def wide_layers(symbols, t_ins, t_del, q, cap):
+            yield from real_layers(symbols, t_ins, t_del, q, cap)
             yield {symbols + (0,) * (t_ins + t_del + 2)}
 
-        monkeypatch.setattr(words, "_ball_layers", wide_layers)
+        monkeypatch.setattr(verify, "_checked_ball_layers", wide_layers)
         for t_ins, t_del in [(1, 0), (0, 1)]:
             assert not decoder_ball_matches_channel(word([0, 1], 2), t_ins, t_del)
         number = 1 + [check for _, check in ALL_CRITERIA].index(
@@ -585,6 +586,15 @@ class TestRadiusSwap:
             decoder_ball_matches_channel(centre, -1, 0)
         with pytest.raises(ValueError, match="^deletion radius 3 exceeds word length 2$"):
             decoder_ball_matches_channel(centre, 0, 3)
+
+    def test_the_decoder_window_is_capped(self, monkeypatch):
+        # lengths 6 and 7 hold 2^6 + 2^7 = 192 words, over the cap, though
+        # the channel ball's estimate (9) is under it
+        monkeypatch.setattr(verify, "DEFAULT_BALL_CAP", 100)
+        with pytest.raises(BallSizeError) as excinfo:
+            decoder_ball_matches_channel(word([0, 1] * 3, 2), 1, 0)
+        assert (excinfo.value.size, excinfo.value.cap) == (192, 100)
+        assert not excinfo.value.counted
 
     def test_membership_swap_identity(self):
         words = list(words_up_to(2, 3))

@@ -20,7 +20,7 @@ from insdel_lab.words import (
     AlphabetMismatchError,
     BallSizeError,
     Word,
-    _ball_layers,
+    _checked_ball_layers,
     _common_output,
     _layer,
     _least_output,
@@ -503,7 +503,7 @@ class TestCommonOutput:
             q, n, k = rng.randint(2, 3), rng.randint(1, 4), rng.randint(1, 3)
             words = [random_tuple(rng, q, n) for _ in range(k)]
             t_ins, t_del = rng.randint(0, 2), rng.randint(0, min(2, n))
-            balls = (set().union(*_ball_layers(w, t_ins, t_del, q)) for w in words)
+            balls = (set().union(*_checked_ball_layers(w, t_ins, t_del, q, 10**6)) for w in words)
             shared = set.intersection(*balls)
             assert shares(words, t_ins, t_del) == bool(shared)
 
