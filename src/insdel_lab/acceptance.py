@@ -35,8 +35,10 @@ from .bounds import (
 from .codes import (
     Code,
     PrimeField,
-    helberg,
-    helberg_weights,
+    _helberg_spec,
+    _syndrome_classes,
+    _vt_binary_spec,
+    _vt_qary_spec,
     rs_code,
     vt_binary,
     vt_qary,
@@ -57,13 +59,25 @@ from .verify import (
     list_decodable,
     min_levenshtein_distance,
 )
-from .words import Word, _lcs, _min_distance, all_words, words_up_to
+from .words import Word, all_words, words_up_to
 
 RANDOM_CODE_SEED = 2024
 
 # Criterion 8's RS(7,5,2) evaluation points: the alpha that
 # rs_search_eval_points(PrimeField(7), 5, 2, budget=300, seed=0) returns
 RS_ALPHA = (6, 3, 5, 0, 1)
+
+# Criterion 8's list-decoding subject at L = 2: four words over q = 5 of
+# length 5 and minimum distance 8, so delta = 4/5 > 2/3.  A greedy search
+# seeded with RANDOM_CODE_SEED kept random words while every pairwise LCS
+# stayed at most 1.
+GREEDY_CODE = Code(
+    q=5,
+    n=5,
+    codewords=frozenset(
+        Word(w, 5) for w in ((1, 1, 2, 0, 4), (2, 3, 3, 3, 3), (3, 4, 4, 2, 2), (4, 0, 0, 3, 1))
+    ),
+)
 
 # Criterion 5's grid: delta = i / GRID_DELTA_DENOMINATOR for i = 1..20, and
 # GRID_STEPS + 1 = 1000 equally spaced x across [1 - delta, 1].
@@ -241,34 +255,26 @@ def criterion_hy_golden() -> None:
 
 
 def criterion_code_distances() -> None:
-    """Constructed codes reach their guaranteed minimum Levenshtein distances."""
+    """Constructed codes reach their guaranteed minimum Levenshtein distances.
+
+    Each code shape's residue classes come from one syndrome table.
+    """
     for n in range(1, 11):
-        for a in range(n + 1):
-            code = vt_binary(n, a)
+        for (a,), code in _syndrome_classes(*_vt_binary_spec(n)):
             if code.size < 2:
                 continue
             d = min_levenshtein_distance(code)
             if d < 4:
                 raise CriterionFailure(f"VT_{a}({n}): distance {d} < 4")
     for n in range(1, 7):
-        for a in range(n):
-            for b in range(3):
-                try:
-                    code = vt_qary(n, 3, a, b)
-                except ValueError:
-                    continue  # empty residue class
-                if code.size < 2:
-                    continue
-                d = min_levenshtein_distance(code)
-                if d < 4:
-                    raise CriterionFailure(f"VT3 (n={n}, a={a}, b={b}): distance {d} < 4")
+        for (a, b), code in _syndrome_classes(*_vt_qary_spec(n, 3)):
+            if code.size < 2:
+                continue
+            d = min_levenshtein_distance(code)
+            if d < 4:
+                raise CriterionFailure(f"VT3 (n={n}, a={a}, b={b}): distance {d} < 4")
     for n in range(3, 9):
-        modulus = helberg_weights(2, 2, n + 1)[n]
-        for a in range(modulus):
-            try:
-                code = helberg(2, n, 2, a)
-            except ValueError:
-                continue  # empty residue class
+        for (a,), code in _syndrome_classes(*_helberg_spec(2, n, 2)):
             if code.size < 2:
                 continue
             d = min_levenshtein_distance(code)
@@ -282,27 +288,6 @@ def _random_binary_code(rng: random.Random, n: int, size: int) -> Code:
         Word(tuple((value >> (n - 1 - i)) & 1 for i in range(n)), 2) for value in picks
     )
     return Code(q=2, n=n, codewords=members)
-
-
-def _greedy_code(rng: random.Random, q: int, n: int, distance: int, size: int) -> Code:
-    """Seeded greedy q-ary code of `size` words and minimum distance `distance`.
-
-    Random words are kept while every pairwise LCS stays at most
-    n - distance/2; a draw that does not fill the code within 200 words, or
-    whose minimum distance overshoots, starts over.
-    """
-    max_lcs = n - distance // 2
-    for _ in range(10_000):
-        words: list[tuple[int, ...]] = []
-        for _ in range(200):
-            w = tuple(rng.randrange(q) for _ in range(n))
-            if all(_lcs(w, v) <= max_lcs for v in words):
-                words.append(w)
-                if len(words) == size:
-                    break
-        if len(words) == size and _min_distance(words) == distance:
-            return Code(q=q, n=n, codewords=frozenset(Word(w, q) for w in words))
-    raise RuntimeError(f"no greedy code with q={q}, n={n}, distance {distance}")
 
 
 def criterion_region_harness() -> list[str]:
@@ -320,13 +305,12 @@ def criterion_region_harness() -> list[str]:
         subjects.append((f"random[{index}] (n={n}, |C|={size})", code, (2, 3)))
     # list-decoding regime: each list size is the least at which the region
     # holds a pair beyond unique decoding, delta > 2/(L+1)
-    greedy = _greedy_code(random.Random(RANDOM_CODE_SEED), q=5, n=5, distance=8, size=4)
     subjects += [
         ("VT_0(6)", vt_binary(6, 0), (6,)),
         ("VT_0(8)", vt_binary(8, 0), (8,)),
         ("VT3(n=5, a=0, b=0)", vt_qary(5, 3, 0, 0), (5,)),
         (f"RS(7,5,2) alpha={RS_ALPHA}", rs_code(PrimeField(7), 5, 2, RS_ALPHA), (5,)),
-        ("greedy (q=5, n=5, d=8)", greedy, (2,)),
+        ("greedy (q=5, n=5, d=8)", GREEDY_CODE, (2,)),
     ]
     skipped: list[str] = []
     beyond_unique = 0

@@ -113,28 +113,12 @@ def bound() -> None:
     """Evaluate and compare decodability bounds."""
 
 
-def _csv_options(fn):
-    """The --csv/--points option pair shared by the bound commands."""
-    fn = click.option("--points", type=int, default=figures.DEFAULT_POINTS, show_default=True)(fn)
-    return click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)(fn)
-
-
-def _write_bound_csv(
-    payload: dict, delta: Fraction, list_size: int, csv_path: str | None, points: int
-) -> None:
-    """Write the bound table when --csv is given and record its path in the payload."""
-    if csv_path is not None:
-        figures.write_rows(figures.bound_table_rows(delta, list_size, points), csv_path)
-        payload["csv"] = csv_path
-
-
 @bound.command("rho")
 @click.option("--delta", "delta_text", required=True, help="relative distance in (0,1)")
 @click.option("--list-size", type=int, required=True)
 @click.option("--tau-d", "tau_text", default=None, help="deletion fraction to evaluate at")
-@_csv_options
 @_guarded
-def bound_rho(delta_text, list_size, tau_text, csv_path, points) -> None:
+def bound_rho(delta_text, list_size, tau_text) -> None:
     """Piecewise-linear insertion bound: pieces, or the value at one tau_d."""
     delta = _parse_exact(delta_text, "delta")
     payload: dict = {
@@ -166,7 +150,6 @@ def bound_rho(delta_text, list_size, tau_text, csv_path, points) -> None:
                 for p in pieces.pieces
             ],
         }
-    _write_bound_csv(payload, delta, list_size, csv_path, points)
     _echo_json(payload)
 
 
@@ -175,9 +158,8 @@ def bound_rho(delta_text, list_size, tau_text, csv_path, points) -> None:
 @click.option("--list-size", type=int, required=True)
 @click.option("--tau-d", "tau_text", default="0")
 @click.option("--tau-i", "tau_ins_text", default=None, help="insertion fraction for the list-size formula")
-@_csv_options
 @_guarded
-def bound_hy(delta_text, list_size, tau_text, tau_ins_text, csv_path, points) -> None:
+def bound_hy(delta_text, list_size, tau_text, tau_ins_text) -> None:
     """HY quadratic bound values, and its guaranteed list size if --tau-i is given."""
     delta = _parse_exact(delta_text, "delta")
     tau = _parse_exact(tau_text, "tau-d")
@@ -197,21 +179,24 @@ def bound_hy(delta_text, list_size, tau_text, tau_ins_text, csv_path, points) ->
     if tau_ins_text is not None:
         tau_ins = _parse_exact(tau_ins_text, "tau-i")
         payload["hy_list_size"] = hy_list_size(delta, tau_ins, tau)
-    _write_bound_csv(payload, delta, list_size, csv_path, points)
     _echo_json(payload)
 
 
 @bound.command("compare")
 @click.option("--delta", "delta_text", required=True)
 @click.option("--list-size", type=int, required=True)
-@_csv_options
+@click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
+@click.option("--points", type=int, default=figures.DEFAULT_POINTS, show_default=True)
 @_guarded
 def bound_compare(delta_text, list_size, csv_path, points) -> None:
-    """Where the piecewise-linear bound beats the HY quadratic."""
+    """Where the piecewise-linear bound beats the HY quadratic; with --csv,
+    also the table of rho, phi1, phi2 and the unique-decoding line."""
     delta = _parse_exact(delta_text, "delta")
     payload = _plain(comparison_report(delta, list_size))
     payload["interval_tau_d"] = payload.pop("interval")
-    _write_bound_csv(payload, delta, list_size, csv_path, points)
+    if csv_path is not None:
+        figures.write_rows(figures.bound_table_rows(delta, list_size, points), csv_path)
+        payload["csv"] = csv_path
     _echo_json(payload)
 
 

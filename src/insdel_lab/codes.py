@@ -9,9 +9,14 @@ no Python call per symbol:
   point a, so each block of p codewords that differ only in the leading
   coefficient is one slice of a per-point table, and `zip` turns the slices
   into codewords (`_rs_symbols`).
-* VT and Helberg codes by syndrome tables: the syndrome of every q-ary word
-  of length n is built position by position, in `itertools.product` order,
-  and `itertools.compress` picks out the members (`_syndrome_code`).
+* VT and Helberg codes by syndrome tables: the syndromes of every q-ary
+  word of length n are built position by position, in `itertools.product`
+  order (`_syndrome_table`).  A constructor marks one residue class and
+  `itertools.compress` picks out its members (`_syndrome_code`);
+  `_syndrome_classes` groups the words of every class from the same table,
+  so a caller that wants all the classes of one code shape builds one
+  table, not one per class.  Each family's syndromes (weights, moduli,
+  step tables) come from one private spec function that both paths share.
 """
 
 from __future__ import annotations
@@ -20,14 +25,17 @@ import itertools
 import random
 from dataclasses import dataclass
 from itertools import compress, repeat
-from math import perm
-from operator import add, and_
+from math import perm, prod
+from operator import add, and_, mod, mul
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .words import Word, _min_distance, _require_int
 
 DEFAULT_CODE_CAP = 10**6
+
+# (terms, modulus) per syndrome; see `_syndrome_table`
+_Syndromes = Sequence[tuple[Iterable[Sequence[int]], int]]
 
 
 class CodeSizeError(RuntimeError):
@@ -295,36 +303,29 @@ def _point_class(points: tuple[int, ...], p: int) -> tuple[int, ...]:
     return min(forms)
 
 
-def _syndrome_code(
-    q: int,
-    n: int,
-    syndromes: Iterable[tuple[Iterable[Sequence[int]], int, int]],
-    empty: str,
-) -> Code:
-    """The q-ary words of length n whose syndromes all hit their residues.
+def _syndrome_table(q: int, n: int, syndromes: _Syndromes) -> list[list[int]]:
+    """Each syndrome's sum for every q-ary word of length n, in
+    `itertools.product` order: one list of q^n sums per syndrome.
 
-    `syndromes` yields (terms, modulus, residue) triples.  A syndrome is a
-    sum over positions, and terms[j] is position j's table: with i the
-    index of the word's first j + 1 symbols in `itertools.product` order,
-    the position adds terms[j][i % len(terms[j])].  So a table of q entries
-    is read at symbol j, and one of q^2 entries (from position 1 on) at
-    q * (symbol j - 1) + symbol j.  A word is a member when every syndrome
-    is congruent to its residue modulo its modulus.
+    `syndromes` lists (terms, modulus) pairs.  A syndrome is a sum over
+    positions, and terms[j] is position j's table: with i the index of the
+    word's first j + 1 symbols in product order, the position adds
+    terms[j][i % len(terms[j])].  So a table of q entries is read at symbol
+    j, and one of q^2 entries (from position 1 on) at
+    q * (symbol j - 1) + symbol j.  A word's residue is its sum modulo the
+    modulus.
 
     Raises CodeSizeError when the q^n candidates exceed DEFAULT_CODE_CAP,
-    before `syndromes` is consumed, and ValueError with the message `empty`
-    when none qualifies.  The sums of all q^n words are built position by
+    before any `terms` is consumed.  The sums are built position by
     position, in product order: the words whose index is r modulo a
     table's length L take entry r, and their prefixes are every (L/q)-th
     sum of the previous position, so each entry is one C-level `map` over a
-    slice.  A byte table over the sums' range then marks each word, and
-    `itertools.compress` picks the members out of `itertools.product`.
-    Each syndrome's q^n sums are held until the members are picked.
+    slice.
     """
     if q**n > DEFAULT_CODE_CAP:
         raise CodeSizeError(f"{q}^{n} words exceed cap {DEFAULT_CODE_CAP}")
-    marks = []
-    for terms, modulus, residue in syndromes:
+    all_sums = []
+    for terms, _ in syndromes:
         sums = [0]
         for table in terms:
             step = len(table)
@@ -332,6 +333,23 @@ def _syndrome_code(
             for r, term in enumerate(table):
                 grown[r::step] = map(add, sums[r // q :: step // q], repeat(term))
             sums = grown
+        all_sums.append(sums)
+    return all_sums
+
+
+def _syndrome_code(
+    q: int, n: int, syndromes: _Syndromes, residues: Sequence[int], empty: str
+) -> Code:
+    """The q-ary words of length n whose syndromes (see `_syndrome_table`)
+    are congruent to `residues`, one residue per syndrome.
+
+    A byte table over each syndrome's range of sums marks its residue, and
+    `itertools.compress` picks the words that every table marks out of
+    `itertools.product`.  Raises CodeSizeError as `_syndrome_table` does,
+    and ValueError with the message `empty` when no word qualifies.
+    """
+    marks = []
+    for sums, (_, modulus), residue in zip(_syndrome_table(q, n, syndromes), syndromes, residues):
         hits = bytearray(max(sums) + 1)
         hits[residue::modulus] = bytes([1]) * len(range(residue, len(hits), modulus))
         marks.append(map(hits.__getitem__, sums))
@@ -344,9 +362,42 @@ def _syndrome_code(
     return Code(q=q, n=n, codewords=frozenset(map(Word, members, repeat(q))))
 
 
+def _syndrome_classes(
+    q: int, n: int, syndromes: _Syndromes
+) -> Iterator[tuple[tuple[int, ...], Code]]:
+    """Every nonempty residue class of the syndromes (see `_syndrome_table`)
+    as (residues, code), in the lexicographic order of the residue tuples.
+
+    One table serves every class.  A word's key numbers its residues in
+    mixed radix, the first syndrome most significant, so the keys
+    0 .. prod(moduli) - 1 follow the order of the residue tuples; one
+    C-level `map` per operation computes them, and one pass in product
+    order groups the words by key.  Raises CodeSizeError as
+    `_syndrome_table` does, at the call; each class's Code is built as the
+    result is iterated.
+    """
+    moduli = [modulus for _, modulus in syndromes]
+    keys: Iterable[int] = repeat(0)
+    for sums, modulus in zip(_syndrome_table(q, n, syndromes), moduli):
+        keys = map(add, map(mul, keys, repeat(modulus)), map(mod, sums, repeat(modulus)))
+    classes: list[list[tuple[int, ...]]] = [[] for _ in range(prod(moduli))]
+    for word, key in zip(itertools.product(range(q), repeat=n), keys):
+        classes[key].append(word)
+    return (
+        (residues, Code(q=q, n=n, codewords=frozenset(map(Word, members, repeat(q)))))
+        for residues, members in zip(itertools.product(*map(range, moduli)), classes)
+        if members
+    )
+
+
 def _weighted(weights: Iterable[int], q: int) -> Iterator[range]:
     """The syndrome tables of sum_j weights[j] * x_j, one `range` per position."""
     return (range(0, q * w, w) for w in weights)
+
+
+def _vt_binary_spec(n: int) -> tuple[int, int, _Syndromes]:
+    """(q, n, syndromes) of the VT codes of length n: sum_i i * c_i mod n + 1."""
+    return 2, n, [(_weighted(range(1, n + 1), 2), n + 1)]
 
 
 def vt_binary(n: int, a: int) -> Code:
@@ -361,9 +412,20 @@ def vt_binary(n: int, a: int) -> Code:
         raise ValueError("need n >= 1")
     if not 0 <= a <= n:
         raise ValueError(f"residue a must lie in 0..n, got {a}")
-    return _syndrome_code(
-        2, n, [(_weighted(range(1, n + 1), 2), n + 1, a)], f"VT_{a}({n}) is empty"
-    )
+    return _syndrome_code(*_vt_binary_spec(n), (a,), f"VT_{a}({n}) is empty")
+
+
+def _vt_qary_spec(n: int, q: int) -> tuple[int, int, _Syndromes]:
+    """(q, n, syndromes) of the q-ary VT codes: the step sum mod n, then the
+    symbol sum mod q.  The step tables are built only when read."""
+
+    def steps(j: int) -> tuple[int, ...]:
+        """Position j's term of the step sum, read at q * s_(j-1) + s_j."""
+        if j == 0:
+            return (0,) * q
+        return tuple(j if x >= y else 0 for y in range(q) for x in range(q))
+
+    return q, n, [(map(steps, range(n)), n), (_weighted(repeat(1, n), q), q)]
 
 
 def vt_qary(n: int, q: int, a: int, b: int) -> Code:
@@ -385,18 +447,8 @@ def vt_qary(n: int, q: int, a: int, b: int) -> Code:
         raise ValueError(f"residue a must lie in 0..n-1, got {a}")
     if not 0 <= b < q:
         raise ValueError(f"residue b must lie in 0..q-1, got {b}")
-
-    def steps(j: int) -> tuple[int, ...]:
-        """Position j's term of the step sum, read at q * s_(j-1) + s_j."""
-        if j == 0:
-            return (0,) * q
-        return tuple(j if x >= y else 0 for y in range(q) for x in range(q))
-
     return _syndrome_code(
-        q,
-        n,
-        [(map(steps, range(n)), n, a), (_weighted(repeat(1, n), q), q, b)],
-        f"q-ary VT code (n={n}, q={q}, a={a}, b={b}) is empty",
+        *_vt_qary_spec(n, q), (a, b), f"q-ary VT code (n={n}, q={q}, a={a}, b={b}) is empty"
     )
 
 
@@ -417,6 +469,17 @@ def helberg_weights(q: int, s: int, count: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _helberg_spec(q: int, n: int, s: int, m: int | None = None) -> tuple[int, int, _Syndromes]:
+    """(q, n, syndromes) of the Helberg codes: sum_i v_i x_i mod m, where m
+    defaults to v_(n+1); ValueError when m lies below v_(n+1)."""
+    through_next = helberg_weights(q, s, n + 1)
+    weights, least_modulus = through_next[:n], through_next[n]
+    modulus = least_modulus if m is None else m
+    if modulus < least_modulus:
+        raise ValueError(f"modulus {modulus} below the required v_(n+1) = {least_modulus}")
+    return q, n, [(_weighted(weights, q), modulus)]
+
+
 def helberg(q: int, n: int, s: int, a: int, m: int | None = None) -> Code:
     """Helberg code: words x in {0..q-1}^n with sum_i v_i x_i = a (mod m).
 
@@ -432,19 +495,12 @@ def helberg(q: int, n: int, s: int, a: int, m: int | None = None) -> Code:
         _require_int("modulus", m)
     if not 1 <= s < n:
         raise ValueError(f"need 1 <= s < n, got s={s}, n={n}")
-    through_next = helberg_weights(q, s, n + 1)
-    weights, least_modulus = through_next[:n], through_next[n]
-    modulus = least_modulus if m is None else m
-    if modulus < least_modulus:
-        raise ValueError(f"modulus {modulus} below the required v_(n+1) = {least_modulus}")
+    syndromes = _helberg_spec(q, n, s, m)[2]
+    [(_, modulus)] = syndromes
     if not 0 <= a < modulus:
         raise ValueError(f"residue a must lie in 0..{modulus - 1}, got {a}")
-    return _syndrome_code(
-        q,
-        n,
-        [(_weighted(weights, q), modulus, a)],
-        f"Helberg code (q={q}, n={n}, s={s}, a={a}) is empty",
-    )
+    empty = f"Helberg code (q={q}, n={n}, s={s}, a={a}) is empty"
+    return _syndrome_code(q, n, syndromes, (a,), empty)
 
 
 def write_code(code: Code, path: str | Path) -> None:

@@ -395,36 +395,43 @@ def _common_output(
     deletion move drops the head of one word.  An emission appends a symbol
     held by some head; every word with that head matches it, and every other
     word counts one insertion.  Matching greedily loses nothing (exchange
-    argument), and a symbol no head holds is never needed.  States are
-    visited in order of |y|, so each is first reached at its least |y|, which
-    dominates: insertion counts only grow with |y|.  A state's match counts
-    i_j - del_j lie within t_ins below the largest, so there are at most
+    argument), and a symbol no head holds is never needed.  A state can be
+    reached at several lengths |y|, and its least one dominates: insertion
+    counts only grow with |y|.  So each layer is first closed under
+    deletions, which keep |y| and every count, and only then extended by
+    emissions; a state thus enters `seen` at its least |y|, and a later
+    path to it is rightly dropped.  A state's match counts i_j - del_j lie
+    within t_ins below the largest, so there are at most
     k (n+1) (min(t_ins, n)+1)^(k-1) (t_del+1)^k states: which word matched
     most and how much, the others' match counts, and every deletion count.
     The limit is checked before each state is expanded, and one expansion
-    adds at most 2k states, so a call visits at most limit + 2k.
+    adds at most k states, so a call visits at most limit + k.
     """
     k, n = len(words), len(words[0])
+    done = (n,) * k
     layer = [(0,) * (2 * k)]
     seen = set(layer)
     for length in range(n + t_ins + 1):
-        successors = []
-        # deletions keep |y| and every count, so their states join the layer
-        # while it is being scanned
+        # the layer grows while it is scanned, so this closes it
         for state in layer:
             if len(seen) > limit:
                 return None, len(seen)
-            heads = {words[j][state[j]] for j in range(k) if state[j] < n}
-            if not heads:
+            if state[:k] == done:
                 return True, len(seen)
-            moves = []
             for j in range(k):
                 if state[j] < n and state[k + j] < t_del:
                     grown = list(state)
                     grown[j] += 1
                     grown[k + j] += 1
-                    moves.append((layer, tuple(grown)))
-            for symbol in heads:
+                    child = tuple(grown)
+                    if child not in seen:
+                        seen.add(child)
+                        layer.append(child)
+        successors = []
+        for state in layer:
+            if len(seen) > limit:
+                return None, len(seen)
+            for symbol in {words[j][state[j]] for j in range(k) if state[j] < n}:
                 grown = list(state)
                 for j in range(k):
                     if state[j] < n and words[j][state[j]] == symbol:
@@ -432,11 +439,10 @@ def _common_output(
                     elif length + 1 - (state[j] - state[k + j]) > t_ins:
                         break
                 else:
-                    moves.append((successors, tuple(grown)))
-            for target, grown in moves:
-                if grown not in seen:
-                    seen.add(grown)
-                    target.append(grown)
+                    child = tuple(grown)
+                    if child not in seen:
+                        seen.add(child)
+                        successors.append(child)
         layer = successors
     return False, len(seen)
 

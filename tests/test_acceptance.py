@@ -15,16 +15,19 @@ from types import SimpleNamespace
 import pytest
 from click.testing import CliRunner
 
-from insdel_lab import acceptance
+from insdel_lab import acceptance, codes
 from insdel_lab.acceptance import (
     ALL_CRITERIA,
+    GREEDY_CODE,
     RS_ALPHA,
     CriterionFailure,
     run_all,
     run_criterion,
 )
 from insdel_lab.cli import main
-from insdel_lab.codes import PrimeField, rs_search_eval_points
+from insdel_lab.codes import Code, PrimeField, rs_search_eval_points
+from insdel_lab.verify import min_levenshtein_distance
+from insdel_lab.words import Word
 
 # seconds, by criterion function; taken from the stated budgets the criteria
 # were designed against
@@ -68,6 +71,55 @@ def test_rs_alpha_is_the_seeded_search_result():
     # criterion 8 pins the search result instead of re-running the search
     result = rs_search_eval_points(PrimeField(7), 5, 2, budget=300, seed=0)
     assert result.alpha == RS_ALPHA
+
+
+def test_greedy_code_is_in_the_list_decoding_regime():
+    # criterion 8 pins the greedy search result; at L = 2 it needs
+    # delta > 2/(L+1) to reach beyond unique decoding
+    assert (GREEDY_CODE.q, GREEDY_CODE.n, GREEDY_CODE.size) == (5, 5, 4)
+    assert min_levenshtein_distance(GREEDY_CODE) == 8
+    assert Fraction(8, 2 * 5) == Fraction(4, 5) > Fraction(2, 2 + 1)
+
+
+def test_code_distances_build_one_table_per_shape(monkeypatch):
+    # VT_a(n) for n <= 10, ternary VT for n <= 6 and Helberg for n = 3..8:
+    # 22 shapes, whose 342 residue classes once each took a table
+    real = codes._syndrome_table
+    built = []
+
+    def spy(q, n, syndromes):
+        built.append((q, n))
+        return real(q, n, syndromes)
+
+    monkeypatch.setattr(codes, "_syndrome_table", spy)
+    acceptance.criterion_code_distances()
+    assert len(built) == 22
+
+
+@pytest.mark.parametrize(
+    "shape, residues, message",
+    [
+        ((2, 5, [6]), (0,), "VT_0(5): distance 2 < 4"),
+        ((3, 4, [4, 3]), (1, 2), "VT3 (n=4, a=1, b=2): distance 2 < 4"),
+        ((2, 6, [33]), (3,), "Helberg (n=6, a=3): distance 2 < 6"),
+    ],
+    ids=["VT", "VT3", "Helberg"],
+)
+def test_code_distances_catch_a_class_below_its_floor(monkeypatch, shape, residues, message):
+    # one class of one shape (q, n, moduli) is swapped for a pair of words
+    # one substitution apart
+    real = acceptance._syndrome_classes
+
+    def broken(q, n, syndromes):
+        classes = real(q, n, syndromes)
+        if (q, n, [modulus for _, modulus in syndromes]) != shape:
+            return classes
+        pair = frozenset({Word((0,) * n, q), Word((0,) * (n - 1) + (1,), q)})
+        return [(r, Code(q=q, n=n, codewords=pair) if r == residues else c) for r, c in classes]
+
+    monkeypatch.setattr(acceptance, "_syndrome_classes", broken)
+    with pytest.raises(CriterionFailure, match=f"^{re.escape(message)}$"):
+        acceptance.criterion_code_distances()
 
 
 @pytest.mark.parametrize(

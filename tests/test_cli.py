@@ -48,12 +48,12 @@ class TestBoundCommands:
         assert payload["breakpoints"] == ["3/10"]
         assert [p["r"] for p in payload["pieces"]] == [2, 1]
 
-    def test_rho_csv_output(self, tmp_path):
+    def test_compare_csv_output(self, tmp_path):
         out = tmp_path / "table.csv"
         payload = payload_of(
             run(
                 "bound",
-                "rho",
+                "compare",
                 "--delta",
                 "0.9",
                 "--list-size",
@@ -68,6 +68,10 @@ class TestBoundCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "tau_d,rho,phi1,phi2,unique"
         assert len(lines) == 17
+        # the table has this one site
+        for command in ("rho", "hy"):
+            args = ("bound", command, "--delta", "0.9", "--list-size", "2", "--csv", str(out))
+            assert run(*args).exit_code == 2
 
     def test_rho_invalid_inputs_exit_two(self):
         assert run("bound", "rho", "--delta", "abc", "--list-size", "2").exit_code == 2

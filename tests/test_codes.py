@@ -14,7 +14,11 @@ from insdel_lab.codes import (
     CodeSizeError,
     EvalPointSearchResult,
     PrimeField,
+    _helberg_spec,
     _rs_symbols,
+    _syndrome_classes,
+    _vt_binary_spec,
+    _vt_qary_spec,
     helberg,
     helberg_weights,
     is_prime,
@@ -597,6 +601,58 @@ class TestHelberg:
             helberg(2, 5, 2, 0, m=100.0)
         with pytest.raises(ValueError, match="^s must be an int, got True$"):
             helberg_weights(2, True, 3)
+
+
+# the 22 code shapes of acceptance criterion 7: family -> (spec, constructor)
+CLASS_FAMILIES = {
+    "VT": (_vt_binary_spec, vt_binary),
+    "VT3": (lambda n: _vt_qary_spec(n, 3), lambda n, a, b: vt_qary(n, 3, a, b)),
+    "Helberg": (lambda n: _helberg_spec(2, n, 2), lambda n, a: helberg(2, n, 2, a)),
+}
+CRITERION_7_SHAPES = (
+    [("VT", n) for n in range(1, 11)]
+    + [("VT3", n) for n in range(1, 7)]
+    + [("Helberg", n) for n in range(3, 9)]
+)
+
+
+class TestSyndromeClasses:
+    """All residue classes of one code shape from one syndrome table."""
+
+    @pytest.mark.parametrize("family, n", CRITERION_7_SHAPES)
+    def test_classes_are_the_constructors_codes(self, family, n):
+        spec, construct = CLASS_FAMILIES[family]
+        q, _, syndromes = spec(n)
+        moduli = [modulus for _, modulus in syndromes]
+        classes = list(_syndrome_classes(*spec(n)))
+        assert [residues for residues, _ in classes] == sorted(residues for residues, _ in classes)
+        built = dict(classes)
+        for residues in itertools.product(*map(range, moduli)):
+            try:
+                expected = construct(n, *residues)
+            except ValueError as exc:
+                assert str(exc).endswith("is empty")
+                assert residues not in built
+            else:
+                assert built[residues] == expected
+        members = [w.symbols for _, code in classes for w in code.codewords]
+        assert sorted(members) == list(itertools.product(range(q), repeat=n))
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (lambda: _vt_binary_spec(20), r"^2\^20 words"),
+            (lambda: _vt_qary_spec(13, 3), r"^3\^13 words"),
+            (lambda: _helberg_spec(3, 13, 2), r"^3\^13 words"),
+        ],
+        ids=["VT", "VT3", "Helberg"],
+    )
+    def test_an_over_cap_shape_is_refused_before_any_table(self, spec, message):
+        q, n, syndromes = spec()
+        with pytest.raises(CodeSizeError, match=message):
+            _syndrome_classes(q, n, syndromes)
+        # no position's table was read, so none was built
+        assert [len(list(terms)) for terms, _ in syndromes] == [n] * len(syndromes)
 
 
 class TestCodeFiles:

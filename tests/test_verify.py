@@ -514,6 +514,25 @@ class TestEngines:
         shared = insdel_ball(a, 2, 0) & insdel_ball(b, 2, 0)
         assert verdict.witness == Witness(min(shared, key=Word.sort_key), (a, b))
 
+    @pytest.mark.parametrize(
+        "texts, q, radii",
+        [
+            (("121201", "110122", "102122", "100021"), 3, (2, 1, 3)),
+            (("64615", "26206", "20655", "05003"), 7, (2, 2, 3)),
+        ],
+    )
+    def test_dp_keeps_states_reached_by_deletion(self, texts, q, radii):
+        # all four codewords share an output, which the DP finds only if a
+        # state an emission enters at |y| + 1 is kept at |y| when a deletion
+        # of layer |y| reaches it later
+        symbols = sorted(tuple(map(int, text)) for text in texts)
+        code = Code(q=q, n=len(texts[0]), codewords=frozenset(Word(s, q) for s in symbols))
+        offender, count = whole_ball_census(symbols, q, *radii)
+        verdict = list_decodable(code, *radii, want_witness=True)
+        assert not verdict.decodable
+        assert verdict.witness.received == Word(offender, q)
+        assert len(verdict.witness.codewords) == count == 4
+
     def test_dp_and_census_disagreeing_is_caught(self, monkeypatch):
         # VT_0(6) is uniquely decodable at (0, 0), so a DP claiming that
         # three codewords share an output contradicts the census

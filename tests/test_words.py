@@ -497,10 +497,19 @@ class TestCommonOutput:
         assert shares([(0, 1), (1, 0), (1, 1)], 0, 1) is True  # 1
         assert shares([(0, 0), (1, 1), (0, 1)], 1, 0) is False
 
+    def test_a_state_is_kept_at_its_least_output_length(self):
+        # every word reaches 1012021, and every word of the second set
+        # reaches 60650, through states that an emission enters at |y| + 1
+        # before a deletion of layer |y| reaches them
+        ternary = [(1, 2, 1, 2, 0, 1), (1, 1, 0, 1, 2, 2), (1, 0, 2, 1, 2, 2), (1, 0, 0, 0, 2, 1)]
+        assert shares(ternary, 2, 1) is True
+        septenary = [(6, 4, 6, 1, 5), (2, 6, 2, 0, 6), (2, 0, 6, 5, 5), (0, 5, 0, 0, 3)]
+        assert shares(septenary, 2, 2) is True
+
     def test_matches_ball_intersection(self):
         rng = random.Random(7)
         for _ in range(200):
-            q, n, k = rng.randint(2, 3), rng.randint(1, 4), rng.randint(1, 3)
+            q, n, k = rng.randint(2, 3), rng.randint(1, 6), rng.randint(1, 4)
             words = [random_tuple(rng, q, n) for _ in range(k)]
             t_ins, t_del = rng.randint(0, 2), rng.randint(0, min(2, n))
             balls = (set().union(*_checked_ball_layers(w, t_ins, t_del, q, 10**6)) for w in words)
