@@ -11,7 +11,6 @@ from insdel_lab import (
     insertion_ball_size,
     lcs_length,
     levenshtein_distance,
-    minimal_insdel_pair,
     word,
     all_words,
     words_up_to,
@@ -25,9 +24,11 @@ print(f"a = {a.to_text()}   b = {b.to_text()}")
 print(f"LCS length        : {lcs_length(a, b)}")
 print(f"insdel distance   : {levenshtein_distance(a, b)}")
 
-pair = minimal_insdel_pair(a, b)
-print(f"minimal pair a->b : {pair.insertions} insertions, {pair.deletions} deletions")
-print(f"sum equals d      : {pair.total == levenshtein_distance(a, b)}")
+# keeping a longest common subsequence needs the fewest insertions and the
+# fewest deletions at once
+ell = lcs_length(a, b)
+print(f"minimal pair a->b : {len(b) - ell} insertions, {len(a) - ell} deletions")
+print(f"sum equals d      : {len(a) + len(b) - 2 * ell == levenshtein_distance(a, b)}")
 print()
 
 # Insertion balls have a center-independent size with a closed form; deletion

@@ -58,7 +58,6 @@ from .verify import (
 from .words import (
     AlphabetMismatchError,
     BallSizeError,
-    InsdelPair,
     Word,
     all_words,
     in_insdel_ball,
@@ -66,7 +65,6 @@ from .words import (
     insertion_ball_size,
     lcs_length,
     levenshtein_distance,
-    minimal_insdel_pair,
     word,
     words_up_to,
 )

@@ -18,8 +18,9 @@ T_r = L(L+1)(1 - delta)/(r(r+1)), and emits one progression per term's run,
 as the pieces do for each piece, and the HY kernels multiply progressions
 point by point.  A public function validates, runs its kernel on a one-point
 progression and returns a ``Fraction``.
-The comparison report also uses float64 for the square-root landmarks, with
-a documented 1e-9 tolerance.  Floats passed as parameters are interpreted via
+The comparison report decides exactly, by the signs of integer quadratics
+at rational points, and reports float64: the crossover constants and the P1
+root are square roots.  Floats passed as parameters are interpreted via
 their shortest decimal representation, so 0.9 means 9/10, not the nearest
 binary double.
 """
@@ -367,12 +368,14 @@ class ComparisonReport:
     """Where the piecewise-linear bound beats the HY quadratic.
 
     All tau_del quantities are channel deletion fractions; the comparison is
-    carried out along x = 1 - tau_del.  ``interval`` is the open tau_del
-    interval on which the piecewise bound is strictly larger, ``p2`` its upper
+    carried out along x = 1 - tau_del.  ``interval`` is the tau_del interval
+    on which the piecewise bound is strictly larger, ``p2`` its upper
     endpoint paired with the bound's value there, and ``p1`` the crossing with
     the smallest tau_del (None if the advantage persists down to tau_del = 0).
-    ``extra_crossings`` flags any further sign changes beyond the first
-    advantage window.
+    ``extra_crossings`` flags a further window beyond the first.  Which of
+    these exist is decided exactly; the numbers are float64, and p1 is a
+    float root, so a window that is exactly positive but thinner than a float
+    step is reported degenerate, with p1's tau_del equal to p2's.
     """
 
     delta: float
@@ -385,82 +388,65 @@ class ComparisonReport:
     extra_crossings: bool = False
 
 
-def _float_positive_intervals(
-    pieces: Sequence[LinearPiece], delta: Fraction, list_size: int
-) -> list[tuple[float, float]]:
-    """Sub-intervals of the pieces' span where (piecewise bound) - (HY quadratic2) > 0.
-
-    Per piece the difference is a concave quadratic, so each piece contributes
-    at most one positive interval; adjacent contributions are merged.
-    """
-    one_minus = float(1 - delta)
-    denom = list_size * one_minus + 1
-    quad_a = (list_size + 1) / denom
-    quad_b = -(list_size + 1) * one_minus / denom
-    quad_c = (one_minus - 1) / denom
-
-    found: list[tuple[float, float]] = []
-    for piece in pieces:
-        lo, hi = float(piece.lower), float(piece.upper)
-        # difference = -quad_a x^2 + (slope - quad_b) x + (intercept - quad_c)
-        a2 = -quad_a
-        b2 = float(piece.slope) - quad_b
-        c2 = float(piece.intercept) - quad_c
-        disc = b2 * b2 - 4 * a2 * c2
-        if disc <= 0:
-            continue
-        root = math.sqrt(disc)
-        left = (-b2 + root) / (2 * a2)
-        right = (-b2 - root) / (2 * a2)
-        seg_lo, seg_hi = max(lo, left), min(hi, right)
-        if seg_hi <= seg_lo:
-            continue
-        if found and seg_lo <= found[-1][1] + 1e-12:
-            found[-1] = (found[-1][0], max(found[-1][1], seg_hi))
-        else:
-            found.append((seg_lo, seg_hi))
-    return found
-
-
 def comparison_report(delta: Exact | float, list_size: int) -> ComparisonReport:
     """Compare the piecewise-linear bound against the HY quadratic.
 
-    Below the crossover distance delta1 no advantage window exists and only
-    the crossover constants are reported.  Above it, the advantage window in
-    tau_del opens at the first breakpoint of the piecewise bound and closes at
-    the first crossing found by a per-piece quadratic sweep toward tau_del = 0.
+    On each piece the gap, the piece minus quadratic2, is a concave quadratic
+    in x, and every decision below is the sign of a gap at a rational point,
+    taken exactly over integers.  A window exists iff the gap is positive at
+    the first breakpoint, which is P2 (it is iff delta > delta1).  It stays
+    open over the pieces whose gap is positive at their upper end and closes
+    on the first other piece, at that gap's float root; past the last piece
+    it reaches tau_del = 0.  A later piece whose gap is positive at its peak
+    is an extra crossing.
     """
     d = as_fraction(delta)
     cn, cd = _one_minus_delta(d)
     _validate_list_size(list_size)
     beta2 = hy_crossover_root(list_size)
-    delta1 = hy_crossover_delta(list_size)
+    delta1 = 1 - beta2
     if abs(delta1 - hy_crossover_delta_closed_form(list_size)) > 1e-9:
         raise AssertionError("crossover delta closed forms disagree")
     base = ComparisonReport(
         delta=float(d), list_size=list_size, delta1=delta1, beta2=beta2
     )
-    if float(d) <= delta1:
-        return base
+    big = list_size
+    first, *rest = insertion_bound_piecewise(d, big).pieces
+    # piece r minus quadratic2, times r (L+1) cd (L cn + cd) > 0, is the
+    # integer quadratic -r a x^2 + r b_r x - e_r, which peaks at b_r / (2a)
+    a = (big + 1) ** 2 * cd * cd
 
-    # past delta1 > 2/(L+1) there are two or more pieces, so the first ends
-    # at x = (L+1)/(L-1) (1 - delta), where it is 2/(L-1) (1 - delta)
-    first, *rest = insertion_bound_piecewise(d, list_size).pieces
+    def b(r: int) -> int:
+        return cd * ((big * cn + cd) * (2 * big - r + 1) + (big + 1) ** 2 * cn)
+
+    def gap(piece: LinearPiece, x: Fraction) -> int:
+        r, xn, xd = piece.r, x.numerator, x.denominator
+        e = (big + 1) * (big * cn * (big * cn + cd) - r * cd * (cd - cn))
+        return r * (b(r) * xd - a * xn) * xn - e * xd * xd
+
+    if not rest or gap(rest[0], rest[0].lower) <= 0:
+        return base
+    # the first piece ends at x = (L+1)/(L-1) (1 - delta), where it is
+    # 2/(L-1) (1 - delta)
     p2 = (float(1 - first.upper), float(first.value(first.upper)))
-    windows = _float_positive_intervals(rest, d, list_size)
-    if not windows:
-        # delta1 is a float threshold; just past it the window can be too thin
-        # for float roots to resolve.  Report the landmarks only.
-        return replace(base, p2=p2)
-    first_hi = windows[0][1]
-    if first_hi >= 1 - 1e-12:
-        interval = (0.0, p2[0])
-        p1 = None
-    else:
-        xn, xd = _in_domain(cn, cd, first_hi)
-        (num,), den = _max_form(cn, cd, list_size, range(xn, xn + 1), xd)
-        interval = (1 - first_hi, p2[0])
-        p1 = (1 - first_hi, num / den)
-    return replace(
-        base, interval=interval, p1=p1, p2=p2, extra_crossings=len(windows) > 1
-    )
+    j = next((j for j, p in enumerate(rest) if gap(p, p.upper) <= 0), None)
+    if j is None:
+        return replace(base, interval=(0.0, p2[0]), p2=p2)
+
+    # the closing piece's gap in floats is -qa x^2 + b2 x + c2; its larger root
+    closing = rest[j]
+    one_minus = float(1 - d)
+    denom = big * one_minus + 1
+    qa = (big + 1) / denom
+    b2 = float(closing.slope) + (big + 1) * one_minus / denom
+    c2 = float(closing.intercept) - (one_minus - 1) / denom
+    right = (b2 + math.sqrt(max(0.0, b2 * b2 + 4 * qa * c2))) / (2 * qa)
+    x1 = min(float(closing.upper), max(float(closing.lower), right))
+    tau1 = min(1 - x1, p2[0])
+    p1 = (tau1, float(insertion_bound(d, big, x1)))
+
+    def peak(p: LinearPiece) -> Fraction:
+        return min(p.upper, max(p.lower, Fraction(b(p.r), 2 * a)))
+
+    extra = any(gap(p, peak(p)) > 0 for p in rest[j + 1 :])
+    return replace(base, interval=(tau1, p2[0]), p1=p1, p2=p2, extra_crossings=extra)

@@ -247,33 +247,6 @@ def _pair_scan(words: Sequence[tuple[int, ...]], stop_at: int) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class InsdelPair:
-    """An (insertion count, deletion count) budget or cost."""
-
-    insertions: int
-    deletions: int
-
-    def __post_init__(self) -> None:
-        if self.insertions < 0 or self.deletions < 0:
-            raise ValueError("insertion/deletion counts must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return self.insertions + self.deletions
-
-
-def minimal_insdel_pair(a: Word, b: Word) -> InsdelPair:
-    """Componentwise-minimal (insertions, deletions) transforming `a` into `b`.
-
-    Any transformation using i insertions and d deletions has i >= len(b) - lcs
-    and d >= len(a) - lcs, and that pair is achieved by keeping a longest
-    common subsequence, so the minimum is attained in both coordinates at once.
-    """
-    ell = lcs_length(a, b)
-    return InsdelPair(insertions=len(b) - ell, deletions=len(a) - ell)
-
-
 def in_insdel_ball(target: Word, centre: Word, t_ins: int, t_del: int) -> bool:
     """True iff `target` is reachable from `centre` within the given budgets.
 
@@ -317,8 +290,8 @@ def _layer(
     A word y of length m is an output iff LCS(symbols, y) >= l, where
     l = max(n - t_del, m - t_ins).  Turning the length-n `symbols` into y
     takes at least n - LCS deletions and m - LCS insertions, and keeping a
-    longest common subsequence attains both at once (`minimal_insdel_pair`);
-    they fit the radii iff LCS >= n - t_del and LCS >= m - t_ins.  And
+    longest common subsequence attains both at once, so they fit the radii
+    iff LCS >= n - t_del and LCS >= m - t_ins.  And
     LCS(symbols, y) >= l iff y is a supersequence of some length-l
     subsequence of `symbols`, since a longer common subsequence can be
     shortened.  So the layer is `symbols` cut by n - l rounds of one

@@ -31,6 +31,7 @@ from insdel_lab.bounds import (
     unique_decoding_bound,
 )
 from insdel_lab.cli import _plain
+from insdel_lab.figures import comparison_rows
 
 
 class TestAsFraction:
@@ -585,6 +586,67 @@ class TestComparisonReport:
                     float(1 - Fraction(list_size + 1, list_size - 1) * (1 - delta)),
                     float(Fraction(2, list_size - 1) * (1 - delta)),
                 )
+
+    # delta1(3) + 1e-16: the window is exactly positive but thinner than a
+    # float step at P2
+    THIN = Fraction(5527864045000421607, 10**19)
+
+    def test_a_thin_window_is_reported_degenerate_and_ordered(self):
+        x = 2 * (1 - self.THIN)  # P2, the first breakpoint at L = 3
+        assert insertion_bound(self.THIN, 3, x) > hy_quadratic2(self.THIN, 3, x)
+        report = comparison_report(self.THIN, 3)
+        assert report.interval == (0.10557280900008433, 0.10557280900008433)
+        lo, hi = report.interval
+        assert lo <= hi == report.p2[0] == report.p1[0]
+        assert not report.extra_crossings
+
+    def test_thin_window_rows_share_one_landmark_row(self):
+        # P1 and P2 fall on one tau_d, so one spliced row carries the label
+        rows = comparison_rows(self.THIN, 3, 5)
+        assert len(rows) == 7
+        assert [row for row in rows if not row.endswith(",")] == [
+            "tau_d,rho,phi2,unique,landmark",
+            "0.10557280900008433,0.4472135954999578,0.44721359549995765,0.4472135954999578,P2",
+        ]
+
+    def test_a_window_closing_exactly_at_a_breakpoint(self):
+        # at delta = 26/41, L = 12 the gap is 0 at T_9 = 26/41 and negative
+        # on the next piece, where float roots see a spurious window
+        delta, x = Fraction(26, 41), Fraction(26, 41)
+        assert x in insertion_bound_piecewise(delta, 12).breakpoints()
+        for y, sign in ((x - Fraction(1, 10**6), 1), (x, 0), (x + Fraction(1, 10**6), -1)):
+            gap = insertion_bound(delta, 12, y) - hy_quadratic2(delta, 12, y)
+            assert (gap > 0) - (gap < 0) == sign
+        report = comparison_report(delta, 12)
+        assert report.interval == (0.36585365853658547, 0.5676274944567627)
+        assert report.p1 == (0.36585365853658547, 0.29268292682926816)
+        assert abs(report.interval[0] - float(1 - x)) < 1e-15
+        assert not report.extra_crossings
+
+    def test_decisions_never_read_the_crossover_constants(self, monkeypatch):
+        inputs = [(Fraction(i, 23), list_size) for i in range(1, 23) for list_size in (2, 3, 7)]
+        inputs.append((self.THIN, 3))
+
+        def decided(report):
+            return report.interval, report.p1, report.p2, report.extra_crossings
+
+        expected = [decided(comparison_report(*args)) for args in inputs]
+        assert any(window is None for window, *_ in expected)
+        assert any(window is not None for window, *_ in expected)
+        for name in ("hy_crossover_root", "hy_crossover_delta", "hy_crossover_delta_closed_form"):
+            monkeypatch.setattr(bounds, name, lambda list_size: 0.5)
+        assert [decided(comparison_report(*args)) for args in inputs] == expected
+
+    def test_window_iff_beyond_crossover(self):
+        for list_size in range(2, 13):
+            delta1 = hy_crossover_delta(list_size)
+            for b in range(2, 31):
+                for a in range(1, b):
+                    delta = Fraction(a, b)
+                    if delta.denominator != b or abs(float(delta) - delta1) < 1e-9:
+                        continue
+                    report = comparison_report(delta, list_size)
+                    assert (report.interval is not None) == (float(delta) > delta1)
 
     def test_report_is_plain_data(self):
         report = comparison_report(0.9, 2)

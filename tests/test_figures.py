@@ -1,12 +1,17 @@
 """CSV row generation: headers, landmarks, grids, and determinism."""
 
 import hashlib
+import json
+import sys
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from insdel_lab import bounds, figures
 from insdel_lab.bounds import (
     as_fraction,
     comparison_report,
@@ -286,3 +291,29 @@ class TestValidation:
             rate_region_rows(2, (Fraction(1, 4), Fraction(1, 2)))
         with pytest.raises(ValueError, match=self.SIZE_ONE):
             rate_region_rows(1, (Fraction(1, 4), Fraction(1, 2)))
+
+
+class TestBenchmarkDigests:
+    """The seed-0 outputs of the benchmark's `figures` workload keep their
+    recorded bytes: every job of `figure_calls`, against the digests in
+    perfbench/frozen/figures_seed0.json."""
+
+    PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+    @pytest.fixture
+    def workloads(self, monkeypatch):
+        # compiled from its source, so no bytecode is written beside it; the
+        # dataclasses in it resolve their annotations through sys.modules
+        path = self.PERFBENCH / "workloads.py"
+        module = types.ModuleType("perfbench_workloads")
+        module.__file__ = str(path)
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+        return module
+
+    def test_seed_zero_outputs_match_the_recorded_digests(self, workloads):
+        lib = types.SimpleNamespace(figures=figures, bounds=bounds)
+        calls = workloads.figure_calls(lib, workloads.DEFAULT_SEED)
+        recorded = json.loads(workloads.FIGURE_DIGESTS.read_text(encoding="utf-8"))
+        digests = {name: workloads.output_digest(call()) for name, call, _, _ in calls}
+        assert digests == recorded

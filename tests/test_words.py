@@ -32,7 +32,6 @@ from insdel_lab.words import (
     insertion_ball_size,
     lcs_length,
     levenshtein_distance,
-    minimal_insdel_pair,
     word,
     words_up_to,
 )
@@ -336,29 +335,6 @@ class TestMinDistanceLevels:
         assert stops == [4]
 
 
-class TestMinimalPair:
-    def test_frozen_example(self):
-        pair = minimal_insdel_pair(word([0, 1], 2), word([1, 0], 2))
-        assert (pair.insertions, pair.deletions) == (1, 1)
-        assert pair.total == levenshtein_distance(word([0, 1], 2), word([1, 0], 2))
-
-    def test_componentwise_dominance_over_balls(self):
-        # anything reachable within (t_ins, t_del) has a minimal pair within it
-        centre = word([0, 1, 1], 2)
-        for t_ins in range(3):
-            for t_del in range(len(centre) + 1):
-                for target in insdel_ball(centre, t_ins, t_del):
-                    pair = minimal_insdel_pair(centre, target)
-                    assert pair.insertions <= t_ins
-                    assert pair.deletions <= t_del
-
-    def test_pair_sums_to_distance(self):
-        for a in words_up_to(2, 3):
-            for b in words_up_to(2, 3):
-                pair = minimal_insdel_pair(a, b)
-                assert pair.total == levenshtein_distance(a, b)
-
-
 class TestInsdelBall:
     def test_frozen_single_zero_examples(self):
         centre = word([0], 2)
@@ -505,6 +481,9 @@ class TestCommonOutput:
         assert shares(ternary, 2, 1) is True
         septenary = [(6, 4, 6, 1, 5), (2, 6, 2, 0, 6), (2, 0, 6, 5, 5), (0, 5, 0, 0, 3)]
         assert shares(septenary, 2, 2) is True
+        # the balls of these four share exactly 021320 and 023120
+        quaternary = [(1, 2, 1, 2, 0), (0, 2, 0, 3, 2), (0, 3, 2, 3, 2), (2, 2, 1, 2, 0)]
+        assert shares(quaternary, 2, 1) is True
 
     def test_matches_ball_intersection(self):
         rng = random.Random(7)
