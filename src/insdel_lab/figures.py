@@ -74,9 +74,10 @@ def comparison_rows(
     """Bound-versus-bound curves over tau_d in [0, delta], with landmarks.
 
     Columns: tau_d, the piecewise-linear bound, the HY quadratic, and the
-    unique-decoding line; the P1/P2 landmark rows from the comparison report
-    are spliced in at their exact tau_d positions when an advantage window
-    exists.
+    unique-decoding line; the P1/P2 landmarks from the comparison report
+    are placed at their exact tau_d positions when an advantage window
+    exists, each on its own row: the grid row at its tau_d if that row is
+    not already labelled, else a row spliced in.
     """
     _validate_points(points)
     cn, cd = _one_minus_delta(as_fraction(delta))
@@ -96,16 +97,18 @@ def comparison_rows(
 
     den = cd * steps  # grid point k is tau_d = dn k / den
     rows = block(range(0, dn * points, dn), den)
-    labelled: dict[Fraction, str] = {}
-    for point, label in ((report.p1, "P1"), (report.p2, "P2")):
-        if point is not None:
-            labelled[as_fraction(point[0])] = label
-    # right to left, so an insertion leaves the places still to fill alone
-    for tau, label in sorted(labelled.items(), reverse=True):
+    landmarks = [
+        (as_fraction(point[0]), label)
+        for point, label in ((report.p1, "P1"), (report.p2, "P2"))
+        if point is not None
+    ]
+    # right to left, P2 before P1 at one tau_d, so an insertion leaves the
+    # places still to fill alone
+    for tau, label in sorted(landmarks, reverse=True):
         xn, xd = _in_domain(cn, cd, 1 - tau)
         k, rest = divmod((xd - xn) * den, dn * xd)
-        if rest:
-            rows.insert(k + 1, block(range(xd - xn, xd - xn + 1), xd)[0] + label)
+        if rest or not rows[k].endswith(","):
+            rows.insert(k + bool(rest), block(range(xd - xn, xd - xn + 1), xd)[0] + label)
         else:
             rows[k] += label
     return ["tau_d,rho,phi2,unique,landmark"] + rows

@@ -174,27 +174,48 @@ def _witness_census(
     return None
 
 
+def _may_share(s: int, sigma: int, n: int, t_ins: int, t_del: int) -> bool:
+    """Whether s words of length n, whose pairs' LCS sum to sigma, pass the
+    count that every set sharing a channel output passes; at s = 2 it is
+    exact.  See `_no_shared_output`."""
+    return (s - 1) * (n - t_del) <= t_ins + sigma
+
+
 def _no_shared_output(
     words: list[tuple[int, ...]], t_ins: int, t_del: int, list_size: int, budget: int
 ) -> bool | None:
     """True iff no list_size + 1 of the equal-length `words` share a channel
     output; None when deciding would cost more than `budget` units.
 
-    Two words of length n share an output iff n - LCS <= t_ins + t_del: each
-    keeps a longest common subsequence, deletes x of its other n - LCS
-    symbols and inserts the other word's kept ones, for any x with
-    n - LCS - t_ins <= x <= t_del.  So the LCS kernel joins the pairs, and
-    one depth-first search grows sets of words that share an output: a set
-    is extended only by words joined to all its members, and only when it
-    shares an output itself (`_common_output` decides every set of three or
-    more), since every subset of a sharing set shares (Apriori; Agrawal &
-    Srikant 1994).  A set that cannot reach list_size + 1 words with the
-    candidates left is skipped (Carraghan & Pardalos 1990), and the search
-    returns at the first sharing set of list_size + 1 words.  Costs, in units:
+    A set S of s words that share an output y passes a count: with
+    ell = max(n - t_del, |y| - t_ins), each w_i has a common subsequence
+    with y of length ell, on a set A_i of positions of y.  The positions in
+    A_i & A_j spell a common subsequence of w_i and w_j, so
+    |A_i & A_j| <= LCS(w_i, w_j), and by inclusion-exclusion to degree 2
+    the union of the A_i has at least s ell - sigma(S) positions, where
+    sigma(S) sums the LCS of S's pairs.  With |y| <= ell + t_ins this gives
+    (s - 1) ell <= t_ins + sigma(S), and ell >= n - t_del, so
+
+        (s - 1)(n - t_del) <= t_ins + sigma(S).
+
+    At s = 2 the count reads n - LCS <= t_ins + t_del, and there it is
+    exact: each word keeps a longest common subsequence, deletes x of its
+    other n - LCS symbols and inserts the other word's kept ones, for any x
+    with n - LCS - t_ins <= x <= t_del.  So the LCS kernel joins the pairs,
+    and one depth-first search grows sets of words that share an output: a
+    set is extended only by words joined to all its members, and only when
+    it shares an output itself, since every subset of a sharing set shares
+    (Apriori; Agrawal & Srikant 1994).  A set of three or more that fails
+    the count shares nothing; the alignment DP `_common_output` decides the
+    sets that pass it.  A set that cannot reach list_size + 1 words with
+    the candidates left is skipped (Carraghan & Pardalos 1990), and the
+    search returns at the first sharing set of list_size + 1 words.  Costs,
+    in units:
 
     * every pair, n + 1, charged up front; pairs are joined as the search
       reaches them, so a search that gives up early joins few;
-    * every set the search grows, 1;
+    * every set the search grows, 1; a set the count refutes costs only
+      this, since its sigma adds up the LCS values the join kept;
     * every `_common_output` call, the DP states it visited.  A call stops
       once it has visited more states than the budget has left, so the
       search overruns its budget by at most 2 (list_size + 1) units.
@@ -206,27 +227,29 @@ def _no_shared_output(
     masks = [_match_masks(w) for w in words]
 
     @cache
-    def later(a: int) -> set[int]:
-        """The words after words[a] that share an output with it."""
+    def later(a: int) -> dict[int, int]:
+        """The words after words[a] that share an output with it, each with
+        its LCS with words[a]."""
         return {
-            b
+            b: ell
             for b in range(a + 1, len(words))
-            if n - _lcs_masked(words[a], masks[b], n) <= t_ins + t_del
+            if _may_share(2, ell := _lcs_masked(words[a], masks[b], n), n, t_ins, t_del)
         }
 
-    def sharing(members: tuple[int, ...], candidates: set[int]) -> bool | None:
-        """Whether `members` plus some of `candidates` is a sharing k-set;
-        None once over budget."""
+    def sharing(members: tuple[int, ...], sigma: int, candidates: set[int]) -> bool | None:
+        """Whether `members`, whose pairs' LCS sum to sigma, plus some of
+        `candidates` is a sharing k-set; None once over budget."""
         nonlocal budget
         for v in sorted(candidates):
             budget -= 1
             if budget < 0:
                 return None
-            grown, rest = members + (v,), candidates & later(v)
+            grown, rest = members + (v,), candidates & later(v).keys()
             if len(grown) + len(rest) < k:
                 continue
-            shares = True
-            if len(grown) > 2:
+            total = sigma + sum(later(m)[v] for m in members)
+            shares = _may_share(len(grown), total, n, t_ins, t_del)
+            if shares and len(grown) > 2:
                 subset = [words[i] for i in grown]
                 shares, visited = _common_output(subset, t_ins, t_del, budget)
                 budget -= visited
@@ -234,11 +257,14 @@ def _no_shared_output(
                 return True
             if budget < 0:
                 return None
-            if shares and (found := sharing(grown, rest)) is not False:
+            if shares and (found := sharing(grown, total, rest)) is not False:
                 return found
         return False
 
-    found = sharing((), set(range(len(words))))
+    found = sharing((), 0, set(range(len(words))))
+    # the recursive closure is a reference cycle: break it, so the search's
+    # tables are freed now and not at the next garbage collection
+    del sharing
     return None if found is None else not found
 
 
@@ -257,9 +283,10 @@ def list_decodable(
 
     * The sharing-set search (`_no_shared_output`) looks for list_size + 1
       codewords that share a channel output, growing only sets that already
-      share one; the alignment DP `_common_output` decides each set.  Its
-      cost does not depend on q, so it wins on small codes over large
-      alphabets.  It runs first, on a budget of the enumerator's estimated
+      share one.  A count over the LCS values of a set's pairs, which the
+      pair join already computed, refutes many sets that share nothing; the
+      alignment DP `_common_output` decides the rest.  Its cost does not
+      depend on q, so it wins on small codes over large alphabets.  It runs first, on a budget of the enumerator's estimated
       cost, |C| times the ball-size bound, charged for the work it actually
       does, and gives up once it has spent it.  When that cost is over `cap`
       the budget is at least the DP's pair join plus one unit per codeword,

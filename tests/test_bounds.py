@@ -31,7 +31,6 @@ from insdel_lab.bounds import (
     unique_decoding_bound,
 )
 from insdel_lab.cli import _plain
-from insdel_lab.figures import comparison_rows
 
 
 class TestAsFraction:
@@ -599,15 +598,6 @@ class TestComparisonReport:
         lo, hi = report.interval
         assert lo <= hi == report.p2[0] == report.p1[0]
         assert not report.extra_crossings
-
-    def test_thin_window_rows_share_one_landmark_row(self):
-        # P1 and P2 fall on one tau_d, so one spliced row carries the label
-        rows = comparison_rows(self.THIN, 3, 5)
-        assert len(rows) == 7
-        assert [row for row in rows if not row.endswith(",")] == [
-            "tau_d,rho,phi2,unique,landmark",
-            "0.10557280900008433,0.4472135954999578,0.44721359549995765,0.4472135954999578,P2",
-        ]
 
     def test_a_window_closing_exactly_at_a_breakpoint(self):
         # at delta = 26/41, L = 12 the gap is 0 at T_9 = 26/41 and negative

@@ -1,5 +1,6 @@
 """CSV row generation: headers, landmarks, grids, and determinism."""
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -69,6 +70,33 @@ class TestComparisonRows:
         base = comparison_rows(0.9, 2, points=32)
         # 32 grid points + header + up to 2 landmark rows
         assert len(base) in (33, 34, 35)
+
+    def test_landmarks_on_one_tau_get_a_row_each(self):
+        # delta1(3) + 1e-16: the window is thinner than a float step, so P1
+        # and P2 fall on one tau_d between two grid points
+        delta = Fraction(5527864045000421607, 10**19)
+        assert comparison_report(delta, 3).p1[0] == comparison_report(delta, 3).p2[0]
+        rows = comparison_rows(delta, 3, 5)
+        assert len(rows) == 8
+        row = "0.10557280900008433,0.4472135954999578,0.44721359549995765,0.4472135954999578,"
+        assert [row for row in rows if not row.endswith(",")] == [
+            "tau_d,rho,phi2,unique,landmark",
+            row + "P1",
+            row + "P2",
+        ]
+
+    def test_landmarks_on_one_grid_point_get_a_row_each(self, monkeypatch):
+        # P2 (tau_d = 7/10) is on the 37-point grid of delta = 9/10 at L = 2;
+        # with P1 moved onto it, the grid row takes P2 and P1 gets its own
+        report = comparison_report(0.9, 2)
+        monkeypatch.setattr(
+            figures, "comparison_report", lambda *args: dataclasses.replace(report, p1=report.p2)
+        )
+        rows = comparison_rows(0.9, 2, 37)
+        assert len(rows) == 37 + 2
+        k = rows.index("0.7,0.2,-0.6,0.2,P2")
+        assert rows[k - 1] == rows[k][: -len("P2")] + "P1"
+        assert sum(not row.endswith(",") for row in rows) == 3
 
 
 class TestProfileRows:
@@ -165,19 +193,20 @@ class TestGridPoints:
     def test_comparison(self, delta, list_size, points):
         d = as_fraction(delta)
         report = comparison_report(d, list_size)
-        labelled = {
-            as_fraction(point[0]): label
+        landmarks = [
+            (as_fraction(point[0]), label)
             for point, label in ((report.p1, "P1"), (report.p2, "P2"))
             if point is not None
-        }
-        grid = {d * k / (points - 1) for k in range(points)}
+        ]
+        # a landmark on a grid point takes its row, and every other gets one
+        grid = {d * k / (points - 1) for k in range(points)} - {tau for tau, _ in landmarks}
         rows = ["tau_d,rho,phi2,unique,landmark"]
-        for tau in sorted(grid | set(labelled)):
+        for tau, label in sorted([(tau, "") for tau in grid] + landmarks):
             x = 1 - tau
             unique = d - tau if tau < d else Fraction(0)
             rho, phi2 = insertion_bound(d, list_size, x), hy_quadratic2(d, list_size, x)
             values = (tau, rho, phi2, unique)
-            rows.append(",".join(_fmt(v) for v in values) + "," + labelled.get(tau, ""))
+            rows.append(",".join(_fmt(v) for v in values) + "," + label)
         assert comparison_rows(delta, list_size, points) == rows
 
     def test_landmark_on_grid(self):

@@ -11,6 +11,7 @@ import pytest
 from insdel_lab import verify, words
 from insdel_lab.acceptance import (
     ALL_CRITERIA,
+    GREEDY_CODE,
     RANDOM_CODE_SEED,
     RS_ALPHA,
     _random_binary_code,
@@ -20,6 +21,7 @@ from insdel_lab.acceptance import (
 from insdel_lab.bounds import insertion_bound, unique_decoding_bound
 from insdel_lab.codes import Code, PrimeField, helberg, rs_code, vt_binary, vt_qary
 from insdel_lab.verify import (
+    RegionReport,
     Verdict,
     Witness,
     bound_region_pairs,
@@ -299,24 +301,79 @@ class TestListDecodable:
         assert Verdict(False, 1, 0, 1, witness=Witness(received, (a, b))).witness
 
 
+def census_cases():
+    """Seeded random codes with radii and a list size for the census tests:
+    (symbols, q, t_ins, t_del, list_size)."""
+    rng = random.Random(RANDOM_CODE_SEED)
+    for _ in range(400):
+        q, n = rng.randint(2, 4), rng.randint(1, 6)
+        size = rng.randint(2, min(8, q**n))
+        symbols = rng.sample(sorted(itertools.product(range(q), repeat=n)), size)
+        t_ins, t_del = rng.randint(0, 2), rng.randint(0, min(3, n))
+        yield symbols, q, t_ins, t_del, rng.randint(1, 4)
+
+
+def lcs_positions(a: tuple[int, ...], y: tuple[int, ...]) -> set[int]:
+    """The positions of y used by one longest common subsequence with a, by
+    traceback through the suffix LCS table."""
+    table = [[0] * (len(y) + 1) for _ in range(len(a) + 1)]
+    for i in reversed(range(len(a))):
+        for j in reversed(range(len(y))):
+            if a[i] == y[j]:
+                table[i][j] = table[i + 1][j + 1] + 1
+            else:
+                table[i][j] = max(table[i + 1][j], table[i][j + 1])
+    positions, i, j = set(), 0, 0
+    while i < len(a) and j < len(y):
+        if a[i] == y[j]:
+            positions.add(j)
+            i, j = i + 1, j + 1
+        elif table[i + 1][j] == table[i][j]:
+            i += 1
+        else:
+            j += 1
+    return positions
+
+
 class TestCensus:
     """The length-ordered census against the whole-ball oracle."""
 
     def test_matches_the_whole_ball_census(self):
-        rng = random.Random(RANDOM_CODE_SEED)
         everything_deleted = 0
-        for _ in range(400):
-            q, n = rng.randint(2, 4), rng.randint(1, 6)
-            size = rng.randint(2, min(8, q**n))
-            symbols = rng.sample(sorted(itertools.product(range(q), repeat=n)), size)
-            t_ins, t_del = rng.randint(0, 2), rng.randint(0, min(3, n))
-            list_size = rng.randint(1, 4)
-            everything_deleted += t_del == n
+        for symbols, q, t_ins, t_del, list_size in census_cases():
+            everything_deleted += t_del == len(symbols[0])
             args = (symbols, q, t_ins, t_del, list_size, 10**18)
             expected = whole_ball_census(symbols, q, t_ins, t_del, list_size)
             assert verify._witness_census(*args) == expected, args
             assert verify._verdict_census(*args) is (expected is not None), args
         assert everything_deleted >= 30  # the shortest layer is the empty word
+
+    def test_witness_alignments_obey_the_degree_two_count(self):
+        # on each census witness y, one LCS alignment A_i per listed codeword
+        # c_i: A_i & A_j spells a common subsequence of c_i and c_j, and y
+        # holds the union, so |y| >= sum |A_i| - sum |A_i & A_j|, the
+        # inequality behind the sharing search's count
+        larger = 0
+        for symbols, q, t_ins, t_del, list_size in census_cases():
+            found = verify._witness_census(symbols, q, t_ins, t_del, list_size, 10**18)
+            if found is None:
+                continue
+            y, count = found
+            n = len(symbols[0])
+            listed = [c for c in symbols if words._lcs(c, y) >= max(n - t_del, len(y) - t_ins)]
+            assert len(listed) == count
+            aligned = [lcs_positions(c, y) for c in listed]
+            assert [len(a) for a in aligned] == [words._lcs(c, y) for c in listed]
+            overlaps = sigma = 0
+            for (a, a_pos), (b, b_pos) in itertools.combinations(zip(listed, aligned), 2):
+                ell = words._lcs(a, b)
+                assert len(a_pos & b_pos) <= ell, (a, b, y)
+                overlaps += len(a_pos & b_pos)
+                sigma += ell
+            assert len(y) >= sum(map(len, aligned)) - overlaps, (listed, y)
+            assert verify._may_share(len(listed), sigma, n, t_ins, t_del)
+            larger += len(listed) >= 3
+        assert larger >= 150  # 162 of the 203 witnesses list three or more
 
     def test_verdict_census_stops_at_the_first_offending_codeword(self, monkeypatch):
         # VT_0(12) at (1, 1), L = 1: two codewords share an output iff
@@ -458,14 +515,64 @@ class TestEngines:
         assert asked and all(len(subset) == 3 for subset in asked)
 
     def test_pairs_share_an_output_iff_lcs_is_long_enough(self):
-        # the DP joins pairs by n - LCS <= t_ins + t_del instead of the kernel
+        # the search joins pairs by its count at s = 2, n - LCS <= t_ins +
+        # t_del, instead of the DP
         rng = random.Random(RANDOM_CODE_SEED)
         for _ in range(300):
             q, n = rng.randint(2, 4), rng.randint(1, 5)
             a, b = (tuple(rng.randrange(q) for _ in range(n)) for _ in range(2))
             t_ins, t_del = rng.randint(0, 3), rng.randint(0, n)
-            joined = n - words._lcs(a, b) <= t_ins + t_del
+            ell = words._lcs(a, b)
+            joined = n - ell <= t_ins + t_del
+            assert verify._may_share(2, ell, n, t_ins, t_del) is joined
             assert words._common_output([a, b], t_ins, t_del, 10**18)[0] is joined
+
+    def test_sets_the_count_refutes_share_no_output(self):
+        # the count is sound: every set of three or more it refutes is
+        # refuted by the unbudgeted DP and by the whole-ball census too
+        rng = random.Random(RANDOM_CODE_SEED)
+        refuted = 0
+        for _ in range(2000):
+            q, n, s = rng.randint(2, 5), rng.randint(2, 6), rng.randint(3, 5)
+            subset = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(s)]
+            t_ins, t_del = rng.randint(0, 2), rng.randint(0, min(2, n))
+            sigma = sum(words._lcs(a, b) for a, b in itertools.combinations(subset, 2))
+            if verify._may_share(s, sigma, n, t_ins, t_del):
+                continue
+            refuted += 1
+            assert words._common_output(subset, t_ins, t_del, 10**18)[0] is False, subset
+            assert whole_ball_census(subset, q, t_ins, t_del, s - 1) is None, subset
+        assert refuted >= 200  # 295 of the 2,000 sets fail the count
+
+    def test_the_count_settles_the_greedy_region(self, monkeypatch):
+        # every set of three that criterion 8's greedy code grows in its
+        # L = 2 region fails the count, so the DP never runs (without the
+        # count it ran 8 times), and the report is the one the DP gave
+        asked = []
+        real = verify._common_output
+
+        def spy(*args):
+            asked.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, "_common_output", spy)
+        report = check_bound_region(GREEDY_CODE, 2)
+        assert asked == []
+        assert report == RegionReport(
+            n=5,
+            distance=8,
+            delta=Fraction(4, 5),
+            list_size=2,
+            checked=(
+                (0, 0), (1, 0), (2, 0), (3, 0), (4, 0),
+                (0, 1), (1, 1), (2, 1), (3, 1),
+                (0, 2), (1, 2),
+                (0, 3),
+            ),
+            violations=(),
+            skipped=(),
+            beats_unique_decoding=True,
+        )
 
     def test_routing(self, monkeypatch):
         tallies = []
