@@ -57,9 +57,8 @@ from .verify import (
     check_bound_region,
     decoder_ball_matches_channel,
     list_decodable,
-    min_levenshtein_distance,
 )
-from .words import Word, all_words, words_up_to
+from .words import Word, _min_distance, all_words, words_up_to
 
 RANDOM_CODE_SEED = 2024
 
@@ -257,27 +256,28 @@ def criterion_hy_golden() -> None:
 def criterion_code_distances() -> None:
     """Constructed codes reach their guaranteed minimum Levenshtein distances.
 
-    Each code shape's residue classes come from one syndrome table.
+    Each code shape's residue classes come from one syndrome table, as raw
+    symbol tuples.
     """
     for n in range(1, 11):
-        for (a,), code in _syndrome_classes(*_vt_binary_spec(n)):
-            if code.size < 2:
+        for (a,), members in _syndrome_classes(*_vt_binary_spec(n)):
+            if len(members) < 2:
                 continue
-            d = min_levenshtein_distance(code)
+            d = _min_distance(members)
             if d < 4:
                 raise CriterionFailure(f"VT_{a}({n}): distance {d} < 4")
     for n in range(1, 7):
-        for (a, b), code in _syndrome_classes(*_vt_qary_spec(n, 3)):
-            if code.size < 2:
+        for (a, b), members in _syndrome_classes(*_vt_qary_spec(n, 3)):
+            if len(members) < 2:
                 continue
-            d = min_levenshtein_distance(code)
+            d = _min_distance(members)
             if d < 4:
                 raise CriterionFailure(f"VT3 (n={n}, a={a}, b={b}): distance {d} < 4")
     for n in range(3, 9):
-        for (a,), code in _syndrome_classes(*_helberg_spec(2, n, 2)):
-            if code.size < 2:
+        for (a,), members in _syndrome_classes(*_helberg_spec(2, n, 2)):
+            if len(members) < 2:
                 continue
-            d = min_levenshtein_distance(code)
+            d = _min_distance(members)
             if d < 6:
                 raise CriterionFailure(f"Helberg (n={n}, a={a}): distance {d} < 6")
 

@@ -39,7 +39,10 @@ Exact = Union[int, str, Fraction]
 
 
 def as_fraction(value: Exact | float) -> Fraction:
-    """Coerce to an exact rational; floats go through their decimal repr."""
+    """Coerce to an exact rational; floats go through their decimal repr.
+    A bool, an int to Python, is refused, as `words._require_int` does."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
     if isinstance(value, Fraction):  # immutable, so no copy is needed
         return value
     if isinstance(value, float):

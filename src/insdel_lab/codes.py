@@ -364,17 +364,18 @@ def _syndrome_code(
 
 def _syndrome_classes(
     q: int, n: int, syndromes: _Syndromes
-) -> Iterator[tuple[tuple[int, ...], Code]]:
+) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
     """Every nonempty residue class of the syndromes (see `_syndrome_table`)
-    as (residues, code), in the lexicographic order of the residue tuples.
+    as (residues, members), in the lexicographic order of the residue
+    tuples; `members` are the class's symbol tuples in product order, with
+    no `Word` or `Code` built around them.
 
     One table serves every class.  A word's key numbers its residues in
     mixed radix, the first syndrome most significant, so the keys
     0 .. prod(moduli) - 1 follow the order of the residue tuples; one
     C-level `map` per operation computes them, and one pass in product
     order groups the words by key.  Raises CodeSizeError as
-    `_syndrome_table` does, at the call; each class's Code is built as the
-    result is iterated.
+    `_syndrome_table` does, at the call.
     """
     moduli = [modulus for _, modulus in syndromes]
     keys: Iterable[int] = repeat(0)
@@ -383,11 +384,8 @@ def _syndrome_classes(
     classes: list[list[tuple[int, ...]]] = [[] for _ in range(prod(moduli))]
     for word, key in zip(itertools.product(range(q), repeat=n), keys):
         classes[key].append(word)
-    return (
-        (residues, Code(q=q, n=n, codewords=frozenset(map(Word, members, repeat(q)))))
-        for residues, members in zip(itertools.product(*map(range, moduli)), classes)
-        if members
-    )
+    residues = itertools.product(*map(range, moduli))
+    return ((r, members) for r, members in zip(residues, classes) if members)
 
 
 def _weighted(weights: Iterable[int], q: int) -> Iterator[range]:

@@ -20,6 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+from .words import _require_cap
+
 DEFAULT_FAMILY_CAP = 10**8
 
 
@@ -59,9 +61,10 @@ def enumerate_v_covers(j: int, ell: int, v: int, cap: int = DEFAULT_FAMILY_CAP) 
 
     Families are generated in lexicographic order over the lexicographically
     ordered v-subsets.  Raises EnumerationCapError if more than `cap` families
-    would be visited.
+    would be visited, and ValueError unless `cap` is a nonnegative int.
     """
     _validate_positive(j=j, ell=ell, v=v)
+    _require_cap(cap)
     ground = tuple(range(1, j + 1))
     subsets = list(itertools.combinations(ground, v))
     total = comb(len(subsets), ell)

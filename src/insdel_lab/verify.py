@@ -41,6 +41,7 @@ from .words import (
     _least_output,
     _match_masks,
     _min_distance,
+    _require_cap,
     _require_int,
     insdel_ball_size_bound,
 )
@@ -315,11 +316,13 @@ def list_decodable(
     independent check; a census that finds no offender after the DP failed
     raises AssertionError.  Without want_witness, the verdict census
     decides what the DP left open.  Both engines run in the calling
-    process.  The list size and radii must be ints.
+    process.  The list size, radii and cap must be ints, the cap
+    nonnegative.
     """
     _require_int("list size", list_size)
     _require_int("insertion radius", t_ins)
     _require_int("deletion radius", t_del)
+    _require_cap(cap)
     if list_size < 1:
         raise ValueError("list size must be at least 1")
     if t_ins < 0 or t_del < 0:
@@ -450,9 +453,9 @@ def bound_region_pairs(
     """
     _require_int("block length", n)
     _require_int("list size", list_size)
+    if n < 1:
+        raise ValueError(f"block length must be positive, got {n}")
     delta = as_fraction(delta)
-    if delta <= 0 or n < 1:
-        return []
     if list_size == 1:
         unique_decoding_bound(delta, 0)  # checks 0 < delta <= 1
         cn, cd = delta.denominator - delta.numerator, delta.denominator
@@ -480,9 +483,10 @@ def check_bound_region(
     code of relative distance 1 (two symbol-disjoint codewords) is checked on
     the unique-decoding region; at list size 2 or more it raises ValueError,
     since the bound is formulated for delta < 1.  The list size must be an
-    int.
+    int, and the cap a nonnegative int, checked before the distance.
     """
     _require_int("list size", list_size)
+    _require_cap(cap)
     if list_size < 1:
         raise ValueError("list size must be at least 1")
     distance = min_levenshtein_distance(code)

@@ -53,6 +53,13 @@ def _require_int(name: str, value: object) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def _require_cap(cap: object) -> None:
+    """ValueError unless the size cap `cap` is a nonnegative int."""
+    _require_int("cap", cap)
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
+
+
 @dataclass(frozen=True)
 class Word:
     """Immutable sequence of symbols drawn from {0, ..., q-1}."""
@@ -158,10 +165,11 @@ def levenshtein_distance(a: Word, b: Word) -> int:
 
 
 def _min_distance(words: Sequence[tuple[int, ...]]) -> int:
-    """Minimum pairwise insdel distance of two or more symbol tuples.
+    """Minimum pairwise insdel distance of two or more distinct symbol
+    tuples of one length n, as every caller has them: a `Code`'s codewords,
+    a residue class, or a Reed-Solomon code's p^k codewords (k <= n points).
 
-    Words of one length n are searched by shared-subsequence levels.  This
-    is exact:
+    The words are searched by shared-subsequence levels.  This is exact:
 
     * for words a, b of length n, d(a, b) = 2(n - LCS(a, b));
     * a and b share a subsequence of length n - s iff LCS(a, b) >= n - s;
@@ -195,20 +203,15 @@ def _min_distance(words: Sequence[tuple[int, ...]]) -> int:
     The first term is the whole pair scan's cost, so the levels run as long
     as they cost less than the scan they replace; the second bounds memory.
     A level-s parent has exactly n - s + 1 single deletions, so a level
-    stops after the subsequences B has left.  If that cuts it short, or for
-    words of unequal length, the pair scan finishes the job.  A handover at
-    level s passes the scan a stop value of 2s, since no shared
-    level-(s - 1) subsequence means no pair is closer than 2s.  Memory:
-    every subsequence held (the previous level's dict and the current
-    one's) was built, so at most B <= max(|C| * n, 2^18) tuples of length
-    below n are held at once; 2^18 of them take about 50 MB at n = 12.
+    stops after the subsequences B has left.  If that cuts it short, the
+    pair scan finishes the job.  A handover at level s passes the scan a
+    stop value of 2s, since no shared level-(s - 1) subsequence means no
+    pair is closer than 2s.  Memory: every subsequence held (the previous
+    level's dict and the current one's) was built, so at most
+    B <= max(|C| * n, 2^18) tuples of length below n are held at once;
+    2^18 of them take about 50 MB at n = 12.
     """
-    if len(set(words)) < len(words):
-        return 0
     n = len(words[0])
-    if any(len(w) != n for w in words):
-        # distinct words are at least 1 apart
-        return _pair_scan(words, 1)
     pairs = len(words) * (len(words) - 1) // 2
     budget = min(pairs * (n + 12) // 6, max(len(words) * n, _LEVEL_MEMORY))
     built = 0
@@ -428,15 +431,17 @@ def _checked_ball_layers(
     layers `_layer(symbols, m, t_ins, t_del, q)` for m = n - t_del, ...,
     n + t_ins.
 
-    The checks of `insdel_ball` run first: ValueError for a radius that is
-    not an int, a negative radius or t_del > len(symbols), and BallSizeError
-    when the ball's size bound exceeds `cap`, before anything is enumerated.
+    The checks of `insdel_ball` run first: ValueError for a radius or cap
+    that is not an int or is negative, or t_del > len(symbols), and
+    BallSizeError when the ball's size bound exceeds `cap`, before anything
+    is enumerated.
     Each layer is built afresh when it is asked for, and the generator keeps
     no reference to it, so a consumer that merges each layer before asking
     for the next holds one layer of the ball at a time.
     """
     _require_int("insertion radius", t_ins)
     _require_int("deletion radius", t_del)
+    _require_cap(cap)
     if t_ins < 0 or t_del < 0:
         raise ValueError("radii must be nonnegative")
     n = len(symbols)

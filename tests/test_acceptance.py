@@ -25,7 +25,7 @@ from insdel_lab.acceptance import (
     run_criterion,
 )
 from insdel_lab.cli import main
-from insdel_lab.codes import Code, PrimeField, rs_search_eval_points
+from insdel_lab.codes import PrimeField, rs_search_eval_points
 from insdel_lab.verify import min_levenshtein_distance
 from insdel_lab.words import Word
 
@@ -96,6 +96,20 @@ def test_code_distances_build_one_table_per_shape(monkeypatch):
     assert len(built) == 22
 
 
+def test_code_distances_build_no_words(monkeypatch):
+    # the residue classes reach the distance kernel as raw symbol tuples
+    real = Word.__post_init__
+    built = []
+
+    def spy(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Word, "__post_init__", spy)
+    acceptance.criterion_code_distances()
+    assert built == []
+
+
 @pytest.mark.parametrize(
     "shape, residues, message",
     [
@@ -114,8 +128,8 @@ def test_code_distances_catch_a_class_below_its_floor(monkeypatch, shape, residu
         classes = real(q, n, syndromes)
         if (q, n, [modulus for _, modulus in syndromes]) != shape:
             return classes
-        pair = frozenset({Word((0,) * n, q), Word((0,) * (n - 1) + (1,), q)})
-        return [(r, Code(q=q, n=n, codewords=pair) if r == residues else c) for r, c in classes]
+        pair = [(0,) * n, (0,) * (n - 1) + (1,)]
+        return [(r, pair if r == residues else m) for r, m in classes]
 
     monkeypatch.setattr(acceptance, "_syndrome_classes", broken)
     with pytest.raises(CriterionFailure, match=f"^{re.escape(message)}$"):

@@ -44,6 +44,36 @@ class TestAsFraction:
         assert as_fraction(Fraction(2, 3)) == Fraction(2, 3)
         assert as_fraction(1) == 1
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: as_fraction(True),
+            lambda: insertion_bound(Fraction(9, 10), 2, True),
+            lambda: insertion_bound(True, 2, 1),
+            lambda: insertion_bound_piecewise(False, 2),
+            lambda: unique_decoding_bound(Fraction(1, 2), False),
+            lambda: hy_quadratic1(0.5, True),
+            lambda: hy_quadratic2(0.5, 2, True),
+            lambda: hy_list_size(0.9, True, 0),
+            lambda: comparison_report(True, 2),
+        ],
+        ids=[
+            "as_fraction",
+            "insertion_bound-x",
+            "insertion_bound-delta",
+            "piecewise",
+            "unique",
+            "hy1",
+            "hy2",
+            "hy_list_size",
+            "report",
+        ],
+    )
+    def test_a_bool_is_refused(self, call):
+        # True is the int 1 to Python, so it would read as delta, x or tau = 1
+        with pytest.raises(ValueError, match="^expected a number, got (True|False)$"):
+            call()
+
 
 class TestInsertionBound:
     def test_frozen_values(self):

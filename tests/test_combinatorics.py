@@ -65,6 +65,15 @@ class TestCoverCounts:
         with pytest.raises(EnumerationCapError):
             enumerate_v_covers(8, 10, 4, cap=100)
 
+    @pytest.mark.parametrize(
+        "cap, message",
+        [(3.5, "cap must be an int, got 3.5"), (-1, "cap must be nonnegative, got -1")],
+    )
+    def test_cap_must_be_a_nonnegative_int(self, cap, message):
+        # a float cap compares like any bound, so the families would be counted
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            enumerate_v_covers(3, 2, 2, cap=cap)
+
 
 class TestSignedSums:
     def test_closed_form_matches_oracle(self):

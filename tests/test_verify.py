@@ -209,6 +209,15 @@ class TestListDecodable:
         with pytest.raises(ValueError, match=f"^{message}$"):
             list_decodable(GREEDY, *radii, list_size)
 
+    @pytest.mark.parametrize(
+        "cap, message",
+        [(2.5, "cap must be an int, got 2.5"), (-1, "cap must be nonnegative, got -1")],
+    )
+    def test_cap_must_be_a_nonnegative_int(self, cap, message):
+        # a float or negative cap compares like any bound, so it would reach a verdict
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            list_decodable(vt_binary(6, 0), 1, 0, 2, cap=cap)
+
     def test_cap_checked_before_enumerating(self):
         # VT_0(8) at (1, 1), L = 3: the size bound is 9 * 11 = 99, and the DP
         # gives up within its budget floor
@@ -776,12 +785,13 @@ def _looped_region_pairs(n, delta, list_size):
     """bound_region_pairs counting each row up one t_ins at a time.
 
     t_ins / n < limit is compared as t_ins * den < num * n, exact because n
-    and den are positive, and far cheaper than a Fraction per step.
+    and den are positive, and far cheaper than a Fraction per step.  Row 0
+    is always evaluated, so the bound functions refuse a delta <= 0.
     """
     pairs = []
     for t_del in range(n):
         tau = Fraction(t_del, n)
-        if tau >= delta:
+        if t_del and tau >= delta:
             break
         if list_size == 1:
             limit = unique_decoding_bound(delta, tau)
@@ -847,6 +857,15 @@ class TestBoundRegion:
         unique = [(t_ins, t_del) for t_del in range(3) for t_ins in range(3 - t_del)]
         assert bound_region_pairs(6, Fraction(1, 2), 1) == unique
 
+    def test_delta_and_block_length_out_of_range_are_refused(self):
+        # out-of-range input is refused, not answered with no pairs
+        with pytest.raises(ValueError, match="^relative distance must satisfy 0 < delta < 1"):
+            bound_region_pairs(5, Fraction(-1, 2), 2)
+        with pytest.raises(ValueError, match="^relative distance must satisfy 0 < delta <= 1"):
+            bound_region_pairs(5, 0, 1)
+        with pytest.raises(ValueError, match="^block length must be positive, got 0$"):
+            bound_region_pairs(0, Fraction(1, 2), 2)
+
     def test_frozen_pairs_vt6_list2(self):
         pairs = bound_region_pairs(6, Fraction(1, 3), 2)
         assert pairs == [(0, 0), (1, 0), (0, 1)]
@@ -862,6 +881,13 @@ class TestBoundRegion:
         assert not report.skipped
         assert report.checked == ((0, 0), (1, 0), (0, 1))
         assert not report.beats_unique_decoding  # 1/3 < 2/3
+
+    @pytest.mark.parametrize("cap", [True, 2.5, -1])
+    def test_region_check_cap_must_be_a_nonnegative_int(self, monkeypatch, cap):
+        # refused before the distance is computed
+        monkeypatch.setattr(verify, "min_levenshtein_distance", None)
+        with pytest.raises(ValueError, match="^cap must be (an int|nonnegative), got "):
+            check_bound_region(vt_binary(6, 0), 2, cap=cap)
 
     def test_region_check_skips_pairs_over_cap(self):
         # size bounds for n=8, q=2: 1 at (0,0), 11 at (1,0), 9 at (0,1) and
