@@ -370,15 +370,13 @@ def hy_crossover_delta_closed_form(list_size: int) -> float:
 class ComparisonReport:
     """Where the piecewise-linear bound beats the HY quadratic.
 
-    All tau_del quantities are channel deletion fractions; the comparison is
-    carried out along x = 1 - tau_del.  ``interval`` is the tau_del interval
-    on which the piecewise bound is strictly larger, ``p2`` its upper
-    endpoint paired with the bound's value there, and ``p1`` the crossing with
-    the smallest tau_del (None if the advantage persists down to tau_del = 0).
-    ``extra_crossings`` flags a further window beyond the first.  Which of
-    these exist is decided exactly; the numbers are float64, and p1 is a
-    float root, so a window that is exactly positive but thinner than a float
-    step is reported degenerate, with p1's tau_del equal to p2's.
+    Along x = 1 - tau_del from P2's x up, ``interval`` is the one tau_del
+    window where it is strictly larger, and ``p2`` and ``p1`` are its upper
+    and lower ends with the bound's values: all set or all None.  Below P2
+    the gap (delta/(L(1-delta) + 1) at tau_del = delta, where HY2 < 0) is not
+    reported.  ``extra_crossings`` is always False (`comparison_report`,
+    Lemma B) and goes at the next seed-0 ``figures`` digest re-record.  p1
+    is a float root, so a window thinner than a float step is degenerate.
     """
 
     delta: float
@@ -394,14 +392,29 @@ class ComparisonReport:
 def comparison_report(delta: Exact | float, list_size: int) -> ComparisonReport:
     """Compare the piecewise-linear bound against the HY quadratic.
 
-    On each piece the gap, the piece minus quadratic2, is a concave quadratic
-    in x, and every decision below is the sign of a gap at a rational point,
-    taken exactly over integers.  A window exists iff the gap is positive at
-    the first breakpoint, which is P2 (it is iff delta > delta1).  It stays
-    open over the pieces whose gap is positive at their upper end and closes
-    on the first other piece, at that gap's float root; past the last piece
-    it reaches tau_del = 0.  A later piece whose gap is positive at its peak
-    is an extra crossing.
+    With c = 1 - delta, D = L c + 1 and T_r = L(L+1) c/(r(r+1)), piece r
+    (r = L first: x - c) is (2L-r+1) x/(L+1) - L c/r on [T_r, T_(r-1)], and
+    its gap g_r, minus HY2 = ((L+1) x^2 - (L+1) c x + c - 1)/D, is concave.
+    A window exists iff the gap is positive at P2, the first piece's end (iff
+    delta > delta1), and closes, at one float root, on the first later piece
+    whose gap is not positive at its end; each sign is taken over integers.
+    Each substitution below, with j, m >= 0, leaves coefficients of one sign.
+
+    Lemma A (that piece exists): with two or more pieces the last, r <= L-1,
+    has g_r(1) < 0.  With u = L(L+1) c < r(r+1), r (L+1)^2 D g_r(1) is
+    -u^2 + B u + C, B = r(2L-r+1) + (r-1)(L+1), C = r(L+1)(L-r+1-L^2); at
+    r = j+1, L = j+2+m, B - 2r(r+1) = 3jm + 2j + 2m: it rises up to
+    u = r(r+1), where its value has negative coefficients.
+
+    Lemma B (no second window).  (i) (L+1) D r(r+1) g_r'(T_r) = N_r - c M_r,
+    N_r = (2L-r+1) r(r+1), M_r = (L+1)^2 (2L(L+1) - r(r+1)) - L N_r > 0
+    (r = j+1, L = j+1+m): g_r'(T_r) <= 0 iff c >= c_r = N_r/M_r, rising in r
+    as 1/c_r + L = (L+1)^2 (2L(L+1) - r(r+1))/N_r falls, N_(r+1) - N_r being
+    (r+1)(4L-3r) > 0.  (ii) h(c) = r^2 (r-1)^2 D g_r(T_(r-1)) is concave in c
+    (r = j+1, L = j+1+m), h(0) > 0, h(c_(r-1)) = r^2 (r-1)^2 (L+1)(r-1-L) P
+    over a square, P negative at r = j+2, L = j+2+m, so h > 0 on
+    [0, c_(r-1)].  A closing g_r(T_(r-1)) <= 0 thus forces c > c_(r-1) >= c_r'
+    for each later piece r': it starts falling and is concave.
     """
     d = as_fraction(delta)
     cn, cd = _one_minus_delta(d)
@@ -410,34 +423,25 @@ def comparison_report(delta: Exact | float, list_size: int) -> ComparisonReport:
     delta1 = 1 - beta2
     if abs(delta1 - hy_crossover_delta_closed_form(list_size)) > 1e-9:
         raise AssertionError("crossover delta closed forms disagree")
-    base = ComparisonReport(
-        delta=float(d), list_size=list_size, delta1=delta1, beta2=beta2
-    )
+    base = ComparisonReport(float(d), list_size, delta1, beta2)
     big = list_size
     first, *rest = insertion_bound_piecewise(d, big).pieces
     # piece r minus quadratic2, times r (L+1) cd (L cn + cd) > 0, is the
-    # integer quadratic -r a x^2 + r b_r x - e_r, which peaks at b_r / (2a)
+    # integer quadratic -r a x^2 + r b_r x - e_r
     a = (big + 1) ** 2 * cd * cd
-
-    def b(r: int) -> int:
-        return cd * ((big * cn + cd) * (2 * big - r + 1) + (big + 1) ** 2 * cn)
 
     def gap(piece: LinearPiece, x: Fraction) -> int:
         r, xn, xd = piece.r, x.numerator, x.denominator
+        b = cd * ((big * cn + cd) * (2 * big - r + 1) + (big + 1) ** 2 * cn)
         e = (big + 1) * (big * cn * (big * cn + cd) - r * cd * (cd - cn))
-        return r * (b(r) * xd - a * xn) * xn - e * xd * xd
+        return r * (b * xd - a * xn) * xn - e * xd * xd
 
     if not rest or gap(rest[0], rest[0].lower) <= 0:
         return base
-    # the first piece ends at x = (L+1)/(L-1) (1 - delta), where it is
-    # 2/(L-1) (1 - delta)
+    # the first piece ends at x = (L+1)/(L-1) c, where it is 2/(L-1) c
     p2 = (float(1 - first.upper), float(first.value(first.upper)))
-    j = next((j for j, p in enumerate(rest) if gap(p, p.upper) <= 0), None)
-    if j is None:
-        return replace(base, interval=(0.0, p2[0]), p2=p2)
-
+    closing = next(p for p in rest if gap(p, p.upper) <= 0)  # Lemma A
     # the closing piece's gap in floats is -qa x^2 + b2 x + c2; its larger root
-    closing = rest[j]
     one_minus = float(1 - d)
     denom = big * one_minus + 1
     qa = (big + 1) / denom
@@ -447,9 +451,4 @@ def comparison_report(delta: Exact | float, list_size: int) -> ComparisonReport:
     x1 = min(float(closing.upper), max(float(closing.lower), right))
     tau1 = min(1 - x1, p2[0])
     p1 = (tau1, float(insertion_bound(d, big, x1)))
-
-    def peak(p: LinearPiece) -> Fraction:
-        return min(p.upper, max(p.lower, Fraction(b(p.r), 2 * a)))
-
-    extra = any(gap(p, peak(p)) > 0 for p in rest[j + 1 :])
-    return replace(base, interval=(tau1, p2[0]), p1=p1, p2=p2, extra_crossings=extra)
+    return replace(base, interval=(tau1, p2[0]), p1=p1, p2=p2)

@@ -165,6 +165,7 @@ def elimination_row(list_size: int, r: int) -> EliminationRow:
     (r+1-u) (-1)^(j-u) C(j-1, u-1), i.e. the weighted inclusion-exclusion
     coefficients accumulated across the first r union terms.
     """
+    _validate_positive(list_size=list_size, r=r)
     coeffs = tuple(
         sum(
             (r + 1 - u) * (-1) ** (j - u) * comb(j - 1, u - 1)
@@ -181,6 +182,7 @@ def elimination_tail_term(r: int, j: int) -> Fraction:
     Equals (-1)^(j-r) C(j-3, r-2) (r(j-2)/(r-1) - (j-1)); positive exactly
     when j - r is even.
     """
+    _validate_positive(r=r, j=j)
     if r < 2:
         raise ValueError("closed form requires r >= 2")
     if j < r + 2:

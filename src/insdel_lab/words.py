@@ -53,6 +53,14 @@ def _require_int(name: str, value: object) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def _require_radii(t_ins: object, t_del: object) -> None:
+    """ValueError unless both channel radii are nonnegative ints."""
+    _require_int("insertion radius", t_ins)
+    _require_int("deletion radius", t_del)
+    if t_ins < 0 or t_del < 0:
+        raise ValueError("radii must be nonnegative")
+
+
 def _require_cap(cap: object) -> None:
     """ValueError unless the size cap `cap` is a nonnegative int."""
     _require_int("cap", cap)
@@ -254,8 +262,10 @@ def in_insdel_ball(target: Word, centre: Word, t_ins: int, t_del: int) -> bool:
     """True iff `target` is reachable from `centre` within the given budgets.
 
     Lazy membership test, no enumeration: O(len(centre)) big-int steps on
-    len(target)-bit integers.
+    len(target)-bit integers.  ValueError unless both radii are
+    nonnegative ints.
     """
+    _require_radii(t_ins, t_del)
     ell = lcs_length(centre, target)
     return len(target) - ell <= t_ins and len(centre) - ell <= t_del
 
@@ -439,11 +449,8 @@ def _checked_ball_layers(
     no reference to it, so a consumer that merges each layer before asking
     for the next holds one layer of the ball at a time.
     """
-    _require_int("insertion radius", t_ins)
-    _require_int("deletion radius", t_del)
+    _require_radii(t_ins, t_del)
     _require_cap(cap)
-    if t_ins < 0 or t_del < 0:
-        raise ValueError("radii must be nonnegative")
     n = len(symbols)
     if t_del > n:
         raise ValueError(f"deletion radius {t_del} exceeds word length {n}")

@@ -8,6 +8,8 @@ pytest.
 """
 
 import dataclasses
+import itertools
+import math
 import re
 from fractions import Fraction
 from types import SimpleNamespace
@@ -25,8 +27,8 @@ from insdel_lab.acceptance import (
     run_criterion,
 )
 from insdel_lab.cli import main
-from insdel_lab.codes import PrimeField, rs_search_eval_points
-from insdel_lab.verify import min_levenshtein_distance
+from insdel_lab.codes import Code, PrimeField, rs_search_eval_points
+from insdel_lab.verify import Verdict, min_levenshtein_distance
 from insdel_lab.words import Word
 
 # seconds, by criterion function; taken from the stated budgets the criteria
@@ -233,6 +235,191 @@ def test_hy_check_names_the_first_failing_point(monkeypatch):
     where = re.escape(f"phi2 >= phi1 at (L={big}, delta={delta}, x={wrong[1]})")
     with pytest.raises(CriterionFailure, match=f"^{where}$"):
         acceptance.criterion_hy_golden()
+
+
+def _run(check):
+    """Criterion `check` through the gate's runner, as `regress` runs it."""
+    return run_criterion([c for _, c in ALL_CRITERIA].index(check) + 1)
+
+
+def _off_by_one_at(real, at):
+    """`real` with its value raised by one at the arguments `at`."""
+    return lambda *args: real(*args) + (args == at)
+
+
+@pytest.mark.parametrize(
+    "name, check, at, detail",
+    [
+        (
+            "enumerate_v_covers",
+            acceptance.criterion_cover_oracle,
+            (3, 2, 2),
+            "(j=3, ell=2, v=2): 3 != 4",
+        ),
+        (
+            "signed_cover_sum",
+            acceptance.criterion_coefficient_closed_form,
+            (4, 2),
+            "(j=4, v=2): 3, 4, 3",
+        ),
+        (
+            "alternating_binomial_sum",
+            acceptance.criterion_telescoping_sum,
+            (5, 3),
+            "(j=5, v=3): 2",
+        ),
+    ],
+    ids=["cover-oracle", "coefficient-closed-form", "telescoping-sum"],
+)
+def test_identity_criteria_name_the_first_wrong_value(monkeypatch, name, check, at, detail):
+    monkeypatch.setattr(acceptance, name, _off_by_one_at(getattr(acceptance, name), at))
+    result = _run(check)
+    assert (result.ok, result.detail) == (False, detail)
+
+
+@pytest.mark.parametrize(
+    "value, detail",
+    [
+        (0, "(L=4, r=2, j=5): unexpected zero"),
+        (2, "(L=4, r=2, j=5): sign pattern broken"),
+        (-3, "(L=4, r=2, j=5): tail closed form"),
+        (None, "(L=4, r=2, j=4): margin 3 vs 6"),
+    ],
+    ids=["zero", "sign", "tail", "margin"],
+)
+def test_elimination_rows_catch_a_wrong_tail(monkeypatch, value, detail):
+    # row (L=4, r=2) is (2, -1, 0, 1, -2); its order-5 entry is changed, which
+    # the row's own checks (orders 1..r+1) let through; the margin case
+    # raises every binomial of the margin formula by one instead
+    if value is None:
+        monkeypatch.setattr(acceptance, "comb", lambda n, k: math.comb(n, k) + 1)
+    else:
+        real = acceptance.elimination_row
+
+        def changed(list_size, r):
+            row = real(list_size, r)
+            if (list_size, r) != (4, 2):
+                return row
+            return dataclasses.replace(row, coefficients=row.coefficients[:4] + (value,))
+
+        monkeypatch.setattr(acceptance, "elimination_row", changed)
+    result = _run(acceptance.criterion_elimination_rows)
+    assert (result.ok, result.detail) == (False, detail)
+
+
+_REPORT = acceptance.comparison_report(Fraction(9, 10), 2)
+_GOLDEN = (27 - math.sqrt(57)) / 28
+
+
+@pytest.mark.parametrize(
+    "name, fake, detail",
+    [
+        ("hy_crossover_delta", lambda list_size: 0.5, f"delta1(2) = 0.5 vs {_GOLDEN}"),
+        ("hy_crossover_delta_closed_form", lambda list_size: 0.5, "closed form delta1(2) off"),
+        (
+            "comparison_report",
+            lambda delta, list_size: dataclasses.replace(_REPORT, p2=(0.7, 0.25)),
+            "P2 = (0.7, 0.25)",
+        ),
+        (
+            "comparison_report",
+            lambda delta, list_size: dataclasses.replace(_REPORT, p1=None),
+            "P1 = None vs tau_d 0.11740243845501175",
+        ),
+        (
+            "comparison_report",
+            lambda delta, list_size: dataclasses.replace(_REPORT, interval=None),
+            "advantage interval missing",
+        ),
+        (
+            "comparison_report",
+            lambda delta, list_size: dataclasses.replace(
+                _REPORT, interval=(_REPORT.interval[0], 0.6)
+            ),
+            f"interval = ({_REPORT.interval[0]}, 0.6)",
+        ),
+    ],
+    ids=["delta1", "closed-form", "p2", "p1", "no-interval", "interval"],
+)
+def test_hy_golden_catches_a_wrong_landmark(monkeypatch, name, fake, detail):
+    # the report's own computation is not patched: the criterion reads the
+    # names it imported
+    monkeypatch.setattr(acceptance, name, fake)
+    result = _run(acceptance.criterion_hy_golden)
+    assert (result.ok, result.detail) == (False, detail)
+
+
+def _region_report(skipped=(), checked=(), violations=()):
+    """A stand-in for check_bound_region's report, with delta = 1/2."""
+    ok = not violations
+    return SimpleNamespace(
+        skipped=skipped, checked=checked, violations=violations, ok=ok, delta=Fraction(1, 2)
+    )
+
+
+@pytest.mark.parametrize(
+    "name, fake, detail",
+    [
+        (
+            "vt_binary",
+            lambda n, a: Code(2, n, frozenset({Word((0,) * n, 2), Word((1,) * n, 2)})),
+            "VT_0(6) L=2: vacuous, |C| = 2",
+        ),
+        (
+            "check_bound_region",
+            lambda code, list_size: _region_report(violations=(Verdict(False, 1, 2, list_size),)),
+            "VT_0(6) L=2: violation at (t_ins=1, t_del=2)",
+        ),
+        (
+            "check_bound_region",
+            # every pair checked lies in the unique-decoding region
+            lambda code, list_size: _region_report(checked=((0, 0),)),
+            "no checked pair lies beyond unique decoding",
+        ),
+    ],
+    ids=["vacuous", "violation", "nothing-beyond-unique"],
+)
+def test_region_harness_catches_a_bad_subject(monkeypatch, name, fake, detail):
+    monkeypatch.setattr(acceptance, name, fake)
+    result = _run(acceptance.criterion_region_harness)
+    assert (result.ok, result.detail) == (False, detail)
+
+
+def test_region_harness_records_skipped_pairs(monkeypatch):
+    # (n, 0) lies beyond unique decoding at delta = 1/2: t_ins/n < 1/2 fails
+    def fake(code, list_size):
+        skipped = ((1, 1),) if list_size == 6 else ()
+        return _region_report(skipped=skipped, checked=((code.n, 0),))
+
+    monkeypatch.setattr(acceptance, "check_bound_region", fake)
+    result = _run(acceptance.criterion_region_harness)
+    assert (result.ok, result.skipped) == (True, ["VT_0(6) L=6 pair=(1, 1)"])
+    assert result.line().rsplit(" (", 1)[0].endswith("(skipped: 1)")
+
+
+@pytest.mark.parametrize(
+    "patch, detail",
+    [
+        (
+            lambda monkeypatch, counter: monkeypatch.setattr(
+                acceptance.figures, "bound_table_rows", lambda *args: [str(next(counter))]
+            ),
+            "CSV rows differ across runs",
+        ),
+        (
+            lambda monkeypatch, counter: monkeypatch.setattr(
+                acceptance, "list_decodable", lambda *args, **kwargs: next(counter)
+            ),
+            "witness verdict differs across runs at (1, 1, 2)",
+        ),
+    ],
+    ids=["csv", "witness"],
+)
+def test_determinism_catches_a_changing_output(monkeypatch, patch, detail):
+    # each call answers a new number, so no two runs agree
+    patch(monkeypatch, itertools.count())
+    result = _run(acceptance.criterion_determinism)
+    assert (result.ok, result.detail) == (False, detail)
 
 
 def _passes():

@@ -673,3 +673,84 @@ class TestComparisonReport:
         assert isinstance(report, ComparisonReport)
         assert report.list_size == 2
         assert report.delta == 0.9
+
+
+def _coprime_fractions(max_denominator):
+    """Every a/b in (0, 1) with b <= max_denominator, each once."""
+    return sorted(
+        {Fraction(a, b) for b in range(2, max_denominator + 1) for a in range(1, b)}
+    )
+
+
+class TestComparisonWindow:
+    """The lemmas of `comparison_report`, in exact arithmetic.
+
+    With c = 1 - delta, D = L c + 1 and T_r = L(L+1) c/(r(r+1)), the gap
+    g_r is piece r minus quadratic2; `comparison_report` relies on it
+    closing its window on some piece (Lemma A) and never reopening it
+    (Lemma B).
+    """
+
+    @staticmethod
+    def gap(c, big, r, x):
+        piece = Fraction(2 * big - r + 1, big + 1) * x - big * c / r
+        return piece - hy_quadratic2(1 - c, big, x)
+
+    @staticmethod
+    def c_r(big, r):
+        n_r = (2 * big - r + 1) * r * (r + 1)
+        m_r = (big + 1) ** 2 * (2 * big * (big + 1) - r * (r + 1)) - big * n_r
+        assert m_r > 0
+        return Fraction(n_r, m_r)
+
+    def test_lemma_a_the_last_piece_ends_below_the_quadratic(self):
+        for big in range(2, 41):
+            for r in range(1, big):
+                lin = r * (2 * big - r + 1) + (r - 1) * (big + 1)
+                const = r * (big + 1) * (big - r + 1 - big * big)
+                top = r * (r + 1)
+                assert lin >= 2 * top  # -u^2 + lin u + const rises up to top
+                assert -top * top + lin * top + const < 0
+                # u = L(L+1) c across [r(r-1), r(r+1)), where r owns x = 1
+                for u in (Fraction(r * (r - 1)), Fraction(r * r), top - Fraction(1, 7)):
+                    if u == 0:
+                        continue
+                    c = u / (big * (big + 1))
+                    bound = insertion_bound_piecewise(1 - c, big)
+                    assert bound.r_min == r and len(bound.pieces) >= 2
+                    gap = insertion_bound(1 - c, big, 1) - hy_quadratic2(1 - c, big, 1)
+                    d = big * c + 1
+                    assert gap == (-u * u + lin * u + const) / (r * (big + 1) ** 2 * d)
+                    assert gap < 0
+
+    def test_lemma_b_slopes_and_kinks(self):
+        for big in range(2, 9):
+            thresholds = [self.c_r(big, r) for r in range(1, big + 1)]
+            assert thresholds[-1] == 1
+            assert thresholds == sorted(set(thresholds))  # strictly rising in r
+            for c in _coprime_fractions(40):
+                d = big * c + 1
+                for r in range(1, big + 1):
+                    # (i) the gap's slope at the start of piece r
+                    t_r = Fraction(big * (big + 1), r * (r + 1)) * c
+                    slope = Fraction(2 * big - r + 1, big + 1) - (big + 1) * (2 * t_r - c) / d
+                    assert (slope <= 0) == (c >= thresholds[r - 1])
+                    # (ii) a piece whose gap closes at its kink T_(r-1)
+                    if r >= 2:
+                        kink = Fraction(big * (big + 1), (r - 1) * r) * c
+                        if self.gap(c, big, r, kink) <= 0:
+                            assert c > thresholds[r - 2]
+
+    def test_one_window_over_a_grid(self):
+        for big in range(2, 13):
+            for delta in _coprime_fractions(30):
+                report = comparison_report(delta, big)
+                landmarks = (report.interval, report.p1, report.p2)
+                assert all(v is None for v in landmarks) or None not in landmarks
+                assert not report.extra_crossings
+                pieces = insertion_bound_piecewise(delta, big).pieces
+                # from P2, the first piece's end, the gap's signs at the piece
+                # ends fall once at most
+                signs = [self.gap(1 - delta, big, p.r, p.upper) > 0 for p in pieces]
+                assert signs == sorted(signs, reverse=True)
+                assert (report.interval is not None) == (len(pieces) > 1 and signs[0])

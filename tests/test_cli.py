@@ -1,12 +1,15 @@
 """End-to-end CLI coverage: payloads, files, and the exit-code contract."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 from click.testing import CliRunner
 
+from insdel_lab import cli
 from insdel_lab.cli import main
 from insdel_lab.codes import vt_binary, write_code
+from insdel_lab.verify import Verdict
 
 GREEDY_CODE = Path(__file__).resolve().parent.parent / "perfbench/frozen/greedy_seed0_0.code"
 
@@ -187,6 +190,13 @@ class TestIdentityCommands:
     def test_phi_alternating_row(self):
         payload = payload_of(run("identity", "phi", "--list-size", "4", "--r", "1"))
         assert payload["value"] == [1, -1, 1, -1, 1]
+
+    def test_a_mismatch_exits_one(self, monkeypatch):
+        monkeypatch.setattr(cli, "count_v_covers", lambda j, ell, v: 4)
+        result = run("identity", "covers", "--j", "3", "--ell", "2", "--v", "2")
+        assert result.exit_code == 1
+        payload = json.loads(result.output)
+        assert (payload["value"], payload["oracle_value"]) == (4, 3)
 
 
 class TestCodeCommands:
@@ -396,6 +406,24 @@ class TestVerifyCommands:
         assert payload["ok"] is True
         assert payload["delta"] == "1/3"
         assert payload["checked"] == [[0, 0], [1, 0], [0, 1]]
+
+    def test_theorem_violation_exits_one(self, tmp_path, monkeypatch):
+        out = tmp_path / "vt6.code"
+        payload_of(run("code", "vt", "--n", "6", "--a", "0", "--out", str(out)))
+        real = cli.check_bound_region
+
+        def violated(code, list_size, cap):
+            report = real(code, list_size, cap=cap)
+            return dataclasses.replace(report, violations=(Verdict(False, 1, 0, list_size),))
+
+        monkeypatch.setattr(cli, "check_bound_region", violated)
+        result = run("verify", "theorem", "--code", str(out), "--list-size", "2")
+        assert result.exit_code == 1, result.output
+        payload = json.loads(result.output)
+        assert payload["ok"] is False
+        assert payload["violations"] == [
+            {"decodable": False, "list_size": 2, "t_del": 0, "t_ins": 1, "witness": None}
+        ]
 
     def test_theorem_unique_decoding(self, tmp_path):
         out = tmp_path / "vt6.code"

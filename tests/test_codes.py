@@ -744,3 +744,18 @@ class TestCodeFiles:
             Code(q=2, n=2.0, codewords=codewords)
         with pytest.raises(ValueError, match="^block length must be an int, got True$"):
             Code(q=2, n=True, codewords=frozenset({word([0], 2)}))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rs_search_eval_points(PrimeField(7), 5, 2, budget=0), "budget must be positive"),
+        (lambda: rs_code(PrimeField(7), 5, 2, (0, 1, 2, 3)), "expected 5 evaluation points, got 4"),
+        (lambda: Code(q=1, n=2, codewords=frozenset({word([0, 1], 2)})), "need q >= 2 and n >= 1"),
+        (lambda: vt_qary(0, 3, 0, 0), "need n >= 1"),
+    ],
+    ids=["search-budget", "rs-point-count", "code-alphabet", "vt-qary-length"],
+)
+def test_out_of_range_parameters_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

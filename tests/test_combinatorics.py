@@ -1,5 +1,6 @@
 """Cover-count recursion, signed sums, and elimination rows against oracles."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -84,6 +85,7 @@ class TestSignedSums:
                 assert closed == (-1) ** (j - v) * comb(j - 1, v - 1)
 
     def test_frozen_values(self):
+        assert inclusion_exclusion_coefficient(2, 3) == 0  # j < v: no v-subset fits
         assert inclusion_exclusion_coefficient(4, 2) == 3
         assert inclusion_exclusion_coefficient(5, 3) == 6
         assert inclusion_exclusion_coefficient(6, 1) == -1
@@ -162,6 +164,51 @@ class TestEliminationRows:
                     )
                     assert margin == expected
                     assert margin >= 3
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            # True ran as r = 1, and the floats raised TypeError in range and comb
+            (lambda: elimination_row(3, True), "r must be a positive integer, got True"),
+            (lambda: elimination_row(3.0, 1), "list_size must be a positive integer, got 3.0"),
+            (lambda: elimination_tail_term(2.0, 4), "r must be a positive integer, got 2.0"),
+            (lambda: elimination_tail_term(2, 4.0), "j must be a positive integer, got 4.0"),
+        ],
+        ids=["row-bool-r", "row-float-list-size", "tail-float-r", "tail-float-j"],
+    )
+    def test_arguments_must_be_ints(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"r": 1, "list_size": 1, "coefficients": (1, -1)}, "list_size must be at least 2"),
+            (
+                {"r": 1, "list_size": 2, "coefficients": (1, -1)},
+                "expected one coefficient per order 1..list_size+1",
+            ),
+            (
+                {"r": 2, "list_size": 2, "coefficients": (2, 1, 0)},
+                "order-2 coefficient must equal -1",
+            ),
+        ],
+        ids=["list-size", "length", "order-2"],
+    )
+    def test_row_checks(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EliminationRow(**kwargs)
+
+    @pytest.mark.parametrize(
+        "r, j, message",
+        [
+            (1, 5, "closed form requires r >= 2"),
+            (3, 4, "closed form covers orders j >= r + 2 only"),
+        ],
+    )
+    def test_tail_term_range(self, r, j, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            elimination_tail_term(r, j)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

@@ -406,6 +406,22 @@ class TestInsdelBall:
             insdel_ball(word([0, 1], 2), 0, True)
 
     @pytest.mark.parametrize(
+        "radii, message",
+        [
+            ((0, -1), "radii must be nonnegative"),
+            ((-1, 0), "radii must be nonnegative"),
+            ((0.5, 1.5), "insertion radius must be an int, got 0.5"),
+            ((True, True), "insertion radius must be an int, got True"),
+            ((1, 1.0), "deletion radius must be an int, got 1.0"),
+        ],
+    )
+    def test_membership_radii_must_be_nonnegative_ints(self, radii, message):
+        # the membership test compared any radius with its LCS counts: (0, -1)
+        # answered False, (0.5, 1.5) and (True, True) answered True
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            in_insdel_ball(word([0, 1], 2), word([0, 1, 0], 2), *radii)
+
+    @pytest.mark.parametrize(
         "cap, message",
         [(5.5, "cap must be an int, got 5.5"), (-1, "cap must be nonnegative, got -1")],
     )
