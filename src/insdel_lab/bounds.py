@@ -40,7 +40,8 @@ Exact = Union[int, str, Fraction]
 
 def as_fraction(value: Exact | float) -> Fraction:
     """Coerce to an exact rational; floats go through their decimal repr.
-    A bool, an int to Python, is refused, as `words._require_int` does."""
+    A bool, an int to Python, is refused, as `words._require_int` does, and
+    so is text with a zero denominator, such as "1/0": both are ValueErrors."""
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
     if isinstance(value, Fraction):  # immutable, so no copy is needed
@@ -49,7 +50,10 @@ def as_fraction(value: Exact | float) -> Fraction:
         return Fraction(str(value))
     if isinstance(value, Rational):
         return Fraction(value)
-    return Fraction(str(value))
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def _one_minus_delta(delta: Fraction) -> tuple[int, int]:

@@ -8,7 +8,6 @@ checked property fails or a resource cap is hit, 2 on invalid input.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 from fractions import Fraction
 
@@ -76,30 +75,49 @@ def _echo_json(result) -> None:
     click.echo(json.dumps(result, default=_plain, sort_keys=True, indent=2))
 
 
-def _parse_exact(text: str, name: str) -> Fraction:
-    try:
-        return as_fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"cannot parse --{name} value {text!r}") from exc
+class _Parsed(click.ParamType):
+    """Option text read by `parse`, or with `many` a comma-separated tuple of
+    such; a value `parse` refuses is reported under the option's name."""
 
+    def __init__(self, name: str, parse, many: bool = False) -> None:
+        self.name, self.parse, self.many = name, parse, many
 
-def _guarded(fn):
-    """Map library errors onto the CLI exit-code contract."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def convert(self, value, param, ctx):
         try:
-            return fn(*args, **kwargs)
+            if self.many:
+                return tuple(self.parse(part) for part in value.split(","))
+            return self.parse(value)
+        except ValueError:
+            self.fail(f"cannot parse {value!r}", param, ctx)
+
+
+_EXACT = _Parsed("exact", as_fraction)
+_EXACT_LIST = _Parsed("exact,...", as_fraction, many=True)
+_INT_LIST = _Parsed("int,...", int, many=True)
+
+
+class _Command(click.Command):
+    """A command whose library errors follow the CLI exit-code contract: a
+    cap hit exits 1 with `error: ...`, a ValueError is a usage error (2)."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
         except (BallSizeError, CodeSizeError, EnumerationCapError) as exc:
             click.echo(f"error: {exc}", err=True)
             raise SystemExit(1)
         except ValueError as exc:
-            raise click.UsageError(str(exc))
-
-    return wrapper
+            raise click.UsageError(str(exc), ctx) from exc
 
 
-@click.group()
+class _Group(click.Group):
+    """Every subgroup is a _Group and every command a _Command."""
+
+    command_class = _Command
+    group_class = type
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Insdel code laboratory: bounds, identities, codes, and verification."""
 
@@ -114,20 +132,17 @@ def bound() -> None:
 
 
 @bound.command("rho")
-@click.option("--delta", "delta_text", required=True, help="relative distance in (0,1)")
+@click.option("--delta", type=_EXACT, required=True, help="relative distance in (0,1)")
 @click.option("--list-size", type=int, required=True)
-@click.option("--tau-d", "tau_text", default=None, help="deletion fraction to evaluate at")
-@_guarded
-def bound_rho(delta_text, list_size, tau_text) -> None:
+@click.option("--tau-d", "tau", type=_EXACT, default=None, help="deletion fraction to evaluate at")
+def bound_rho(delta, list_size, tau) -> None:
     """Piecewise-linear insertion bound: pieces, or the value at one tau_d."""
-    delta = _parse_exact(delta_text, "delta")
     payload: dict = {
         "bound": "piecewise-linear insertion bound",
         "delta": delta,
         "list_size": list_size,
     }
-    if tau_text is not None:
-        tau = _parse_exact(tau_text, "tau-d")
+    if tau is not None:
         value = insertion_bound(delta, list_size, 1 - tau)
         payload |= {
             "tau_d": tau,
@@ -154,15 +169,12 @@ def bound_rho(delta_text, list_size, tau_text) -> None:
 
 
 @bound.command("hy")
-@click.option("--delta", "delta_text", required=True)
+@click.option("--delta", type=_EXACT, required=True)
 @click.option("--list-size", type=int, required=True)
-@click.option("--tau-d", "tau_text", default="0")
-@click.option("--tau-i", "tau_ins_text", default=None, help="insertion fraction for the list-size formula")
-@_guarded
-def bound_hy(delta_text, list_size, tau_text, tau_ins_text) -> None:
+@click.option("--tau-d", "tau", type=_EXACT, default="0")
+@click.option("--tau-i", "tau_ins", type=_EXACT, default=None, help="insertion fraction for the list-size formula")
+def bound_hy(delta, list_size, tau, tau_ins) -> None:
     """HY quadratic bound values, and its guaranteed list size if --tau-i is given."""
-    delta = _parse_exact(delta_text, "delta")
-    tau = _parse_exact(tau_text, "tau-d")
     if not 0 <= tau < 1:
         raise click.UsageError(f"--tau-d must lie in [0, 1), got {tau}")
     x = 1 - tau
@@ -176,22 +188,19 @@ def bound_hy(delta_text, list_size, tau_text, tau_ins_text) -> None:
         "phi2": phi2,
         "phi2_float": float(phi2),
     }
-    if tau_ins_text is not None:
-        tau_ins = _parse_exact(tau_ins_text, "tau-i")
+    if tau_ins is not None:
         payload["hy_list_size"] = hy_list_size(delta, tau_ins, tau)
     _echo_json(payload)
 
 
 @bound.command("compare")
-@click.option("--delta", "delta_text", required=True)
+@click.option("--delta", type=_EXACT, required=True)
 @click.option("--list-size", type=int, required=True)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--points", type=int, default=figures.DEFAULT_POINTS, show_default=True)
-@_guarded
-def bound_compare(delta_text, list_size, csv_path, points) -> None:
+def bound_compare(delta, list_size, csv_path, points) -> None:
     """Where the piecewise-linear bound beats the HY quadratic; with --csv,
     also the table of rho, phi1, phi2 and the unique-decoding line."""
-    delta = _parse_exact(delta_text, "delta")
     payload = _plain(comparison_report(delta, list_size))
     payload["interval_tau_d"] = payload.pop("interval")
     if csv_path is not None:
@@ -220,7 +229,6 @@ def _identity_result(inputs: dict, value, oracle_value) -> None:
 @click.option("--ell", type=int, required=True)
 @click.option("--v", type=int, required=True)
 @click.option("--cap", type=click.IntRange(min=0), default=DEFAULT_FAMILY_CAP, show_default=True)
-@_guarded
 def identity_covers(j, ell, v, cap) -> None:
     """Cover-count recursion versus brute-force family enumeration."""
     _identity_result(
@@ -233,7 +241,6 @@ def identity_covers(j, ell, v, cap) -> None:
 @identity.command("ajv")
 @click.option("--j", type=int, required=True)
 @click.option("--v", type=int, required=True)
-@_guarded
 def identity_ajv(j, v) -> None:
     """Closed-form inclusion-exclusion coefficient versus its signed cover sum."""
     _identity_result(
@@ -246,7 +253,6 @@ def identity_ajv(j, v) -> None:
 @identity.command("claim8")
 @click.option("--j", type=int, required=True)
 @click.option("--v", type=int, required=True)
-@_guarded
 def identity_claim8(j, v) -> None:
     """Telescoping alternating binomial sum; always equal to 1."""
     _identity_result({"j": j, "v": v}, alternating_binomial_sum(j, v), 1)
@@ -255,7 +261,6 @@ def identity_claim8(j, v) -> None:
 @identity.command("phi")
 @click.option("--list-size", type=int, required=True)
 @click.option("--r", type=int, required=True)
-@_guarded
 def identity_phi(list_size, r) -> None:
     """Elimination-row coefficients versus their closed-form reconstruction."""
     row = elimination_row(list_size, r)
@@ -293,7 +298,6 @@ def _emit_code(built, out: str, extra: dict) -> None:
 @click.option("--n", type=int, required=True)
 @click.option("--a", type=int, required=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-@_guarded
 def code_vt(n, a, out) -> None:
     """Binary Varshamov-Tenengolts code VT_a(n)."""
     _emit_code(vt_binary(n, a), out, {"family": "vt-binary", "a": a})
@@ -305,7 +309,6 @@ def code_vt(n, a, out) -> None:
 @click.option("--a", type=int, required=True)
 @click.option("--b", type=int, required=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-@_guarded
 def code_vtq(n, q, a, b, out) -> None:
     """q-ary Varshamov-Tenengolts code (q > 2)."""
     _emit_code(vt_qary(n, q, a, b), out, {"family": "vt-qary", "a": a, "b": b})
@@ -318,7 +321,6 @@ def code_vtq(n, q, a, b, out) -> None:
 @click.option("--a", type=int, required=True)
 @click.option("--m", type=int, default=None, help="modulus override (>= v_(n+1))")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-@_guarded
 def code_helberg(q, n, s, a, m, out) -> None:
     """Helberg code with weight recursion parameters (q, s)."""
     built = helberg(q, n, s, a, m=m)
@@ -329,16 +331,11 @@ def code_helberg(q, n, s, a, m, out) -> None:
 @click.option("--p", type=int, required=True, help="prime field size")
 @click.option("--n", type=int, required=True)
 @click.option("--k", type=int, required=True)
-@click.option("--alpha", "alpha_text", default=None, help="comma-separated evaluation points")
+@click.option("--alpha", type=_INT_LIST, default=None, help="comma-separated evaluation points")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-@_guarded
-def code_rs(p, n, k, alpha_text, out) -> None:
+def code_rs(p, n, k, alpha, out) -> None:
     """Reed-Solomon evaluation code over a prime field."""
-    field = PrimeField(p)
-    alpha = None
-    if alpha_text is not None:
-        alpha = tuple(int(part) for part in alpha_text.split(","))
-    built = rs_code(field, n, k, alpha)
+    built = rs_code(PrimeField(p), n, k, alpha)
     _emit_code(built, out, {"family": "reed-solomon", "k": k})
 
 
@@ -350,7 +347,6 @@ def code_rs(p, n, k, alpha_text, out) -> None:
 @click.option("--budget", type=int, default=2000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guarded
 def code_rs_search(p, n, k, target, budget, seed, out) -> None:
     """Search evaluation points maximizing the minimum Levenshtein distance."""
     field = PrimeField(p)
@@ -373,7 +369,6 @@ def verify() -> None:
 
 @verify.command("mindist")
 @click.option("--code", "code_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@_guarded
 def verify_mindist(code_path) -> None:
     """Minimum pairwise Levenshtein distance of a code file."""
     loaded = read_code(code_path)
@@ -410,7 +405,6 @@ _ball_cap_option = click.option(
     "when the words the census builds to find it fit --cap",
 )
 @_ball_cap_option
-@_guarded
 def verify_list_decodable(code_path, ti, td, list_size, witness, cap) -> None:
     """Exhaustive channel-output check of (ti, td, L)-list-decodability."""
     loaded = read_code(code_path)
@@ -424,7 +418,6 @@ def verify_list_decodable(code_path, ti, td, list_size, witness, cap) -> None:
 @click.option("--code", "code_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--list-size", type=int, required=True)
 @_ball_cap_option
-@_guarded
 def verify_theorem(code_path, list_size, cap) -> None:
     """Check every integer radius pair inside the bound's guaranteed region."""
     loaded = read_code(code_path)
@@ -444,41 +437,34 @@ def figure() -> None:
 
 
 @figure.command("fig1")
-@click.option("--delta", "delta_text", required=True)
+@click.option("--delta", type=_EXACT, required=True)
 @click.option("--list-size", type=int, required=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @click.option("--points", type=int, default=figures.DEFAULT_POINTS, show_default=True)
-@_guarded
-def figure_fig1(delta_text, list_size, out, points) -> None:
+def figure_fig1(delta, list_size, out, points) -> None:
     """Bound comparison curves with P1/P2 landmark rows."""
-    delta = _parse_exact(delta_text, "delta")
     figures.write_rows(figures.comparison_rows(delta, list_size, points), out)
     _echo_json({"figure": "fig1", "out": out, "points": points})
 
 
 @figure.command("fig2")
-@click.option("--delta", "delta_text", required=True)
-@click.option("--list-sizes", "sizes_text", required=True, help="comma-separated, e.g. 2,3,5,10")
+@click.option("--delta", type=_EXACT, required=True)
+@click.option("--list-sizes", type=_INT_LIST, required=True, help="comma-separated, e.g. 2,3,5,10")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @click.option("--points", type=int, default=figures.DEFAULT_POINTS, show_default=True)
-@_guarded
-def figure_fig2(delta_text, sizes_text, out, points) -> None:
+def figure_fig2(delta, list_sizes, out, points) -> None:
     """Bound profiles over x for several list sizes."""
-    delta = _parse_exact(delta_text, "delta")
-    list_sizes = tuple(int(part) for part in sizes_text.split(","))
     figures.write_rows(figures.bound_profile_rows(delta, list_sizes, points), out)
     _echo_json({"figure": "fig2", "out": out, "points": points})
 
 
 @figure.command("fig3")
 @click.option("--list-size", type=int, required=True)
-@click.option("--rates", "rates_text", required=True, help="comma-separated rates in (0, 1/2)")
+@click.option("--rates", type=_EXACT_LIST, required=True, help="comma-separated rates in (0, 1/2)")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @click.option("--points", type=int, default=figures.DEFAULT_POINTS, show_default=True)
-@_guarded
-def figure_fig3(list_size, rates_text, out, points) -> None:
+def figure_fig3(list_size, rates, out, points) -> None:
     """Tolerable radius frontier per code rate with delta = 1 - 2R."""
-    rates = tuple(_parse_exact(part, "rates") for part in rates_text.split(","))
     figures.write_rows(figures.rate_region_rows(list_size, rates, points), out)
     _echo_json({"figure": "fig3", "out": out, "points": points})
 

@@ -240,6 +240,7 @@ def rs_search_eval_points(
     classes, and the memo pays off once the budget nears that number.
     """
     _require_int("budget", budget)
+    _require_int("seed", seed)
     if target is not None:
         _require_int("target", target)
     _validate_rs_shape(field, n, k)
@@ -247,6 +248,8 @@ def rs_search_eval_points(
         target = min(2 * n, 2 * n - 4 * k + 4)
     if budget < 1:
         raise ValueError("budget must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     total = perm(field.p, n)
     exhaustive = total <= budget
     if exhaustive:

@@ -169,6 +169,21 @@ def test_bound_certificate_catches_a_broken_piece(monkeypatch, fields, message):
         acceptance.criterion_bound_consistency()
 
 
+def test_bound_consistency_checks_the_piece_structure(monkeypatch):
+    # an r_min one above the threshold's fails on the first grid delta
+    real = acceptance.insertion_bound_piecewise
+
+    def shifted(delta, list_size):
+        bound = real(delta, list_size)
+        return SimpleNamespace(r_min=bound.r_min + 1, pieces=bound.pieces, _pair=bound._pair)
+
+    monkeypatch.setattr(acceptance, "insertion_bound_piecewise", shifted)
+    first = Fraction(1, acceptance.GRID_DELTA_DENOMINATOR)
+    where = re.escape(f"(delta={first}, L=2): piece structure")
+    with pytest.raises(CriterionFailure, match=f"^{where}$"):
+        acceptance.criterion_bound_consistency()
+
+
 def _changed(run, xns, xd, points, change):
     """A kernel run over xns / xd with change applied to its numerators at points."""
     nums, den = run

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from insdel_lab.bounds import (
     unique_decoding_bound,
 )
 from insdel_lab.cli import _plain
+from insdel_lab.verify import bound_region_pairs
 
 
 class TestAsFraction:
@@ -72,6 +74,21 @@ class TestAsFraction:
     def test_a_bool_is_refused(self, call):
         # True is the int 1 to Python, so it would read as delta, x or tau = 1
         with pytest.raises(ValueError, match="^expected a number, got (True|False)$"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: as_fraction("1/0"),
+            lambda: insertion_bound("1/2", 2, "1/0"),
+            lambda: insertion_bound("1/0", 2, 1),
+            lambda: bound_region_pairs(6, "3/0", 2),
+        ],
+        ids=["as_fraction", "insertion_bound-x", "insertion_bound-delta", "region-pairs"],
+    )
+    def test_a_zero_denominator_is_a_value_error(self, call):
+        # Fraction("1/0") raises ZeroDivisionError, which no caller maps
+        with pytest.raises(ValueError, match="^zero denominator in '[13]/0'$"):
             call()
 
 
@@ -219,6 +236,30 @@ class TestPiecewiseDecomposition:
         ):
             assert tuple(f.name for f in fields(value)) == names
             assert sorted(_plain(value)) == sorted(names)
+
+    def test_constructors_refuse_a_wrong_decomposition(self):
+        # each case breaks one check of the real two-piece bound for 9/10
+        bound = insertion_bound_piecewise("9/10", 2)
+        left, right = bound.pieces
+        tiny = Fraction(1, 10**9)
+        with pytest.raises(ValueError, match="^piece interval is empty$"):
+            replace(left, lower=left.upper + tiny)
+        cases = [
+            ({"pieces": ()}, "a piecewise bound needs at least one piece"),
+            ({"delta": Fraction(1, 2)}, "pieces must cover exactly [1 - delta, 1]"),
+            ({"r_min": 2}, "piece count must equal list_size - r_min + 1"),
+            (
+                {"pieces": (left, replace(right, lower=right.lower + tiny))},
+                "pieces must tile the domain without gaps",
+            ),
+            (
+                {"pieces": (left, replace(right, intercept=right.intercept + tiny))},
+                "pieces must agree at shared breakpoints",
+            ),
+        ]
+        for changes, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                replace(bound, **changes)
 
     @given(
         st.integers(2, 8),
@@ -656,6 +697,11 @@ class TestComparisonReport:
         for name in ("hy_crossover_root", "hy_crossover_delta", "hy_crossover_delta_closed_form"):
             monkeypatch.setattr(bounds, name, lambda list_size: 0.5)
         assert [decided(comparison_report(*args)) for args in inputs] == expected
+
+    def test_disagreeing_crossover_closed_forms_are_caught(self, monkeypatch):
+        monkeypatch.setattr(bounds, "hy_crossover_delta_closed_form", lambda list_size: 0.5)
+        with pytest.raises(AssertionError, match="^crossover delta closed forms disagree$"):
+            comparison_report(Fraction(9, 10), 2)
 
     def test_window_iff_beyond_crossover(self):
         for list_size in range(2, 13):

@@ -2,8 +2,11 @@
 
 import dataclasses
 import json
+from fractions import Fraction
 from pathlib import Path
 
+import click
+import pytest
 from click.testing import CliRunner
 
 from insdel_lab import cli
@@ -29,6 +32,57 @@ class TestTopLevel:
         assert result.exit_code == 0
         for group in ("bound", "identity", "code", "verify", "figure", "regress"):
             assert group in result.output
+
+
+def _command_paths(group, path=()):
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _command_paths(command, (*path, name))
+        else:
+            yield (*path, name)
+
+
+class TestCommandEdge:
+    @pytest.mark.parametrize("path", list(_command_paths(main)), ids=" ".join)
+    def test_every_command_has_help_and_maps_library_errors(self, path):
+        assert run(*path, "--help").exit_code == 0
+        command = main
+        for name in path:
+            assert isinstance(command, cli._Group)
+            command = command.get_command(None, name)
+        assert isinstance(command, cli._Command)
+
+    @pytest.mark.parametrize(
+        "args, option, text",
+        [
+            (("bound", "rho", "--delta", "abc", "--list-size", "2"), "--delta", "abc"),
+            (("bound", "rho", "--delta", "0.9", "--list-size", "2", "--tau-d", "1/0"), "--tau-d", "1/0"),
+            (("bound", "hy", "--delta", "0.9", "--list-size", "2", "--tau-i", "x"), "--tau-i", "x"),
+            (("figure", "fig3", "--list-size", "2", "--rates", "1/4,x", "--out", "f.csv"), "--rates", "1/4,x"),
+            (("figure", "fig2", "--delta", "0.8", "--list-sizes", "2,3.5", "--out", "f.csv"), "--list-sizes", "2,3.5"),
+            (("code", "rs", "--p", "5", "--n", "3", "--k", "2", "--alpha", "6,3,x", "--out", "c.code"), "--alpha", "6,3,x"),
+        ],
+        ids=["delta", "tau-d", "tau-i", "rates", "list-sizes", "alpha"],
+    )
+    def test_a_malformed_value_names_its_option(self, tmp_path, monkeypatch, args, option, text):
+        monkeypatch.chdir(tmp_path)
+        result = run(*args)
+        assert result.exit_code == 2, result.output
+        assert f"Error: Invalid value for '{option}': cannot parse '{text}'" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_library_value_error_shows_the_commands_usage(self):
+        result = run("bound", "rho", "--delta", "0.9", "--list-size", "1")
+        assert result.exit_code == 2
+        assert result.output == (
+            "Usage: main bound rho [OPTIONS]\n"
+            "Try 'main bound rho --help' for help.\n\n"
+            "Error: list size must be an integer >= 2, got 1\n"
+        )
+
+    def test_no_json_form_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^no JSON form for object$"):
+            cli._plain(object())
 
 
 class TestBoundCommands:
@@ -191,6 +245,11 @@ class TestIdentityCommands:
         payload = payload_of(run("identity", "phi", "--list-size", "4", "--r", "1"))
         assert payload["value"] == [1, -1, 1, -1, 1]
 
+    def test_phi_refuses_a_non_integer_tail_term(self, monkeypatch):
+        monkeypatch.setattr(cli, "elimination_tail_term", lambda r, j: Fraction(1, 2))
+        with pytest.raises(AssertionError, match=r"^non-integer tail term at \(r=2, j=4\)$"):
+            run("identity", "phi", "--list-size", "4", "--r", "2", catch_exceptions=False)
+
     def test_a_mismatch_exits_one(self, monkeypatch):
         monkeypatch.setattr(cli, "count_v_covers", lambda j, ell, v: 4)
         result = run("identity", "covers", "--j", "3", "--ell", "2", "--v", "2")
@@ -253,6 +312,10 @@ class TestCodeCommands:
         result = run("code", "rs-search", "--p", "5", "--n", "7", "--k", "1")
         assert result.exit_code == 2, result.output
         assert "need 1 <= k <= n <= p, got k=1, n=7, p=5" in result.output
+        # random.Random would read -3 as 3
+        result = run("code", "rs-search", "--p", "7", "--n", "5", "--k", "2", "--seed", "-3")
+        assert result.exit_code == 2, result.output
+        assert "seed must be nonnegative, got -3" in result.output
 
     def test_rs_search_over_the_cap_exit_one(self):
         # the cap is checked before any of the 101^4 codewords is built

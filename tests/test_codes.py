@@ -221,6 +221,19 @@ class TestReedSolomon:
             with pytest.raises(ValueError, match=message):
                 rs_search_eval_points(field, 5, 2, **kwargs)
 
+    def test_search_seed_must_be_a_nonnegative_int(self):
+        # random.Random reads -3 as 3 and True as 1, so these searches
+        # silently repeated another seed's; 1.5 was hashed
+        field = PrimeField(7)
+        cases = [
+            (-3, "^seed must be nonnegative, got -3$"),
+            (True, "^seed must be an int, got True$"),
+            (1.5, "^seed must be an int, got 1.5$"),
+        ]
+        for seed, message in cases:
+            with pytest.raises(ValueError, match=message):
+                rs_search_eval_points(field, 5, 2, budget=8, seed=seed)
+
     def test_search_applies_the_codeword_cap(self, monkeypatch):
         # every class builds all p^k codewords, so the cap is checked first
         monkeypatch.setattr(codes_module, "DEFAULT_CODE_CAP", 10)

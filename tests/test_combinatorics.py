@@ -1,5 +1,7 @@
 """Cover-count recursion, signed sums, and elimination rows against oracles."""
 
+import itertools
+import random
 import re
 from fractions import Fraction
 from math import comb
@@ -164,6 +166,30 @@ class TestEliminationRows:
                     )
                     assert margin == expected
                     assert margin >= 3
+
+    def test_rows_turn_intersection_sums_into_weighted_depths(self):
+        # for any L + 1 sets with j-fold intersection sizes summing to S_j,
+        # sum_j c_j S_j = sum_{u=1..r} (r+1-u) N_u, N_u being the number of
+        # points in at least u sets; at r = 1 this is inclusion-exclusion
+        rng = random.Random(8)
+        for list_size in range(2, 8):
+            for _ in range(30):
+                ground = range(rng.randint(1, 8))
+                density = rng.random()
+                family = [
+                    frozenset(x for x in ground if rng.random() < density)
+                    for _ in range(list_size + 1)
+                ]
+                sums = [
+                    sum(len(frozenset.intersection(*sets)) for sets in itertools.combinations(family, j))
+                    for j in range(1, list_size + 2)
+                ]
+                depths = [sum(x in s for s in family) for x in ground]
+                for r in range(1, list_size + 1):
+                    row = elimination_row(list_size, r)
+                    weighted = sum((r + 1 - u) * sum(d >= u for d in depths) for u in range(1, r + 1))
+                    combined = sum(c * s for c, s in zip(row.coefficients, sums))
+                    assert combined == weighted, (family, r)
 
     @pytest.mark.parametrize(
         "call, message",

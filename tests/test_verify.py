@@ -658,6 +658,21 @@ class TestEngines:
         with pytest.raises(AssertionError, match="^sharing-set DP and channel census disagree$"):
             list_decodable(code, 0, 0, 2, want_witness=True)
 
+    def test_tally_and_decoder_ball_disagreeing_is_caught(self, monkeypatch):
+        # the cube's first witness, 0001, reaches two codewords; a tally that
+        # counts three contradicts the decoder-ball view
+        code = Code(q=2, n=3, codewords=frozenset(words.all_words(2, 3)))
+        real = verify._witness_census
+
+        def overcounted(*args):
+            offender, count = real(*args)
+            return offender, count + 1
+
+        monkeypatch.setattr(verify, "_witness_census", overcounted)
+        message = "^channel tally and decoder-ball membership disagree; the radius swap is broken$"
+        with pytest.raises(AssertionError, match=message):
+            list_decodable(code, 1, 0, 1, want_witness=True)
+
 
 class TestRadiusSwap:
     def test_equivalence_on_samples(self):
