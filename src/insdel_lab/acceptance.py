@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from math import comb
 from operator import lt, mul
 from typing import Callable
@@ -197,24 +197,16 @@ def criterion_bound_consistency() -> None:
             base = GRID_STEPS * (GRID_DELTA_DENOMINATOR - i)
             xd = GRID_STEPS * GRID_DELTA_DENOMINATOR
             xns = range(base, base + i * (GRID_STEPS + 1), i)
-            direct, direct_d = _max_form(cn, cd, L, xns, xd)
-            piece, piece_d = pieces._pair(xns, xd)
-            # both denominators are positive, so comparing over their lcm is exact
-            den = math.lcm(direct_d, piece_d)
-            direct_x = _over(direct, den // direct_d)
-            piece_x = _over(piece, den // piece_d)
-            if direct_x != piece_x or min(direct[1:]) <= 0:
+            # one shared denominator (`PiecewiseBound._pair`); a different one fails at k = 0
+            direct, den = _max_form(cn, cd, L, xns, xd)
+            piece, piece_den = pieces._pair(xns, xd)
+            if (direct, den) != (piece, piece_den) or min(islice(direct, 1, None)) <= 0:
                 k, problem = next(
-                    (k, "mismatch" if a != b else "not positive")
-                    for k, (a, b, value) in enumerate(zip(direct_x, piece_x, direct))
-                    if a != b or (k > 0 and value <= 0)
+                    (k, "mismatch" if (a, den) != (b, piece_den) else "not positive")
+                    for k, (a, b) in enumerate(zip(direct, piece))
+                    if (a, den) != (b, piece_den) or (k > 0 and a <= 0)
                 )
                 raise CriterionFailure(f"(delta={delta}, L={L}, x={Fraction(xns[k], xd)}): {problem}")
-
-
-def _over(nums: list[int], factor: int) -> list[int]:
-    """Numerators of a kernel run, each times factor."""
-    return nums if factor == 1 else list(map(mul, nums, repeat(factor)))
 
 
 def criterion_hy_golden() -> None:
@@ -335,15 +327,17 @@ def criterion_region_harness() -> list[str]:
 
 
 def criterion_direction_equivalence() -> None:
-    """Channel-output view equals swapped-radii decoder-ball view (exhaustive)."""
+    """Channel-output view equals swapped-radii decoder-ball view (exhaustive),
+    at every radius pair up to (2, 2): one check per centre."""
     for centre in words_up_to(2, 4):
-        for t_ins in range(3):
-            for t_del in range(min(2, len(centre)) + 1):
-                if not decoder_ball_matches_channel(centre, t_ins, t_del):
-                    raise CriterionFailure(
-                        f"mismatch at centre={centre.to_text() or 'empty'}, "
-                        f"t_ins={t_ins}, t_del={t_del}"
-                    )
+        pairs = [(ti, td) for ti in range(3) for td in range(min(2, len(centre)) + 1)]
+        if not decoder_ball_matches_channel(centre, *pairs[-1]):
+            # every pair below a pair comes before it, so the first pair that
+            # fails up to its radii is the first that fails on its own
+            t_ins, t_del = next(p for p in pairs if not decoder_ball_matches_channel(centre, *p))
+            raise CriterionFailure(
+                f"mismatch at centre={centre.to_text() or 'empty'}, t_ins={t_ins}, t_del={t_del}"
+            )
 
 
 def criterion_determinism() -> None:

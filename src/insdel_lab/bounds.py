@@ -203,11 +203,16 @@ class PiecewiseBound:
     def _pair(self, xns: range, xd: int) -> tuple[list[int], int]:
         """evaluate's kernel over x = xn/xd for xn in xns.
 
-        Over den, the lcm of the pieces' slope.den * intercept.den, each
-        piece is the integer line a*xn + b*xd, and its value at x = xn/xd is
-        (a*xn + b*xd) / (den*xd).
+        Over den, the lcm of (L+1) delta.den lcm(1..L) and every piece's
+        slope.den * intercept.den, each piece is the integer line
+        a*xn + b*xd, with value (a*xn + b*xd) / (den*xd) at x = xn/xd,
+        whatever its slope.  For `insertion_bound_piecewise` piece r's
+        slope.den divides L+1 and its intercept.den divides r delta.den, so
+        den*xd is `_max_form`'s denominator, (L+1) delta.den lcm(1..L) xd.
         """
-        den = math.lcm(*(p.slope.denominator * p.intercept.denominator for p in self.pieces))
+        big = self.list_size
+        own = (p.slope.denominator * p.intercept.denominator for p in self.pieces)
+        den = math.lcm((big + 1) * self.delta.denominator * math.lcm(*range(1, big + 1)), *own)
         # Walking x upwards, each piece owns the run of points left of its
         # upper end that no earlier piece owns, so a breakpoint belongs to the
         # piece on its right and the last piece owns x = 1.  The run's values

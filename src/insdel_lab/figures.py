@@ -117,13 +117,16 @@ def comparison_rows(
 def bound_profile_rows(
     delta: Exact | float, list_sizes: Sequence[int], points: int = DEFAULT_POINTS
 ) -> list[str]:
-    """The piecewise-linear bound over x in [1 - delta, 1], one column per list size."""
+    """The piecewise-linear bound over x in [1 - delta, 1], one column per list
+    size; a repeated list size is refused, since it would repeat its column."""
     _validate_points(points)
     if not list_sizes:
         raise ValueError("need at least one list size")
     cn, cd = _one_minus_delta(as_fraction(delta))
-    for L in list_sizes:
+    for k, L in enumerate(list_sizes):
         _validate_list_size(L)
+        if L in list_sizes[:k]:
+            raise ValueError(f"list size {L} is repeated")
     dn, steps = cd - cn, points - 1
     den = cd * steps
     xns = range(cn * steps, cn * steps + dn * points, dn)
@@ -138,16 +141,22 @@ def rate_region_rows(
     """Tolerable (tau_d, tau_i) frontier per code rate, using delta = 1 - 2R.
 
     Each rate R in (0, 1/2) contributes a block of rows; tau_d runs over
-    [0, delta) so the bound's domain clip is respected.
+    [0, delta) so the bound's domain clip is respected.  A rate repeated as
+    an exact value (1/4 and 0.25 alike) is refused, since it would repeat
+    its block.
     """
     _validate_points(points)
     if not rates:
         raise ValueError("need at least one rate")
     rows = ["rate,tau_d,tau_i_max"]
+    seen: set[Fraction] = set()
     for rate in rates:
         r = as_fraction(rate)
         if not 0 < r < Fraction(1, 2):
             raise ValueError(f"rate must lie in (0, 1/2), got {r}")
+        if r in seen:
+            raise ValueError(f"rate {r} is repeated")
+        seen.add(r)
         _validate_list_size(list_size)
         # 1 - delta = 2R; tau_d = dn k / den and x = 1 - tau_d
         cn, cd = 2 * r.numerator, r.denominator

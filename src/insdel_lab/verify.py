@@ -6,7 +6,8 @@ a possible channel output of more than L codewords.  Equivalently, the
 decoder's ball around a received word uses the swapped radii (t_del insertions
 and t_ins deletions): re-inserting what the channel deleted and deleting what
 it inserted.  That swap is hard-coded here and `decoder_ball_matches_channel`
-asserts its equivalence with direct channel simulation on small instances.
+asserts its equivalence with direct channel simulation on small instances, at
+every radius pair up to the given radii.
 Containment in the Levenshtein ball follows: an output y of a length-n word
 x has LCS(x, y) >= max(n - t_del, |y| - t_ins), so
 d(x, y) = n + |y| - 2 LCS <= t_ins + t_del.
@@ -381,38 +382,50 @@ def list_decodable(
 
 
 def decoder_ball_matches_channel(codeword: Word, t_ins: int, t_del: int) -> bool:
-    """Equivalence of the two list-decoding views for one codeword.
+    """Equivalence of the two list-decoding views for one codeword, at every
+    radius pair (t_ins', t_del') <= (t_ins, t_del).
 
-    The set of channel outputs of `codeword` under (t_ins, t_del), from the
-    ball enumerator, must equal the set of words whose decoder ball
-    (swapped radii: t_del insertions, t_ins deletions) contains `codeword`,
-    quantified over every word in the reachable length window.  The decoder
-    side tests each word y by the LCS kernel against the codeword's match
-    masks, built once: reaching the length-n codeword from y takes at least
+    At each pair the set of channel outputs of `codeword` under
+    (t_ins', t_del'), from the ball enumerator at that pair's own radii, must
+    equal the set of words whose decoder ball (swapped radii: t_del'
+    insertions, t_ins' deletions) contains `codeword`, quantified over every
+    word in the reachable length window.  The decoder side tests each word
+    y of the largest window once, by the LCS kernel against the codeword's
+    match masks: reaching the length-n codeword from y takes at least
     n - LCS insertions and |y| - LCS deletions, and keeping a longest common
-    subsequence attains both at once.
+    subsequence attains both at once.  So a pair's decoder set is the union
+    over lengths m of the cells {y of length m : LCS >= max(n - t_del',
+    m - t_ins')}, each cell built once.
 
-    After the channel side's checks, and before anything is enumerated,
-    BallSizeError is raised when the window holds more than
+    The channel side's checks run once, at (t_ins, t_del), whose window
+    holds every smaller pair's; after them, and before anything is
+    enumerated, BallSizeError is raised when the window holds more than
     DEFAULT_BALL_CAP words.
     """
     x, q, n = codeword.symbols, codeword.q, len(codeword)
-    layers = _checked_ball_layers(x, t_ins, t_del, q, DEFAULT_BALL_CAP)
+    _checked_ball_layers(x, t_ins, t_del, q, DEFAULT_BALL_CAP)  # for its checks alone
     window = sum(q**m for m in range(n - t_del, n + t_ins + 1))
     if window > DEFAULT_BALL_CAP:
         raise BallSizeError(window, DEFAULT_BALL_CAP)
-    channel = set().union(*layers)
     masks = _match_masks(x)
-    decoder = set()
-    for length in range(n - t_del, n + t_ins + 1):
-        # y's decoder ball holds x iff LCS >= max(n - t_del, |y| - t_ins)
-        least = max(n - t_del, length - t_ins)
-        decoder.update(
-            y
-            for y in itertools.product(range(q), repeat=length)
-            if _lcs_masked(y, masks, n) >= least
-        )
-    return channel == decoder
+    lcs = {
+        m: [(y, _lcs_masked(y, masks, n)) for y in itertools.product(range(q), repeat=m)]
+        for m in range(n - t_del, n + t_ins + 1)
+    }
+
+    @cache
+    def cell(m: int, least: int) -> frozenset[tuple[int, ...]]:
+        """The words of length m whose LCS with x is at least `least`."""
+        return frozenset(y for y, ell in lcs[m] if ell >= least)
+
+    for ti in range(t_ins + 1):
+        for td in range(t_del + 1):
+            channel = set().union(*_checked_ball_layers(x, ti, td, q, DEFAULT_BALL_CAP))
+            # y's decoder ball holds x iff LCS >= max(n - td, |y| - ti)
+            lengths = range(n - td, n + ti + 1)
+            if channel != set().union(*(cell(m, max(n - td, m - ti)) for m in lengths)):
+                return False
+    return True
 
 
 @dataclass(frozen=True)

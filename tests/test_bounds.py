@@ -468,6 +468,38 @@ class TestKernels:
         owners = _values(bound._pair(_scaled(xns, h), xd * h), len(xs))
         assert owners == [_owner(pieces, x) for x in xs]
 
+    def test_pieces_share_the_max_forms_denominator(self):
+        # criterion 5 compares the two runs as (numerators, denominator)
+        # pairs, so on the domain they must be equal as pairs, not only as
+        # values; rising, falling and one-point grids in turn
+        rng = random.Random(33)
+        for case in range(300):
+            dd = rng.randint(2, 60)
+            delta = Fraction(rng.randint(1, dd - 1), dd)
+            big = rng.randint(2, 12)
+            cn, cd = (1 - delta).numerator, (1 - delta).denominator
+            xd = cd * rng.randint(1, 12)
+            a, b = sorted(rng.randint(-(-xd * cn // cd), xd) for _ in range(2))
+            step = rng.randint(1, 3)
+            xns = (range(a, b + 1, step), range(b, a - 1, -step), range(a, a + 1))[case % 3]
+            pair = insertion_bound_piecewise(delta, big)._pair(xns, xd)
+            assert pair == _max_form(cn, cd, big, xns, xd), (delta, big, xns, xd)
+
+    def test_a_hand_built_bound_with_foreign_slopes_is_exact(self):
+        # slopes 1/7 and 3/11 share no factor with (L+1) delta.den lcm(1..L)
+        second = Fraction(3, 11)
+        meet = Fraction(1, 7) * Fraction(3, 10) - Fraction(1, 70)
+        pieces = (
+            LinearPiece(Fraction(1, 10), Fraction(3, 10), Fraction(1, 7), Fraction(-1, 70), 2),
+            LinearPiece(Fraction(3, 10), Fraction(1), second, meet - second * Fraction(3, 10), 1),
+        )
+        bound = PiecewiseBound(delta=Fraction(9, 10), list_size=2, r_min=1, pieces=pieces)
+        for xns in (range(3, 31), range(30, 2, -3), range(17, 18)):
+            xs = [Fraction(xn, 30) for xn in xns]
+            expected = [pieces[_owner(pieces, x)].value(x) for x in xs]
+            assert _values(bound._pair(xns, 30), len(xs)) == expected
+            assert [bound.evaluate(x) for x in xs] == expected
+
 
 def _literal_terms(cn, cd, big, xns, xd):
     """The L term progressions of the max form, over its denominator."""

@@ -592,6 +592,21 @@ class TestFigureCommands:
         assert lines[0] == "rate,tau_d,tau_i_max"
         assert len(lines) == 17
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("fig2", "--delta", "0.8", "--list-sizes", "2,2"), "list size 2 is repeated"),
+            (("fig3", "--list-size", "2", "--rates", "1/4,0.25"), "rate 1/4 is repeated"),
+        ],
+        ids=["fig2", "fig3"],
+    )
+    def test_a_repeated_value_exits_two_and_writes_nothing(self, tmp_path, args, message):
+        out = tmp_path / "repeated.csv"
+        result = run("figure", *args, "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert result.output.endswith(f"Error: {message}\n")
+        assert not out.exists()
+
     def test_fig3_invalid_rate_exit_two(self, tmp_path):
         out = tmp_path / "bad.csv"
         for rates in ("0.5", "1/0"):

@@ -284,6 +284,31 @@ class TestReedSolomon:
             exhaustive=False,
         )
 
+    @pytest.mark.parametrize(
+        "p, n, k, met",
+        [
+            (5, 4, 2, False),
+            (5, 5, 2, False),
+            (7, 5, 2, False),
+            (7, 6, 2, False),
+            (7, 7, 2, False),
+            (7, 5, 3, True),
+            (7, 6, 3, True),
+            (5, 3, 1, True),
+        ],
+    )
+    def test_no_search_beats_the_half_singleton_bound(self, p, n, k, met):
+        # a linear [n, k] code corrects at most n - 2k + 1 insertions and
+        # deletions (Cheng, Guruswami, Haeupler and Li, SODA 2021), so its
+        # Levenshtein distance is at most 2(n - 2k + 2): an oracle on
+        # _min_distance that knows nothing of LCS.  The target 2n + 2 is out
+        # of reach, so every search is exhaustive and reports its best.
+        bound = 2 * (n - 2 * k + 2)
+        result = rs_search_eval_points(PrimeField(p), n, k, target=2 * n + 2, budget=perm(p, n))
+        assert result.exhaustive and result.examined == perm(p, n)
+        assert result.achieved <= bound
+        assert (result.achieved == bound) == met
+
 
 def memo_free_search(field, n, k, target=None, budget=2000, seed=0):
     """The evaluation-point search as it was before its per-class memo: one

@@ -217,7 +217,7 @@ class TestGridPoints:
         assert [row.split(",")[0] for row in rows if row.endswith("P2")] == ["0.7"]
         assert sum(row.endswith("P1") for row in rows) == 1
 
-    @given(_deltas(), st.lists(LIST_SIZES, min_size=1, max_size=4), POINTS)
+    @given(_deltas(), st.lists(LIST_SIZES, min_size=1, max_size=4, unique=True), POINTS)
     def test_profile(self, delta, list_sizes, points):
         d = as_fraction(delta)
         rows = ["x," + ",".join(f"rho_L{L}" for L in list_sizes)]
@@ -226,7 +226,7 @@ class TestGridPoints:
             rows.append(",".join([_fmt(x)] + [_fmt(insertion_bound(d, L, x)) for L in list_sizes]))
         assert bound_profile_rows(delta, list_sizes, points) == rows
 
-    @given(st.lists(_rates(), min_size=1, max_size=3), LIST_SIZES, POINTS)
+    @given(st.lists(_rates(), min_size=1, max_size=3, unique_by=as_fraction), LIST_SIZES, POINTS)
     def test_rate_region(self, rates, list_size, points):
         rows = ["rate,tau_d,tau_i_max"]
         for rate in rates:
@@ -320,6 +320,18 @@ class TestValidation:
             rate_region_rows(2, (Fraction(1, 4), Fraction(1, 2)))
         with pytest.raises(ValueError, match=self.SIZE_ONE):
             rate_region_rows(1, (Fraction(1, 4), Fraction(1, 2)))
+
+    def test_a_repeated_list_size_is_refused(self):
+        # a repeat would write its column twice, under one header name
+        with pytest.raises(ValueError, match="^list size 2 is repeated$"):
+            bound_profile_rows(Fraction(4, 5), (2, 3, 2))
+
+    @pytest.mark.parametrize("rates", [("1/4", 0.25), (Fraction(1, 4), "2/8"), (0.1, 0.25, 0.1)])
+    def test_a_repeated_rate_is_refused(self, rates):
+        # equal exact values repeat a block, however they are written
+        repeated = as_fraction(rates[-1])
+        with pytest.raises(ValueError, match=f"^rate {repeated} is repeated$"):
+            rate_region_rows(2, rates)
 
 
 class TestBenchmarkDigests:

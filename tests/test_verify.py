@@ -688,6 +688,45 @@ class TestRadiusSwap:
                 for t_del in range(min(2, len(w)) + 1):
                     assert decoder_ball_matches_channel(w, t_ins, t_del)
 
+    @pytest.mark.parametrize("fault", [None, (1, 1), (2, 0)], ids=["sound", "at-1-1", "at-2-0"])
+    def test_every_pair_up_to_the_radii_is_checked(self, monkeypatch, fault):
+        # the check at (T, D) is the conjunction of a per-pair oracle over
+        # every pair <= (T, D): insdel_ball against the words whose LCS with
+        # the centre, by the quadratic DP, reaches max(n - t_del, |y| - t_ins).
+        # A fault drops the centre from the channel side at one pair only.
+        real = verify._checked_ball_layers
+
+        def layers(symbols, t_ins, t_del, q, cap):
+            out = [set(layer) for layer in real(symbols, t_ins, t_del, q, cap)]
+            if (t_ins, t_del) == fault:
+                out[t_del].discard(symbols)  # the length-n layer
+            return out
+
+        def agrees(w, t_ins, t_del):
+            x, n = w.symbols, len(w)
+            channel = {y.symbols for y in insdel_ball(w, t_ins, t_del)}
+            if (t_ins, t_del) == fault:
+                channel.discard(x)
+            decoder = {
+                y
+                for m in range(n - t_del, n + t_ins + 1)
+                for y in itertools.product(range(w.q), repeat=m)
+                if len(lcs_positions(x, y)) >= max(n - t_del, m - t_ins)
+            }
+            return channel == decoder
+
+        monkeypatch.setattr(verify, "_checked_ball_layers", layers)
+        failures = 0
+        for w in words_up_to(3, 3):
+            top = min(2, len(w))
+            oracle = {(ti, td): agrees(w, ti, td) for ti in range(3) for td in range(top + 1)}
+            for big_t, big_d in oracle:
+                expected = all(ok for (ti, td), ok in oracle.items() if ti <= big_t and td <= big_d)
+                assert decoder_ball_matches_channel(w, big_t, big_d) == expected, (w, big_t, big_d)
+                failures += not expected
+        # a fault fails every pair at or above it: 150 and 115 of the 345 checks
+        assert failures == {None: 0, (1, 1): 150, (2, 0): 115}[fault]
+
     def test_a_broken_channel_is_caught(self, monkeypatch):
         # the two views are computed independently: drop one channel output,
         # or add one, and the check fails
