@@ -98,7 +98,8 @@ _INT_LIST = _Parsed("int,...", int, many=True)
 
 class _Command(click.Command):
     """A command whose library errors follow the CLI exit-code contract: a
-    cap hit exits 1 with `error: ...`, a ValueError is a usage error (2)."""
+    cap hit exits 1 with `error: ...`; a ValueError, or an OSError from a
+    file that cannot be read or written, is a usage error (2)."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -106,7 +107,7 @@ class _Command(click.Command):
         except (BallSizeError, CodeSizeError, EnumerationCapError) as exc:
             click.echo(f"error: {exc}", err=True)
             raise SystemExit(1)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise click.UsageError(str(exc), ctx) from exc
 
 

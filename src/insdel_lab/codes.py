@@ -42,6 +42,14 @@ class CodeSizeError(RuntimeError):
     """Materializing a code would exceed the configured codeword cap."""
 
 
+def _require_codeword(w: Word, q: int, n: int) -> None:
+    """ValueError unless the word w is over q symbols and of length n."""
+    if w.q != q or len(w) != n:
+        raise ValueError(
+            f"codeword {w.to_text()!r} (q={w.q}, n={len(w)}) does not match q={q}, n={n}"
+        )
+
+
 @dataclass(frozen=True)
 class Code:
     """A block code: a set of length-n words over a common alphabet."""
@@ -61,8 +69,7 @@ class Code:
         if not self.codewords:
             raise ValueError("a code must contain at least one codeword")
         for w in self.codewords:
-            if w.q != self.q or len(w) != self.n:
-                raise ValueError(f"codeword {w} does not match q={self.q}, n={self.n}")
+            _require_codeword(w, self.q, self.n)
 
     @property
     def size(self) -> int:
@@ -516,23 +523,33 @@ def write_code(code: Code, path: str | Path) -> None:
 
 
 def read_code(path: str | Path) -> Code:
-    """Read a code file written by write_code."""
+    """Read a code file written by write_code.  An error in a codeword line
+    is prefixed `path:line:`, lines counted from 1, blank ones included."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [(number, line) for number, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty code file")
-    header = lines[0].split()
+    (_, head), *body = lines
+    header = head.split()
     try:
         fields = dict(part.split("=", 1) for part in header)
         if len(header) != 2 or fields.keys() != {"q", "n"}:
             raise ValueError("the header holds q and n once each and nothing else")
         q, n = int(fields["q"]), int(fields["n"])
+        if q < 2 or n < 1:
+            raise ValueError("need q >= 2 and n >= 1")
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed header {lines[0]!r}") from exc
-    words = [Word.from_text(line, q) for line in lines[1:]]
-    codewords = frozenset(words)
-    if not codewords:
+        raise ValueError(f"{path}: malformed header {head!r}") from exc
+    first: dict[Word, int] = {}
+    for number, line in body:
+        try:
+            w = Word.from_text(line, q)
+            _require_codeword(w, q, n)
+            if w in first:
+                raise ValueError(f"codeword {w.to_text()!r} repeats line {first[w]}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from exc
+        first[w] = number
+    if not first:
         raise ValueError(f"{path}: no codewords")
-    if len(codewords) != len(words):
-        raise ValueError(f"{path}: {len(words) - len(codewords)} duplicate codeword line(s)")
-    return Code(q=q, n=n, codewords=codewords)
+    return Code(q=q, n=n, codewords=frozenset(first))

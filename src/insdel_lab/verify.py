@@ -44,6 +44,7 @@ from .words import (
     _min_distance,
     _require_cap,
     _require_int,
+    _require_radii,
     insdel_ball_size_bound,
 )
 
@@ -238,11 +239,13 @@ def _no_shared_output(
             if _may_share(2, ell := _lcs_masked(words[a], masks[b], n), n, t_ins, t_del)
         }
 
-    def sharing(members: tuple[int, ...], sigma: int, candidates: set[int]) -> bool | None:
-        """Whether `members`, whose pairs' LCS sum to sigma, plus some of
-        `candidates` is a sharing k-set; None once over budget."""
-        nonlocal budget
-        for v in sorted(candidates):
+    # each entry: a sharing set, its pairs' LCS sum, the words that may
+    # extend it, and those not yet tried, ascending; a set's extensions are
+    # all searched before its next sibling
+    stack = [((), 0, set(range(len(words))), iter(range(len(words))))]
+    while stack:
+        members, sigma, candidates, untried = stack[-1]
+        for v in untried:
             budget -= 1
             if budget < 0:
                 return None
@@ -256,18 +259,15 @@ def _no_shared_output(
                 shares, visited = _common_output(subset, t_ins, t_del, budget)
                 budget -= visited
             if shares and len(grown) == k:
-                return True
+                return False
             if budget < 0:
                 return None
-            if shares and (found := sharing(grown, total, rest)) is not False:
-                return found
-        return False
-
-    found = sharing((), 0, set(range(len(words))))
-    # the recursive closure is a reference cycle: break it, so the search's
-    # tables are freed now and not at the next garbage collection
-    del sharing
-    return None if found is None else not found
+            if shares:
+                stack.append((grown, total, rest, iter(sorted(rest))))
+                break
+        else:
+            stack.pop()
+    return True
 
 
 def list_decodable(
@@ -321,13 +321,10 @@ def list_decodable(
     nonnegative.
     """
     _require_int("list size", list_size)
-    _require_int("insertion radius", t_ins)
-    _require_int("deletion radius", t_del)
+    _require_radii(t_ins, t_del)
     _require_cap(cap)
     if list_size < 1:
         raise ValueError("list size must be at least 1")
-    if t_ins < 0 or t_del < 0:
-        raise ValueError("radii must be nonnegative")
     if t_del > code.n:
         raise ValueError(f"deletion radius {t_del} exceeds block length {code.n}")
     # every codeword has length n, so one estimate covers every ball
@@ -341,23 +338,22 @@ def list_decodable(
     if budget > cap:
         budget = max(budget, comb(code.size, 2) * (code.n + 1) + code.size)
     decodable = _no_shared_output(symbols, t_ins, t_del, list_size, budget)
-    # a failing DP verdict whose witness census is over the cap stands bare
-    if decodable is not None and (decodable or not want_witness or estimate > cap):
+    if decodable is not None and (decodable or not want_witness):
         return Verdict(decodable, t_ins, t_del, list_size)
-    if estimate > cap:
-        raise BallSizeError(estimate, cap)
-    if not want_witness:
-        shared = _verdict_census(symbols, code.q, t_ins, t_del, list_size, cap)
-        return Verdict(not shared, t_ins, t_del, list_size)
-    # a failing DP verdict gets its witness from the enumerator, so the
-    # witness is the same whichever engine decided; a witness needs exact
-    # counts at every word of its length up to it
+    # a census decides what the DP left open, and finds the witness of a
+    # failure the DP decided, so the witness is the same whichever engine
+    # decided; a witness needs exact counts at every word of its length up
+    # to it, and a census over the cap leaves the DP's failure bare
     try:
+        if estimate > cap:
+            raise BallSizeError(estimate, cap)
+        if not want_witness:
+            shared = _verdict_census(symbols, code.q, t_ins, t_del, list_size, cap)
+            return Verdict(not shared, t_ins, t_del, list_size)
         found = _witness_census(symbols, code.q, t_ins, t_del, list_size, cap)
     except BallSizeError:
         if decodable is None:
             raise
-        # the DP decided; only the witness census outgrew the cap
         return Verdict(False, t_ins, t_del, list_size)
     if found is None:
         if decodable is False:

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: payloads, files, and the exit-code contract."""
 
 import dataclasses
+import errno
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -79,6 +80,54 @@ class TestCommandEdge:
             "Try 'main bound rho --help' for help.\n\n"
             "Error: list size must be an integer >= 2, got 1\n"
         )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("bound", "compare", "--delta", "0.9", "--list-size", "2", "--csv"),
+            ("code", "vt", "--n", "4", "--a", "0", "--out"),
+            ("code", "vtq", "--n", "4", "--q", "3", "--a", "0", "--b", "0", "--out"),
+            ("code", "helberg", "--q", "2", "--n", "5", "--s", "2", "--a", "0", "--out"),
+            ("code", "rs", "--p", "5", "--n", "4", "--k", "2", "--alpha", "1,2,4,3", "--out"),
+            ("code", "rs-search", "--p", "5", "--n", "3", "--k", "1", "--out"),
+            ("figure", "fig1", "--delta", "0.9", "--list-size", "2", "--out"),
+            ("figure", "fig2", "--delta", "0.8", "--list-sizes", "2,3", "--out"),
+            ("figure", "fig3", "--list-size", "2", "--rates", "1/4", "--out"),
+        ],
+        ids=lambda args: " ".join(args[:2]),
+    )
+    def test_a_file_that_cannot_be_written_exits_two(self, tmp_path, args):
+        path = tmp_path / "missing" / "x.out"
+        result = run(*args, str(path))
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert f"Error: [Errno 2] No such file or directory: '{path}'" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_code_file_that_cannot_be_read_exits_two(self, tmp_path, monkeypatch):
+        path = tmp_path / "vt6.code"
+        write_code(vt_binary(6, 0), path)
+
+        def refused(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refused)
+        for command in (
+            ["mindist"],
+            ["list-decodable", "--ti", "1", "--td", "0", "--list-size", "2"],
+            ["theorem", "--list-size", "2"],
+        ):
+            result = run("verify", *command, "--code", str(path))
+            assert result.exit_code == 2, result.output
+            assert isinstance(result.exception, SystemExit)
+            assert f"Error: [Errno 13] Permission denied: '{path}'" in result.output
+
+    def test_a_malformed_code_line_is_named(self, tmp_path):
+        path = tmp_path / "bad.code"
+        path.write_text("q=2 n=3\n0,0,1\n\n0,1\n")
+        result = run("verify", "mindist", "--code", str(path))
+        assert result.exit_code == 2, result.output
+        assert f"Error: {path}:4: codeword '0,1' (q=2, n=2) does not match q=2, n=3" in result.output
 
     def test_no_json_form_is_a_type_error(self):
         with pytest.raises(TypeError, match="^no JSON form for object$"):

@@ -751,6 +751,25 @@ class TestCodeFiles:
         with pytest.raises(ValueError):
             read_code(duplicated)
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("q=2 n=3\n0,1,x\n", 2, "invalid literal for int() with base 10: 'x'"),
+            ("q=2 n=3\n0,2,1\n", 2, "symbol 2 outside alphabet of size 2"),
+            ("q=2 n=3\n\n0,1\n", 3, "codeword '0,1' (q=2, n=2) does not match q=2, n=3"),
+            ("q=2 n=3\n0,0,1\n1,1,1\n\n0,0,1\n1,1,1\n", 5, "codeword '0,0,1' repeats line 2"),
+        ],
+        ids=["symbol", "alphabet", "length", "repeat"],
+    )
+    def test_a_codeword_line_error_names_its_line(self, tmp_path, text, line, message):
+        # lines count from 1, blank ones included; a repeat names the first
+        # repeated line and the line it repeats
+        path = tmp_path / "bad.code"
+        path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            read_code(path)
+        assert str(excinfo.value) == f"{path}:{line}: {message}"
+
     @pytest.mark.parametrize("header", ["q=2 n=3 q=5", "q=2 n=3 extra=7", "q=2 q=2 n=3", "n=3"])
     def test_header_keys_are_never_merged(self, tmp_path, header):
         path = tmp_path / "header.code"
@@ -760,6 +779,14 @@ class TestCodeFiles:
         path.write_text("n=3 q=2\n0,0,0\n")
         assert read_code(path) == Code(q=2, n=3, codewords=frozenset({word([0, 0, 0], 2)}))
 
+    @pytest.mark.parametrize("header", ["q=1 n=3", "q=2 n=0"])
+    def test_a_header_out_of_range_is_malformed(self, tmp_path, header):
+        # the header is blamed, not the first codeword line
+        path = tmp_path / "header.code"
+        path.write_text(header + "\n0,0,0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: malformed header {header!r}')}$"):
+            read_code(path)
+
     def test_codewords_must_be_a_frozenset(self):
         w, v = word([0, 0, 0], 2), word([1, 1, 1], 2)
         for codewords in ([w, w, v], {w, v}, (w, v)):
@@ -767,9 +794,9 @@ class TestCodeFiles:
                 Code(q=2, n=3, codewords=codewords)
 
     def test_code_constructor_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^codeword '0,1' \(q=2, n=2\) does not match q=2, n=3$"):
             Code(q=2, n=3, codewords=frozenset({word([0, 1], 2)}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^codeword '0' \(q=3, n=1\) does not match q=2, n=1$"):
             Code(q=2, n=1, codewords=frozenset({word([0], 3)}))
         with pytest.raises(ValueError):
             Code(q=2, n=1, codewords=frozenset())
