@@ -110,13 +110,6 @@ class PrimeField:
     def elements(self) -> range:
         return range(self.p)
 
-    def poly_eval(self, coefficients: Sequence[int], x: int) -> int:
-        """Evaluate sum_i coefficients[i] * x^i by Horner's rule."""
-        acc = 0
-        for c in reversed(coefficients):
-            acc = (acc * x + c) % self.p
-        return acc
-
 
 def _validate_eval_points(field: PrimeField, n: int, alpha: Sequence[int]) -> tuple[int, ...]:
     points = tuple(alpha)

@@ -433,7 +433,9 @@ class RegionReport:
     t_ins/n < bound(1 - t_del/n), both strict and compared exactly.  At L = 1
     the bound is x - (1 - delta), so the region is unique decoding:
     t_ins + t_del <= (d-1)//2.  Any non-decodable pair is a violation of the
-    bound's guarantee.
+    bound's guarantee.  A pair with 2 (t_ins + t_del) < d is in `checked`
+    without a verdict, since no two codewords share a channel output there
+    (see `check_bound_region`).
     """
 
     n: int
@@ -485,10 +487,22 @@ def check_bound_region(
 ) -> RegionReport:
     """Exhaustively confirm list-decodability on the bound's guaranteed region.
 
-    Each pair gets one `list_decodable(..., want_witness=True, cap=cap)`
-    call: a BallSizeError (neither engine decided) marks the pair skipped,
-    not failed, and a failing verdict is a violation, with its witness when
-    the witness census fits the cap.  At list size 1 a
+    A pair with 2 (t_ins + t_del) < d, the code's minimum Levenshtein
+    distance, is checked and decodable at every list size by the distance
+    alone.  Two length-n words share a channel output exactly when
+    n - LCS <= t_ins + t_del (the s = 2 case of `_no_shared_output`'s
+    count), and the largest pairwise LCS of the code is n - d/2, so below
+    d/2 no received word decodes to two codewords.  `list_decodable` would
+    never skip such a pair either: its census fits the cap when |C| times
+    the ball estimate does, and otherwise its budget floor pays the pair
+    join and one unit per codeword, which decides True here.  So the
+    report is the one a verdict per pair gives.  At list size 1 the
+    distance decides the whole region, and no verdict is asked for.
+
+    Every other pair gets one `list_decodable(..., want_witness=True,
+    cap=cap)` call: a BallSizeError (neither engine decided) marks the pair
+    skipped, not failed, and a failing verdict is a violation, with its
+    witness when the witness census fits the cap.  At list size 1 a
     code of relative distance 1 (two symbol-disjoint codewords) is checked on
     the unique-decoding region; at list size 2 or more it raises ValueError,
     since the bound is formulated for delta < 1.  The list size must be an
@@ -504,16 +518,17 @@ def check_bound_region(
     violations = []
     skipped = []
     for t_ins, t_del in bound_region_pairs(code.n, delta, list_size):
-        try:
-            verdict = list_decodable(
-                code, t_ins, t_del, list_size, want_witness=True, cap=cap
-            )
-        except BallSizeError:
-            skipped.append((t_ins, t_del))
-            continue
+        if 2 * (t_ins + t_del) >= distance:
+            try:
+                verdict = list_decodable(
+                    code, t_ins, t_del, list_size, want_witness=True, cap=cap
+                )
+            except BallSizeError:
+                skipped.append((t_ins, t_del))
+                continue
+            if not verdict.decodable:
+                violations.append(verdict)
         checked.append((t_ins, t_del))
-        if not verdict.decodable:
-            violations.append(verdict)
     return RegionReport(
         n=code.n,
         distance=distance,

@@ -365,10 +365,10 @@ def test_hy_golden_catches_a_wrong_landmark(monkeypatch, name, fake, detail):
 
 
 def _region_report(skipped=(), checked=(), violations=()):
-    """A stand-in for check_bound_region's report, with delta = 1/2."""
+    """A stand-in for check_bound_region's report, with distance 2."""
     ok = not violations
     return SimpleNamespace(
-        skipped=skipped, checked=checked, violations=violations, ok=ok, delta=Fraction(1, 2)
+        skipped=skipped, checked=checked, violations=violations, ok=ok, distance=2
     )
 
 
@@ -401,7 +401,7 @@ def test_region_harness_catches_a_bad_subject(monkeypatch, name, fake, detail):
 
 
 def test_region_harness_records_skipped_pairs(monkeypatch):
-    # (n, 0) lies beyond unique decoding at delta = 1/2: t_ins/n < 1/2 fails
+    # (n, 0) lies beyond unique decoding at distance 2: t_ins + t_del < 1 fails
     def fake(code, list_size):
         skipped = ((1, 1),) if list_size == 6 else ()
         return _region_report(skipped=skipped, checked=((code.n, 0),))

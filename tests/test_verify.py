@@ -496,6 +496,57 @@ GREEDY = Code(
 )
 
 
+def layers_share(symbols, t_ins, t_del, q):
+    """Oracle: whether the words `symbols` share a channel output, by
+    intersecting their `_layer`s, one output length at a time."""
+    n = len(symbols[0])
+    for m in range(n - t_del, n + t_ins + 1):
+        common = words._layer(symbols[0], m, t_ins, t_del, q)
+        for w in symbols[1:]:
+            common &= words._layer(w, m, t_ins, t_del, q)
+            if not common:
+                break
+        else:
+            return True
+    return False
+
+
+def boundary_sets(seed, count):
+    """Seeded sets of four words of length 5-6 over 4-7 symbols, each with
+    radii (t_ins, t_del) at which the set shares a channel output, while it
+    shares none at (t_ins - 1, t_del) or at (t_ins, t_del - 1):
+    (symbols, q, t_ins, t_del).
+
+    A set is planted at random radii of 1 or 2, since the DP's deletions
+    and emissions interact only when both radii are positive: each word is
+    a random length-l subsequence of one random word y of length m, with
+    n - l random symbols inserted, l = max(n - t_del, m - t_ins), so y is
+    an output of every word.  Then the radii walk down one step at a time,
+    in random order, while the set still shares an output by `layers_share`.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        q, n = rng.randint(4, 7), rng.randint(5, 6)
+        t_ins, t_del = rng.randint(1, 2), rng.randint(1, 2)
+        m = rng.randint(n - t_del, n + t_ins)
+        y = [rng.randrange(q) for _ in range(m)]
+        ell = max(n - t_del, m - t_ins)
+        symbols = []
+        for _ in range(4):
+            w = [y[i] for i in sorted(rng.sample(range(m), ell))]
+            for _ in range(n - ell):
+                w.insert(rng.randint(0, len(w)), rng.randrange(q))
+            symbols.append(tuple(w))
+        while True:
+            steps = [(t_ins - 1, t_del), (t_ins, t_del - 1)]
+            rng.shuffle(steps)
+            lower = next((p for p in steps if min(p) >= 0 and layers_share(symbols, *p, q)), None)
+            if lower is None:
+                break
+            t_ins, t_del = lower
+        yield symbols, q, t_ins, t_del
+
+
 class TestEngines:
     """The sharing-set DP against the enumerator, and the choice between them."""
 
@@ -592,6 +643,41 @@ class TestEngines:
             assert garbage(list_decodable, vt_binary(8, 0), 2, 0, 8, cap=8) == (None, 0)
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("radii", [(1, 0), (0, 1)])
+    def test_cap_and_budget_boundaries_are_exact(self, radii):
+        # no two codewords of VT_0(6) share an output at these radii, so
+        # both censuses merge every ball, which hold 90 and 42 distinct
+        # received words, and the search spends exactly its budget floor,
+        # the pair join and one unit per codeword
+        symbols = sorted(w.symbols for w in vt_binary(6, 0).codewords)
+        received = {(1, 0): 90, (0, 1): 42}[radii]
+        assert verify._verdict_census(symbols, 2, *radii, 2, received) is False
+        assert verify._witness_census(symbols, 2, *radii, 2, received) is None
+        for census in (verify._verdict_census, verify._witness_census):
+            with pytest.raises(BallSizeError) as excinfo:
+                census(symbols, 2, *radii, 2, received - 1)
+            assert (excinfo.value.size, excinfo.value.cap) == (received, received - 1)
+        floor = math.comb(10, 2) * 7 + 10
+        assert verify._no_shared_output(symbols, *radii, 2, floor) is True
+        assert verify._no_shared_output(symbols, *radii, 2, floor - 1) is None
+
+    def test_boundary_sets_are_decided_on_both_sides(self):
+        # the DP and the search against the layer oracle, at radii where one
+        # step down changes the answer; a DP that drops a state an emission
+        # reached when a deletion of the same layer reaches it later gives 1
+        # wrong answer here, and the search over it 2
+        for symbols, q, t_ins, t_del in boundary_sets(0, 400):
+            for radii, shared in [
+                ((t_ins, t_del), True),
+                ((t_ins - 1, t_del), False),
+                ((t_ins, t_del - 1), False),
+            ]:
+                if min(radii) < 0:
+                    continue
+                case = (symbols, q, radii)
+                assert words._common_output(symbols, *radii, 10**18)[0] is shared, case
+                assert verify._no_shared_output(symbols, *radii, 3, 10**18) is not shared, case
 
     def test_pairs_share_an_output_iff_lcs_is_long_enough(self):
         # the search joins pairs by its count at s = 2, n - LCS <= t_ins +
@@ -929,12 +1015,63 @@ def _looped_region_pairs(n, delta, list_size):
     return pairs
 
 
-def _outcome(fn, *args):
+def _outcome(fn, *args, **kwargs):
     """fn's result, or the type and message of what it raised."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def region_subjects():
+    """(code, list sizes): criterion 8's subjects in its order, then 40
+    seeded random codes (q 2-5, n 2-6, 2-10 words) at list sizes 1-3."""
+    subjects = [(vt_binary(6, 0), (2, 3)), (vt_binary(8, 0), (2, 3))]
+    rng = random.Random(RANDOM_CODE_SEED)
+    for _ in range(50):
+        n = rng.choice([5, 6, 7])
+        subjects.append((_random_binary_code(rng, n, rng.randint(4, 16)), (2, 3)))
+    subjects += [
+        (vt_binary(6, 0), (6,)),
+        (vt_binary(8, 0), (8,)),
+        (vt_qary(5, 3, 0, 0), (5,)),
+        (rs_code(PrimeField(7), 5, 2, RS_ALPHA), (5,)),
+        (GREEDY_CODE, (2,)),
+    ]
+    for _ in range(40):
+        q, n = rng.randint(2, 5), rng.randint(2, 6)
+        chosen = rng.sample(range(q**n), rng.randint(2, min(10, q**n)))
+        members = frozenset(
+            Word(tuple(value // q**i % q for i in range(n)), q) for value in chosen
+        )
+        subjects.append((Code(q=q, n=n, codewords=members), (1, 2, 3)))
+    return subjects
+
+
+def _asking_every_pair(code, list_size, **kwargs):
+    """check_bound_region with one `list_decodable` verdict per region pair."""
+    distance = min_levenshtein_distance(code)
+    delta = Fraction(distance, 2 * code.n)
+    checked, violations, skipped = [], [], []
+    for pair in bound_region_pairs(code.n, delta, list_size):
+        try:
+            verdict = list_decodable(code, *pair, list_size, want_witness=True, **kwargs)
+        except BallSizeError:
+            skipped.append(pair)
+            continue
+        checked.append(pair)
+        if not verdict.decodable:
+            violations.append(verdict)
+    return RegionReport(
+        n=code.n,
+        distance=distance,
+        delta=delta,
+        list_size=list_size,
+        checked=tuple(checked),
+        violations=tuple(violations),
+        skipped=tuple(skipped),
+        beats_unique_decoding=delta > Fraction(2, list_size + 1),
+    )
 
 
 class TestBoundRegion:
@@ -1034,6 +1171,7 @@ class TestBoundRegion:
         assert check_bound_region(vt_binary(8, 0), 8, cap=cap).skipped == ()
 
     def test_region_check_asks_one_verdict_per_pair(self, monkeypatch):
+        # only the pairs with 2 (t_ins + t_del) >= d are asked, once each
         real = verify.list_decodable
         asked = []
 
@@ -1042,11 +1180,55 @@ class TestBoundRegion:
             return real(code, t_ins, t_del, list_size, **kwargs)
 
         monkeypatch.setattr(verify, "list_decodable", spy)
-        # the sweep checks some pairs and skips one
+        # VT_0(8) has d = 4: the distance decides (0, 0), (1, 0) and (0, 1),
+        # and the sweep skips (2, 0)
         report = check_bound_region(vt_binary(8, 0), 8, cap=8)
-        assert report.checked and report.skipped
-        pairs = bound_region_pairs(8, report.delta, 8)
-        assert asked == [(pair, {"want_witness": True, "cap": 8}) for pair in pairs]
+        assert report.checked == ((0, 0), (1, 0), (0, 1)) and report.skipped == ((2, 0),)
+        assert asked == [((2, 0), {"want_witness": True, "cap": 8})]
+        # at list size 1 the distance decides the whole region
+        asked.clear()
+        assert check_bound_region(vt_binary(8, 0), 1).checked == ((0, 0), (1, 0), (0, 1))
+        assert asked == []
+        for code, list_sizes in region_subjects():
+            for list_size in list_sizes:
+                asked.clear()
+                report = _outcome(check_bound_region, code, list_size)
+                if not isinstance(report, RegionReport):
+                    continue
+                beyond = [
+                    (t_ins, t_del)
+                    for t_ins, t_del in bound_region_pairs(code.n, report.delta, list_size)
+                    if 2 * (t_ins + t_del) >= report.distance
+                ]
+                assert [pair for pair, _ in asked] == beyond
+
+    def test_pairs_the_distance_decides_are_decodable(self):
+        # the slow oracle agrees: below half the distance every verdict is
+        # decodable, at the subject's list size and at list size 1
+        decided = 0
+        for code, list_sizes in region_subjects():
+            distance = min_levenshtein_distance(code)
+            for list_size in list_sizes:
+                try:
+                    pairs = bound_region_pairs(code.n, Fraction(distance, 2 * code.n), list_size)
+                except ValueError:  # relative distance 1 at list size 2 or more
+                    continue
+                for t_ins, t_del in pairs:
+                    if 2 * (t_ins + t_del) >= distance:
+                        continue
+                    decided += 1
+                    for size in {list_size, 1}:
+                        verdict = list_decodable(code, t_ins, t_del, size, want_witness=True)
+                        assert verdict.decodable, (code, t_ins, t_del, size)
+        assert decided >= 300
+
+    @pytest.mark.parametrize("cap", [0, 8, 1000, None], ids=["0", "8", "1000", "default"])
+    def test_report_is_the_one_a_verdict_per_pair_gives(self, cap):
+        kwargs = {} if cap is None else {"cap": cap}
+        for code, list_sizes in region_subjects():
+            for list_size in list_sizes:
+                expected = _outcome(_asking_every_pair, code, list_size, **kwargs)
+                assert _outcome(check_bound_region, code, list_size, **kwargs) == expected
 
     @pytest.mark.parametrize("cap", [0, 8, 100])
     @pytest.mark.parametrize(

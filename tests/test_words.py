@@ -506,6 +506,12 @@ class TestCommonOutput:
         # the balls of these four share exactly 021320 and 023120
         quaternary = [(1, 2, 1, 2, 0), (0, 2, 0, 3, 2), (0, 3, 2, 3, 2), (2, 2, 1, 2, 0)]
         assert shares(quaternary, 2, 1) is True
+        # four words of length 4 that share exactly 2121 at (1, 1), and no
+        # output with either radius one lower
+        short = [(0, 2, 2, 1), (2, 0, 1, 1), (2, 0, 1, 2), (2, 1, 1, 2)]
+        assert shares(short, 1, 1) is True
+        assert shares(short, 1, 0) is False
+        assert shares(short, 0, 1) is False
 
     def test_matches_ball_intersection(self):
         rng = random.Random(7)
