@@ -145,13 +145,15 @@ def criterion_elimination_rows() -> None:
                     raise CriterionFailure(f"(L={L}, r={r}, j={j}): unexpected zero")
                 if ((j - r) % 2 == 0) != (coeff > 0):
                     raise CriterionFailure(f"(L={L}, r={r}, j={j}): sign pattern broken")
-                if r >= 2 and Fraction(coeff) != elimination_tail_term(r, j):
+                if r >= 2 and coeff != elimination_tail_term(r, j):
                     raise CriterionFailure(f"(L={L}, r={r}, j={j}): tail closed form")
             if r >= 2:
                 for j in range(r + 2, L + 1):
                     lhs = (j + 1) * abs(row.coefficient(j)) - abs(row.coefficient(j + 1))
-                    rhs = comb(j - 3, r - 1) * (j - Fraction(r - 1, j - r - 1))
-                    if Fraction(lhs) != rhs or rhs < 3:
+                    gap = j - r - 1  # rhs = C(j-3, r-1) (j - (r-1)/gap) = scaled / gap
+                    scaled = comb(j - 3, r - 1) * (j * gap - (r - 1))
+                    if lhs * gap != scaled or scaled < 3 * gap:
+                        rhs = Fraction(scaled, gap)
                         raise CriterionFailure(f"(L={L}, r={r}, j={j}): margin {lhs} vs {rhs}")
 
 
@@ -159,6 +161,9 @@ def criterion_bound_consistency() -> None:
     """Max form and piece decomposition agree exactly on dense rational grids,
     and each piece's term is certified to win on the whole piece."""
     for L in range(2, 13):
+        scale = math.lcm(*range(1, L + 1))
+        slopes = [(2 * L - s + 1) * scale for s in range(1, L + 1)]
+        offsets = [L * (L + 1) * (scale // s) for s in range(1, L + 1)]
         for i in range(1, GRID_DELTA_DENOMINATOR):
             delta = Fraction(i, GRID_DELTA_DENOMINATOR)
             pieces = insertion_bound_piecewise(delta, L)
@@ -171,23 +176,23 @@ def criterion_bound_consistency() -> None:
                 raise CriterionFailure(f"(delta={delta}, L={L}): piece structure")
             # the terms are linear, so a piece that is its own term r, and whose
             # term is at least every other term at both of its ends, equals the
-            # max form on the whole piece.  Term r at x = xn/xd is
-            # (2L-r+1)/(L+1) x - (L/r)(cn/cd); times (L+1) xd cd lcm(1..L) it
-            # is the integer below, so the terms compare exactly as integers.
-            scale = math.lcm(*range(1, L + 1))
-            for piece in pieces.pieces:
-                r = piece.r
-                if (piece.slope, piece.intercept) != (
-                    Fraction(2 * L - r + 1, L + 1),
-                    -Fraction(L * cn, r * cd),
+            # max form on the whole piece.  Term s at x = xn/xd is
+            # (2L-s+1)/(L+1) x - (L/s)(cn/cd); times (L+1) xd cd lcm(1..L) it is
+            # slopes[s-1] xn cd - offsets[s-1] cn xd, an integer.  The pieces
+            # tile, so each breakpoint's terms are built once, for both pieces.
+            ends = [pieces.pieces[0].lower, *(p.upper for p in pieces.pieces)]
+            ends_terms = [
+                [a * en - b * ed for a, b in zip(slopes, offsets)]
+                for en, ed in ((e.numerator * cd, cn * e.denominator) for e in ends)
+            ]
+            for k, piece in enumerate(pieces.pieces):
+                r, slope, intercept = piece.r, piece.slope, piece.intercept
+                if (
+                    slope.numerator * (L + 1) != (2 * L - r + 1) * slope.denominator
+                    or intercept.numerator * r * cd != -L * cn * intercept.denominator
                 ):
                     raise CriterionFailure(f"(delta={delta}, L={L}, r={r}): not term {r}")
-                for end in (piece.lower, piece.upper):
-                    terms = [
-                        (2 * L - s + 1) * end.numerator * cd * scale
-                        - L * (L + 1) * cn * end.denominator * (scale // s)
-                        for s in range(1, L + 1)
-                    ]
+                for end, terms in zip(ends[k : k + 2], ends_terms[k : k + 2]):
                     if max(terms) > terms[r - 1]:
                         raise CriterionFailure(
                             f"(delta={delta}, L={L}, r={r}): not the max at {end}"

@@ -188,7 +188,17 @@ class PiecewiseBound:
         for left, right in zip(self.pieces, self.pieces[1:]):
             if left.upper != right.lower:
                 raise ValueError("pieces must tile the domain without gaps")
-            if left.value(left.upper) != right.value(right.lower):
+            # s x + i at x = xn/xd is (s.num i.den xn + i.num s.den xd) / (s.den i.den xd),
+            # positive denominators: the two values agree iff the cross-products do
+            xn, xd = left.upper.numerator, left.upper.denominator
+            (ln, ld), (rn, rd) = (
+                (
+                    s.numerator * i.denominator * xn + i.numerator * s.denominator * xd,
+                    s.denominator * i.denominator,
+                )
+                for s, i in ((left.slope, left.intercept), (right.slope, right.intercept))
+            )
+            if ln * rd != rn * ld:
                 raise ValueError("pieces must agree at shared breakpoints")
 
     def breakpoints(self) -> tuple[Fraction, ...]:
@@ -245,25 +255,22 @@ def insertion_bound_piecewise(delta: Exact | float, list_size: int) -> Piecewise
     cn, cd = _one_minus_delta(d)
     _validate_list_size(list_size)
     big = list_size
-
-    def threshold(r: int) -> Fraction:
-        return Fraction(big * (big + 1) * cn, r * (r + 1) * cd)
-
-    r_min = next(r for r in range(1, big + 1) if threshold(r) < 1)
-    pieces = []
-    for r in range(big, r_min - 1, -1):
-        lower = threshold(r) if r < big else Fraction(cn, cd)
-        upper = Fraction(1) if r == r_min else threshold(r - 1)
-        pieces.append(
-            LinearPiece(
-                lower=lower,
-                upper=upper,
-                slope=Fraction(2 * big - r + 1, big + 1),
-                intercept=Fraction(-big * cn, r * cd),
-                r=r,
-            )
+    shared = big * (big + 1) * cn
+    r_min = next(r for r in range(1, big + 1) if shared < r * (r + 1) * cd)
+    # T_r left to right, r = L first (T_L = 1 - delta), then 1: piece r runs
+    # between its neighbours in this list, so adjacent pieces share an end
+    ends = [*(Fraction(shared, r * (r + 1) * cd) for r in range(big, r_min - 1, -1)), Fraction(1)]
+    pieces = tuple(
+        LinearPiece(
+            lower=lower,
+            upper=upper,
+            slope=Fraction(2 * big - r + 1, big + 1),
+            intercept=Fraction(-big * cn, r * cd),
+            r=r,
         )
-    return PiecewiseBound(delta=d, list_size=big, r_min=r_min, pieces=tuple(pieces))
+        for r, lower, upper in zip(range(big, r_min - 1, -1), ends, ends[1:])
+    )
+    return PiecewiseBound(delta=d, list_size=big, r_min=r_min, pieces=pieces)
 
 
 def unique_decoding_bound(delta: Exact | float, tau_del: Exact | float) -> Fraction:

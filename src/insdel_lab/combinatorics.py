@@ -45,14 +45,16 @@ def count_v_covers(j: int, ell: int, v: int) -> int:
         count(j, ell, v) = C(C(j,v), ell) - sum_t C(j,t) * count(t, ell, v).
 
     Zero whenever ell exceeds the number of available subsets or the family
-    cannot reach j elements (ell * v < j).  The memo is shared across calls.
+    cannot reach j elements (ell * v < j); the sum skips every such t, so
+    below the top call no zero is stored.  The memo is shared across calls.
     """
     _validate_positive(j=j, ell=ell, v=v)
     subsets = comb(j, v)
     if ell > subsets or ell * v < j:
         return 0
     return comb(subsets, ell) - sum(
-        comb(j, t) * count_v_covers(t, ell, v) for t in range(1, j)
+        comb(j, t) * count_v_covers(t, ell, v)
+        for t in range(1, min(j, ell * v + 1)) if ell <= comb(t, v)
     )
 
 

@@ -150,6 +150,26 @@ class TestInsertionBound:
                 insertion_bound(delta, 2, 1)
 
 
+def _fraction_loop_piecewise(delta, list_size):
+    """Reference for insertion_bound_piecewise in plain Fraction arithmetic:
+    r_min by comparing threshold Fractions with 1, and each threshold built
+    again for every piece end it gives."""
+    cn, cd = (1 - delta).numerator, (1 - delta).denominator
+    big = list_size
+
+    def threshold(r):
+        return Fraction(big * (big + 1) * cn, r * (r + 1) * cd)
+
+    r_min = next(r for r in range(1, big + 1) if threshold(r) < 1)
+    pieces = []
+    for r in range(big, r_min - 1, -1):
+        lower = threshold(r) if r < big else Fraction(cn, cd)
+        upper = Fraction(1) if r == r_min else threshold(r - 1)
+        slope, intercept = Fraction(2 * big - r + 1, big + 1), Fraction(-big * cn, r * cd)
+        pieces.append(LinearPiece(lower, upper, slope, intercept, r))
+    return PiecewiseBound(delta=delta, list_size=big, r_min=r_min, pieces=tuple(pieces))
+
+
 class TestPiecewiseDecomposition:
     def test_two_piece_example(self):
         bound = insertion_bound_piecewise(0.9, 2)
@@ -260,6 +280,33 @@ class TestPiecewiseDecomposition:
         for changes, message in cases:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 replace(bound, **changes)
+
+    def test_matches_the_fraction_loop(self):
+        for b in range(2, 31):
+            for a in range(1, b):
+                delta = Fraction(a, b)
+                for list_size in range(2, 13):
+                    built = insertion_bound_piecewise(delta, list_size)
+                    assert built == _fraction_loop_piecewise(delta, list_size)
+
+    def test_an_interior_piece_moved_off_its_breakpoints_is_refused(self):
+        rng = random.Random(0)
+        moved = 0
+        while moved < 200:
+            b = rng.randint(2, 60)
+            delta, list_size = Fraction(rng.randint(1, b - 1), b), rng.randint(3, 30)
+            bound = insertion_bound_piecewise(delta, list_size)
+            pieces = bound.pieces
+            if len(pieces) < 3:
+                continue
+            k = rng.randrange(1, len(pieces) - 1)
+            piece = pieces[k]
+            nudge = Fraction(rng.choice((1, -1)), 10**9 * piece.intercept.denominator)
+            off = replace(piece, intercept=piece.intercept + nudge)
+            with pytest.raises(ValueError, match="^pieces must agree at shared breakpoints$"):
+                replace(bound, pieces=pieces[:k] + (off,) + pieces[k + 1 :])
+            assert replace(bound, pieces=pieces) == bound
+            moved += 1
 
     @given(
         st.integers(2, 8),

@@ -58,6 +58,34 @@ class TestCoverCounts:
             count_v_covers(3, 1, 0)
         assert count_v_covers(3, 1, 4) == 0  # no 4-subsets of a 3-set exist
 
+    def test_recursion_matches_inclusion_exclusion(self):
+        # families of ell distinct v-subsets of a t-subset, signed over t: an
+        # oracle that reaches well past enumeration's j <= 5
+        for j in range(1, 11):
+            for v in range(1, j + 1):
+                for ell in range(1, comb(j, v) + 1):
+                    expected = sum(
+                        (-1) ** (j - t) * comb(j, t) * comb(comb(t, v), ell)
+                        for t in range(j + 1)
+                    )
+                    assert count_v_covers(j, ell, v) == expected
+
+    def test_a_cold_memo_stores_no_zero_state_below_its_top_calls(self):
+        # the 126 top calls, one per ell, and 117 nonzero states below them;
+        # a sum over every t < j would store 1,118
+        count_v_covers.cache_clear()
+        signed_cover_sum(9, 4)
+        assert count_v_covers.cache_info().currsize == 243
+
+    def test_cache_clear_empties_the_memo_and_the_next_call_refills_it(self):
+        # the hook a timed pass uses to start cold: (6,5,2) needs only
+        # (5,5,2) and (4,5,2), the t with C(t,2) >= 5
+        count_v_covers(6, 5, 2)
+        count_v_covers.cache_clear()
+        assert count_v_covers.cache_info().currsize == 0
+        assert count_v_covers(6, 5, 2) == 1581
+        assert count_v_covers.cache_info().currsize == 3
+
     def test_arguments_must_be_ints(self):
         # True must not pass as 1, nor hit the cached entry for 1
         assert count_v_covers(1, 1, 1) == 1

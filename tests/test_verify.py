@@ -1160,7 +1160,7 @@ class TestBoundRegion:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 7: the budget floor does not yet decide every pair "
+        reason="ROADMAP item 10: the budget floor does not yet decide every pair "
         "at which no list_size + 1 codewords share an output",
     )
     @pytest.mark.parametrize("cap", [0, 8, 100, 1000])
