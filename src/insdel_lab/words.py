@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, repeat, tee
+from functools import lru_cache
+from itertools import chain, combinations, islice, product, repeat, tee
 from math import comb
-from operator import ne
+from operator import itemgetter, ne
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_BALL_CAP = 10_000_000
@@ -307,13 +308,17 @@ def _layer(
     iff LCS >= n - t_del and LCS >= m - t_ins.  And
     LCS(symbols, y) >= l iff y is a supersequence of some length-l
     subsequence of `symbols`, since a longer common subsequence can be
-    shortened.  So the layer is `symbols` cut by n - l rounds of one
-    deletion each, then grown by m - l rounds of one insertion each.
+    shortened.  So the layer is the union, over the length-l subsequences
+    s of `symbols`, of the length-m supersequences of s.
 
-    Deleting any symbol of a run gives the same tuple, so only the first of
-    each run is deleted; inserting s just after an s gives the same tuple as
-    inserting it just before, so s is inserted only where the symbol before
-    differs.
+    The subsequences come from n - l rounds of one deletion each.  Deleting
+    any symbol of a run gives the same tuple, so only the first of each run
+    is deleted; that check only saves work (the set would drop the repeats
+    anyway), so no test can tell it is there.
+
+    Each s is then grown in one step, by the index table of its shape
+    (`_insertion_table`), which builds each length-m supersequence of s
+    exactly once.
     """
     ell = max(len(symbols) - t_del, m - t_ins)
     layer = {symbols}
@@ -324,18 +329,89 @@ def _layer(
             for i in range(len(w))
             if i == 0 or w[i] != w[i - 1]
         }
-    alphabet = [(s,) for s in range(q)]
-    for _ in range(m - ell):
-        grown: set[tuple[int, ...]] = set()
-        add = grown.add
-        for w in layer:
-            for i in range(len(w) + 1):
-                head, tail, before = w[:i], w[i:], w[i - 1 : i]
-                for s in alphabet:
-                    if s != before:
-                        add(head + s + tail)
-        layer = grown
-    return layer
+    if m == ell:
+        return layer
+    table = _insertion_table(ell, m - ell, q)
+    blocks = _symbol_blocks(q)
+    grown: set[tuple[int, ...]] = set()
+    for s in layer:
+        # a list: tuple() of an iterator starts at 10 items and resizes, so
+        # each call would move a tuple from one size's free list to another's
+        ext = [*chain.from_iterable(map(blocks.__getitem__, s)), *range(q)]
+        # the flat tuple, cut into consecutive words of length m
+        grown.update(zip(*[iter(table(ext))] * m))
+    return grown
+
+
+# the (l, j, q) shapes whose insertion tables stay cached, and the alphabet
+# sizes whose symbol blocks do; see _insertion_table
+_INSERTION_TABLES = 32
+
+
+@lru_cache(maxsize=_INSERTION_TABLES)
+def _symbol_blocks(q: int) -> tuple[tuple[int, ...], ...]:
+    """For each symbol c of {0, ..., q-1}: c, then the q - 1 others in order."""
+    return tuple((c, *(r for r in range(q) if r != c)) for c in range(q))
+
+
+@lru_cache(maxsize=_INSERTION_TABLES)
+def _insertion_table(ell: int, j: int, q: int) -> itemgetter:
+    """An `itemgetter` that, applied to the sequence
+
+        ext = s_0 o_0 s_1 o_1 ... s_(l-1) o_(l-1) 0 1 ... q-1,
+
+    where s is a length-l word over {0, ..., q-1}, j >= 1, and o_k is the
+    q - 1 symbols other than s_k in order (`_symbol_blocks`), returns every
+    length-(l + j) supersequence of s, each exactly once, one after another
+    in one flat tuple (with one spare item after them where they would
+    fill exactly 20).
+
+    Proof.  A supersequence y of s has one leftmost embedding of s: match
+    s_0 at the first s_0 of y, and each next s_k at the first s_k after
+    the last match.  Cutting y at the matched positions writes it as
+    y = g_0 s_0 g_1 s_1 ... g_(l-1) s_(l-1) g_l, where a gap g_k (k < l)
+    holds no s_k, since the match would otherwise have been earlier, and
+    the tail g_l is free.  Conversely, for any such gaps, of total length
+    j, the leftmost embedding of s in y = g_0 s_0 ... s_(l-1) g_l matches
+    each s_k at the s_k written there, because g_k holds none, so the gaps
+    are read back off y.  So y and its gaps determine each other, and one
+    index pattern per choice of gaps builds each supersequence once: s_k
+    is index kq, gap k takes its symbols from o_k (indices kq + 1 + r), and
+    the tail from the alphabet (indices lq + c).  There are
+    sum_(i <= j) C(l + j, i) (q - 1)^i of them, the exact-j term of
+    `insertion_ball_size` (Levenshtein 1974), at least 1 + (l + j)(q - 1)
+    >= 2 since j >= 1; so the getter takes at least 2 indices and returns a
+    tuple, never a bare symbol.
+
+    The table does not depend on s, so it is built once per shape, and the
+    last `_INSERTION_TABLES` shapes used stay cached.  It holds l + j
+    indices per supersequence of one subsequence, so it is never larger
+    than the layer it builds, and the callers have checked that layer's
+    ball estimate against their cap before building it.  One getter over
+    the patterns one after another, not one getter per pattern, takes half
+    the memory and is faster.
+    """
+    patterns: list[tuple[tuple[int, ...], int]] = [((), j)]
+    for k in range(ell):
+        others = range(k * q + 1, (k + 1) * q)
+        patterns = [
+            (head + gap + (k * q,), left - size)
+            for head, left in patterns
+            for size in range(left + 1)
+            for gap in product(others, repeat=size)
+        ]
+    tail = range(ell * q, ell * q + q)
+    indices = [
+        *chain.from_iterable(
+            head + gap for head, left in patterns for gap in product(tail, repeat=left)
+        )
+    ]
+    if len(indices) == 20:
+        # CPython 3.11 and 3.12 put a freed 20-item tuple on a free list
+        # that never hands one out again, so each call would pin one, up to
+        # 2,000 of them (0.37 MiB); `_layer`'s zip drops the extra item
+        indices.append(0)
+    return itemgetter(*indices)
 
 
 def _least_output(symbols: tuple[int, ...], m: int, t_ins: int, t_del: int) -> tuple[int, ...]:

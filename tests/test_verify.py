@@ -462,6 +462,18 @@ class TestCensus:
             "1,0,0,0,0,0,0,0,0,0,0,1",
         ]
 
+    @pytest.mark.parametrize(
+        "list_size, received, count",
+        [(5, "0,0,0,1,0,1,1,0,1,0,0", 6), (6, "0,0,1,0,0,1,0,1,0,1,0", 7)],
+    )
+    def test_witnesses_that_need_three_insertions(self, list_size, received, count):
+        # VT_0(8) at (3, 0): the least offender has length 11 = n + 3, so its
+        # layers come from three insertions into each whole codeword
+        verdict = list_decodable(vt_binary(8, 0), 3, 0, list_size, want_witness=True)
+        assert not verdict.decodable
+        assert verdict.witness.received.to_text() == received
+        assert len(verdict.witness.codewords) == count
+
     def test_verdict_census_checks_the_cap_after_each_codeword(self):
         # VT_0(8) at (1, 1): each ball holds at most 9 * 11 = 99 words; with
         # a list size no output exceeds, only the cap stops the census

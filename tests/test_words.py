@@ -464,6 +464,103 @@ class TestInsdelBall:
                     assert len(insdel_ball(centre, t_ins, t_del)) <= bound
 
 
+def rounds_layer(symbols, m, t_ins, t_del, q):
+    """Oracle: `_layer` by rounds of single edits: n - l rounds of one
+    deletion, then m - l rounds of one insertion, each round a new set.
+    Inserting s just after an s gives the same tuple as inserting it just
+    before, so s is inserted only where the symbol before differs."""
+    ell = max(len(symbols) - t_del, m - t_ins)
+    layer = {symbols}
+    for _ in range(len(symbols) - ell):
+        layer = {
+            w[:i] + w[i + 1 :]
+            for w in layer
+            for i in range(len(w))
+            if i == 0 or w[i] != w[i - 1]
+        }
+    alphabet = [(s,) for s in range(q)]
+    for _ in range(m - ell):
+        grown = set()
+        for w in layer:
+            for i in range(len(w) + 1):
+                head, tail, before = w[:i], w[i:], w[i - 1 : i]
+                for s in alphabet:
+                    if s != before:
+                        grown.add(head + s + tail)
+        layer = grown
+    return layer
+
+
+def is_subsequence(s, y):
+    rest = iter(y)
+    return all(symbol in rest for symbol in s)
+
+
+class TestLayers:
+    def test_match_the_rounds_oracle(self):
+        # every length of random balls up to q = 7, n = 8 and four
+        # insertions; a draw whose ball bound is over 20,000 is drawn again,
+        # which keeps the oracle's rounds to about a second
+        rng = random.Random(20_238)
+        cases = 0
+        while cases < 300:
+            q, n = rng.randint(2, 7), rng.randint(0, 8)
+            t_ins, t_del = rng.randint(0, 4), rng.randint(0, min(3, n))
+            if insdel_ball_size_bound(n, t_ins, t_del, q) > 20_000:
+                continue
+            symbols = random_tuple(rng, q, n)
+            for m in range(n - t_del, n + t_ins + 1):
+                layer = _layer(symbols, m, t_ins, t_del, q)
+                assert layer == rounds_layer(symbols, m, t_ins, t_del, q), (symbols, m)
+            cases += 1
+
+    @pytest.mark.parametrize("q", [2, 7])
+    def test_edge_words(self, q):
+        # the empty word and m = 0, m = 1 (where a getter with one index
+        # would hand back a bare symbol), a constant word (one run) and both
+        # ends of the alphabet range
+        for symbols in [(), (q - 1,), (0,) * 5, (q - 1,) * 4, (0, q - 1, 0)]:
+            n = len(symbols)
+            for t_ins in range(4):
+                for t_del in range(n + 1):
+                    for m in range(n - t_del, n + t_ins + 1):
+                        layer = _layer(symbols, m, t_ins, t_del, q)
+                        assert layer == rounds_layer(symbols, m, t_ins, t_del, q)
+                        assert all(type(y) is tuple and len(y) == m for y in layer)
+        assert _layer((), 0, 2, 0, q) == {()}
+        assert _layer((), 1, 2, 0, q) == {(s,) for s in range(q)}
+        assert _layer((0, 0, 0), 1, 0, 2, q) == {(0,)}
+        assert _layer((0, 0, 0), 0, 0, 3, q) == {()}
+
+    def test_tables_count_each_supersequence_once(self):
+        rng = random.Random(38)
+        for q in range(2, 6):
+            blocks = words_module._symbol_blocks(q)
+            for ell in range(9):
+                for j in range(1, 4):
+                    m = ell + j
+                    size = insertion_ball_size(ell, j, q) - insertion_ball_size(ell, j - 1, q)
+                    s = random_tuple(rng, q, ell)
+                    ext = [c for x in s for c in blocks[x]] + list(range(q))
+                    flat = words_module._insertion_table(ell, j, q)(ext)
+                    # one spare item where the words would fill exactly 20
+                    assert len(flat) == size * m + (size * m == 20), (ell, j, q)
+                    outputs = {flat[i : i + m] for i in range(0, size * m, m)}
+                    assert len(outputs) == size, (s, j, q)
+                    assert all(is_subsequence(s, y) for y in outputs)
+
+    def test_table_cache_stays_within_its_bound(self):
+        tables = words_module._insertion_table
+        bound = words_module._INSERTION_TABLES
+        shapes = [(ell, j, 2) for ell in range(bound) for j in (1, 2)]
+        assert len(shapes) > bound
+        for shape in shapes:
+            tables(*shape)
+            assert tables.cache_info().currsize <= bound
+        assert tables.cache_info().maxsize == bound
+        assert tables.cache_info().currsize == bound
+
+
 def shares(words, t_ins, t_del):
     """The verdict of `_common_output`, once its state count is within the
     documented bound (a tuple is always truthy, so tests compare this part)."""
