@@ -144,6 +144,9 @@ def bound_rho(delta, list_size, tau) -> None:
         "list_size": list_size,
     }
     if tau is not None:
+        # a bad delta is left to the bound, which names it
+        if 0 < delta < 1 and not 0 <= tau <= delta:
+            raise click.UsageError(f"--tau-d must lie in [0, {delta}], got {tau}")
         value = insertion_bound(delta, list_size, 1 - tau)
         payload |= {
             "tau_d": tau,
@@ -344,7 +347,7 @@ def code_rs(p, n, k, alpha, out) -> None:
 @click.option("--p", type=int, required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--k", type=int, required=True)
-@click.option("--target", type=int, default=None, help="defaults to min(2n, 2n-4k+4)")
+@click.option("--target", type=int, default=None, help="defaults to 2(n-2k+2)")
 @click.option("--budget", type=int, default=2000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)

@@ -220,11 +220,12 @@ def rs_search_eval_points(
 ) -> EvalPointSearchResult:
     """Search evaluation-point tuples for large minimum Levenshtein distance.
 
-    The default target is min(2n, 2n - 4k + 4); existence of a tuple meeting
-    it is not guaranteed at desk scales, so falling short is reported rather
-    than raised.  When the number of ordered tuples P(p, n) fits the budget
-    the search is exhaustive in lexicographic order; otherwise `budget`
-    seeded random tuples are examined.
+    The default target is 2(n - 2k + 2), the half-Singleton bound on the
+    Levenshtein distance of a linear [n, k] code; existence of a tuple
+    meeting it is not guaranteed at desk scales, so falling short is
+    reported rather than raised.  When the number of ordered tuples P(p, n)
+    fits the budget the search is exhaustive in lexicographic order;
+    otherwise `budget` seeded random tuples are examined.
 
     The minimum distance is computed once per class of tuples
     (`_point_class`), since every tuple in a class gives the same one:
@@ -245,7 +246,7 @@ def rs_search_eval_points(
         _require_int("target", target)
     _validate_rs_shape(field, n, k)
     if target is None:
-        target = min(2 * n, 2 * n - 4 * k + 4)
+        target = 2 * (n - 2 * k + 2)
     if budget < 1:
         raise ValueError("budget must be positive")
     if seed < 0:

@@ -35,7 +35,6 @@ from .words import (
     DEFAULT_BALL_CAP,
     BallSizeError,
     Word,
-    _checked_ball_layers,
     _common_output,
     _layer,
     _lcs_masked,
@@ -44,7 +43,6 @@ from .words import (
     _min_distance,
     _require_cap,
     _require_int,
-    _require_radii,
     insdel_ball_size_bound,
 )
 
@@ -321,13 +319,11 @@ def list_decodable(
     nonnegative.
     """
     _require_int("list size", list_size)
-    _require_radii(t_ins, t_del)
     _require_cap(cap)
     if list_size < 1:
         raise ValueError("list size must be at least 1")
-    if t_del > code.n:
-        raise ValueError(f"deletion radius {t_del} exceeds block length {code.n}")
-    # every codeword has length n, so one estimate covers every ball
+    # every codeword has length n, so one estimate covers every ball, and it
+    # checks the radii
     estimate = insdel_ball_size_bound(code.n, t_ins, t_del, code.q)
     symbols = sorted(w.symbols for w in code.codewords)
     # the DP's cost does not grow with q; it gives up once it would cost more
@@ -385,42 +381,35 @@ def decoder_ball_matches_channel(codeword: Word, t_ins: int, t_del: int) -> bool
     (t_ins', t_del'), from the ball enumerator at that pair's own radii, must
     equal the set of words whose decoder ball (swapped radii: t_del'
     insertions, t_ins' deletions) contains `codeword`, quantified over every
-    word in the reachable length window.  The decoder side tests each word
-    y of the largest window once, by the LCS kernel against the codeword's
-    match masks: reaching the length-n codeword from y takes at least
-    n - LCS insertions and |y| - LCS deletions, and keeping a longest common
-    subsequence attains both at once.  So a pair's decoder set is the union
-    over lengths m of the cells {y of length m : LCS >= max(n - t_del',
-    m - t_ins')}, each cell built once.
+    word in the reachable length window.  Both sets are partitioned by
+    length, so they are compared one length m at a time: the channel layer
+    `_layer` against the cell {y of length m : LCS >= max(n - t_del',
+    m - t_ins')}.  The decoder side tests each word y of the window once, by
+    the LCS kernel against the codeword's match masks: reaching the
+    length-n codeword from y takes at least n - LCS insertions and
+    |y| - LCS deletions, and keeping a longest common subsequence attains
+    both at once.
 
-    The channel side's checks run once, at (t_ins, t_del), whose window
-    holds every smaller pair's; after them, and before anything is
-    enumerated, BallSizeError is raised when the window holds more than
-    DEFAULT_BALL_CAP words.
+    The checks run once, at (t_ins, t_del), whose window holds every smaller
+    pair's: the radii and the ball estimate (`insdel_ball_size_bound`), then
+    the window.  Before anything is enumerated, BallSizeError is raised when
+    either is over DEFAULT_BALL_CAP.
     """
     x, q, n = codeword.symbols, codeword.q, len(codeword)
-    _checked_ball_layers(x, t_ins, t_del, q, DEFAULT_BALL_CAP)  # for its checks alone
-    window = sum(q**m for m in range(n - t_del, n + t_ins + 1))
-    if window > DEFAULT_BALL_CAP:
-        raise BallSizeError(window, DEFAULT_BALL_CAP)
+    estimate = insdel_ball_size_bound(n, t_ins, t_del, q)
+    lengths = range(n - t_del, n + t_ins + 1)
+    for size in (estimate, sum(q**m for m in lengths)):
+        if size > DEFAULT_BALL_CAP:
+            raise BallSizeError(size, DEFAULT_BALL_CAP)
     masks = _match_masks(x)
-    lcs = {
-        m: [(y, _lcs_masked(y, masks, n)) for y in itertools.product(range(q), repeat=m)]
-        for m in range(n - t_del, n + t_ins + 1)
-    }
-
-    @cache
-    def cell(m: int, least: int) -> frozenset[tuple[int, ...]]:
-        """The words of length m whose LCS with x is at least `least`."""
-        return frozenset(y for y, ell in lcs[m] if ell >= least)
-
-    for ti in range(t_ins + 1):
-        for td in range(t_del + 1):
-            channel = set().union(*_checked_ball_layers(x, ti, td, q, DEFAULT_BALL_CAP))
-            # y's decoder ball holds x iff LCS >= max(n - td, |y| - ti)
-            lengths = range(n - td, n + ti + 1)
-            if channel != set().union(*(cell(m, max(n - td, m - ti)) for m in lengths)):
-                return False
+    for m in lengths:
+        lcs = [(y, _lcs_masked(y, masks, n)) for y in itertools.product(range(q), repeat=m)]
+        for ti in range(max(0, m - n), t_ins + 1):
+            for td in range(max(0, n - m), t_del + 1):
+                # y's decoder ball holds x iff LCS >= max(n - td, |y| - ti)
+                least = max(n - td, m - ti)
+                if _layer(x, m, ti, td, q) != {y for y, ell in lcs if ell >= least}:
+                    return False
     return True
 
 

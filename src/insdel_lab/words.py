@@ -290,9 +290,16 @@ def insertion_ball_size(length: int, t_ins: int, q: int) -> int:
 
 
 def insdel_ball_size_bound(length: int, t_ins: int, t_del: int, q: int) -> int:
-    """Upper bound on the insdel ball size used for cap checks before enumerating."""
-    dels = sum(comb(length, j) for j in range(min(t_del, length) + 1))
-    return dels * insertion_ball_size(length, t_ins, q)
+    """Upper bound on the insdel ball size used for cap checks before enumerating.
+
+    It is every ball consumer's check of the radii: ValueError unless both
+    are nonnegative ints and t_del <= length, checked after the length.
+    """
+    _require_radii(t_ins, t_del)
+    ins = insertion_ball_size(length, t_ins, q)
+    if t_del > length:
+        raise ValueError(f"deletion radius {t_del} exceeds word length {length}")
+    return sum(comb(length, j) for j in range(t_del + 1)) * ins
 
 
 def _layer(
@@ -509,43 +516,22 @@ def _common_output(
     return False, len(seen)
 
 
-def _checked_ball_layers(
-    symbols: tuple[int, ...], t_ins: int, t_del: int, q: int, cap: int
-) -> Iterator[set[tuple[int, ...]]]:
-    """The channel outputs of `symbols` (at most t_ins insertions and t_del
-    deletions over {0, ..., q-1}), one length at a time, shortest first: the
-    layers `_layer(symbols, m, t_ins, t_del, q)` for m = n - t_del, ...,
-    n + t_ins.
-
-    The checks of `insdel_ball` run first: ValueError for a radius or cap
-    that is not an int or is negative, or t_del > len(symbols), and
-    BallSizeError when the ball's size bound exceeds `cap`, before anything
-    is enumerated.
-    Each layer is built afresh when it is asked for, and the generator keeps
-    no reference to it, so a consumer that merges each layer before asking
-    for the next holds one layer of the ball at a time.
-    """
-    _require_radii(t_ins, t_del)
-    _require_cap(cap)
-    n = len(symbols)
-    if t_del > n:
-        raise ValueError(f"deletion radius {t_del} exceeds word length {n}")
-    estimate = insdel_ball_size_bound(n, t_ins, t_del, q)
-    if estimate > cap:
-        raise BallSizeError(estimate, cap)
-    return (_layer(symbols, m, t_ins, t_del, q) for m in range(n - t_del, n + t_ins + 1))
-
-
 def insdel_ball(x: Word, t_ins: int, t_del: int, cap: int = DEFAULT_BALL_CAP) -> set[Word]:
     """All words reachable from `x` by at most t_ins insertions and t_del deletions.
 
-    The ball is the union of its length layers (`_checked_ball_layers`):
-    the words y of each length m with LCS(x, y) >= max(|x| - t_del,
-    m - t_ins), built as supersequences of subsequences of `x`.  Fails fast with BallSizeError
-    when the predicted size exceeds `cap`.
+    The ball is the union of its length layers `_layer(x, m, ...)`, m = |x| -
+    t_del, ..., |x| + t_ins: the words y of length m with LCS(x, y) >=
+    max(|x| - t_del, m - t_ins), built as supersequences of subsequences of
+    `x`.  The radii are checked by `insdel_ball_size_bound`, then the cap;
+    BallSizeError when the bound exceeds `cap`, before anything is built.
     """
+    n = len(x)
+    estimate = insdel_ball_size_bound(n, t_ins, t_del, x.q)
+    _require_cap(cap)
+    if estimate > cap:
+        raise BallSizeError(estimate, cap)
     return {
         Word(symbols, x.q)
-        for layer in _checked_ball_layers(x.symbols, t_ins, t_del, x.q, cap)
-        for symbols in layer
+        for m in range(n - t_del, n + t_ins + 1)
+        for symbols in _layer(x.symbols, m, t_ins, t_del, x.q)
     }

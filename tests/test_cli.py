@@ -188,6 +188,19 @@ class TestBoundCommands:
             result = run("bound", "rho", "--delta", "1", "--list-size", "2", *extra)
             assert result.exit_code == 2, result.output
 
+    def test_rho_tau_d_outside_zero_to_delta_exit_two(self):
+        # the message names the option, not the x = 1 - tau_d it is read as
+        command = ["bound", "rho", "--delta", "9/10", "--list-size", "2", "--tau-d"]
+        for tau in ("-1/2", "19/20"):
+            result = run(*command, tau)
+            assert result.exit_code == 2, result.output
+            assert f"--tau-d must lie in [0, 9/10], got {tau}" in result.output
+        assert payload_of(run(*command, "9/10"))["value"] == "0"
+        # tau_d = 0 is in range for every delta; a bad delta is named as such
+        result = run("bound", "rho", "--delta", "-1", "--list-size", "2", "--tau-d", "0")
+        assert result.exit_code == 2, result.output
+        assert "relative distance must satisfy 0 < delta < 1, got -1" in result.output
+
     def test_hy_values(self):
         payload = payload_of(
             run("bound", "hy", "--delta", "0.9", "--list-size", "2")

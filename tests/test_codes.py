@@ -257,6 +257,17 @@ class TestReedSolomon:
         assert result.examined == 1  # the very first tuple already meets 2n
         assert result.alpha == (0, 1, 2, 3)
 
+    def test_default_target_is_the_half_singleton_bound(self, monkeypatch):
+        # only the target is read, so no codeword is built and every
+        # distance reads 0
+        monkeypatch.setattr(codes_module, "_rs_symbols", lambda *args: iter(()))
+        monkeypatch.setattr(codes_module, "_min_distance", len)
+        for p in (2, 3, 5, 7):
+            for n in range(1, p + 1):
+                for k in range(1, n + 1):
+                    result = rs_search_eval_points(PrimeField(p), n, k, budget=1)
+                    assert result.target == 2 * (n - 2 * k + 2)
+
     def test_eval_point_search_reports_shortfall(self):
         # tiny budget cannot be exhaustive; shortfalls must not raise
         result = rs_search_eval_points(PrimeField(7), 5, 2, budget=5, seed=1)

@@ -38,6 +38,7 @@ from insdel_lab.words import (
     all_words,
     in_insdel_ball,
     insdel_ball,
+    insdel_ball_size_bound,
     levenshtein_distance,
     word,
     words_up_to,
@@ -491,9 +492,8 @@ class TestCensus:
             symbols = tuple(rng.randrange(q) for _ in range(n))
             t_ins, t_del = rng.randint(0, 3), rng.randint(0, min(3, n))
             ball = whole_ball(symbols, t_ins, t_del, q)
-            layers = list(words._checked_ball_layers(symbols, t_ins, t_del, q, 10**18))
-            assert len(layers) == t_del + t_ins + 1
-            for m, layer in enumerate(layers, start=n - t_del):
+            for m in range(n - t_del, n + t_ins + 1):
+                layer = words._layer(symbols, m, t_ins, t_del, q)
                 assert layer == {y for y in ball if len(y) == m}, (symbols, m)
 
 
@@ -842,6 +842,104 @@ class TestEngines:
             list_decodable(code, 1, 0, 1, want_witness=True)
 
 
+class TestBallChecks:
+    """Every ball consumer takes its radius checks from the ball estimate."""
+
+    @pytest.mark.parametrize(
+        "t_ins, t_del, message",
+        [
+            (0, -1, "radii must be nonnegative"),
+            (0, True, "deletion radius must be an int, got True"),
+            (0, 1.0, "deletion radius must be an int, got 1.0"),
+            (0, 4, "deletion radius 4 exceeds word length 3"),
+            (-1, 0, "radii must be nonnegative"),
+        ],
+        ids=["negative", "bool", "float", "too-long", "negative-insertions"],
+    )
+    def test_bad_radii_are_refused_alike(self, t_ins, t_del, message):
+        centre = word([0, 1, 1], 2)
+        code = Code(q=2, n=3, codewords=frozenset({centre, word([1, 0, 0], 2)}))
+        calls = [
+            lambda: insdel_ball_size_bound(3, t_ins, t_del, 2),
+            lambda: insdel_ball(centre, t_ins, t_del),
+            lambda: list_decodable(code, t_ins, t_del, 1),
+            lambda: decoder_ball_matches_channel(centre, t_ins, t_del),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
+
+    def test_the_estimate_on_valid_radii(self):
+        # C(n, <= t_del) deletion patterns, each grown by at most t_ins
+        # insertions: sum over i <= t_ins and j <= i of C(n + i, j) (q - 1)^j
+        for n in range(9):
+            for t_ins in range(4):
+                for t_del in range(min(3, n) + 1):
+                    for q in range(2, 5):
+                        dels = sum(math.comb(n, j) for j in range(t_del + 1))
+                        ins = sum(
+                            math.comb(n + i, j) * (q - 1) ** j
+                            for i in range(t_ins + 1)
+                            for j in range(i + 1)
+                        )
+                        assert insdel_ball_size_bound(n, t_ins, t_del, q) == dels * ins
+        # a bad length is named as such, not as a deletion radius past it
+        with pytest.raises(ValueError, match="^need length >= 0, t_ins >= 0, q >= 2$"):
+            insdel_ball_size_bound(-1, 0, 0, 2)
+
+
+def union_oracle(codeword: Word, t_ins: int, t_del: int) -> bool:
+    """Oracle: `decoder_ball_matches_channel` by whole balls: at each pair
+    (t_ins', t_del') <= (t_ins, t_del), the union of the channel layers
+    against the union of the decoder cells {y of length m :
+    LCS >= max(n - t_del', m - t_ins')}."""
+    x, q, n = codeword.symbols, codeword.q, len(codeword)
+    masks = words._match_masks(x)
+    lcs = {
+        y: words._lcs_masked(y, masks, n)
+        for m in range(n - t_del, n + t_ins + 1)
+        for y in itertools.product(range(q), repeat=m)
+    }
+    for ti in range(t_ins + 1):
+        for td in range(t_del + 1):
+            lengths = range(n - td, n + ti + 1)
+            channel = set().union(*(verify._layer(x, m, ti, td, q) for m in lengths))
+            decoder = {
+                y for y, ell in lcs.items() if len(y) in lengths and ell >= max(n - td, len(y) - ti)
+            }
+            if channel != decoder:
+                return False
+    return True
+
+
+def dropping_the_centre(fault):
+    """`_layer` with the centre dropped from its layers at the pair `fault`
+    only, which drops it from that pair's length-n layer."""
+
+    def layer(symbols, m, t_ins, t_del, q):
+        out = words._layer(symbols, m, t_ins, t_del, q)
+        if (t_ins, t_del) == fault:
+            out.discard(symbols)
+        return out
+
+    return layer
+
+
+def swap_grid() -> list[tuple[Word, int, int]]:
+    """The radius-swap cases: every binary word of length <= 4 at every
+    pair up to (2, 2) with t_del <= n, then 80 seeded random words with
+    q <= 4 at random radii up to (2, 2)."""
+    cases = [
+        (w, ti, td) for w in words_up_to(2, 4) for ti in range(3) for td in range(min(2, len(w)) + 1)
+    ]
+    rng = random.Random(RANDOM_CODE_SEED)
+    for _ in range(80):
+        q, n = rng.randint(2, 4), rng.randint(0, 4)
+        centre = word([rng.randrange(q) for _ in range(n)], q)
+        cases.append((centre, rng.randint(0, 2), rng.randint(0, min(2, n))))
+    return cases
+
+
 class TestRadiusSwap:
     def test_equivalence_on_samples(self):
         for symbols in [(0, 1, 0), (1, 1, 1), (0, 0, 1, 1)]:
@@ -862,14 +960,6 @@ class TestRadiusSwap:
         # every pair <= (T, D): insdel_ball against the words whose LCS with
         # the centre, by the quadratic DP, reaches max(n - t_del, |y| - t_ins).
         # A fault drops the centre from the channel side at one pair only.
-        real = verify._checked_ball_layers
-
-        def layers(symbols, t_ins, t_del, q, cap):
-            out = [set(layer) for layer in real(symbols, t_ins, t_del, q, cap)]
-            if (t_ins, t_del) == fault:
-                out[t_del].discard(symbols)  # the length-n layer
-            return out
-
         def agrees(w, t_ins, t_del):
             x, n = w.symbols, len(w)
             channel = {y.symbols for y in insdel_ball(w, t_ins, t_del)}
@@ -883,7 +973,7 @@ class TestRadiusSwap:
             }
             return channel == decoder
 
-        monkeypatch.setattr(verify, "_checked_ball_layers", layers)
+        monkeypatch.setattr(verify, "_layer", dropping_the_centre(fault))
         failures = 0
         for w in words_up_to(3, 3):
             top = min(2, len(w))
@@ -896,38 +986,40 @@ class TestRadiusSwap:
         assert failures == {None: 0, (1, 1): 150, (2, 0): 115}[fault]
 
     def test_a_broken_channel_is_caught(self, monkeypatch):
-        # the two views are computed independently: drop one channel output,
-        # or add one, and the check fails
-        real = verify._checked_ball_layers
+        # the two views are computed independently: drop one channel output
+        # from each ball's longest layer, or add one to its shortest, and the
+        # check fails
+        real = verify._layer
         centre = word([0, 1, 1, 0], 2)
 
-        def short(*args):
-            layers = [set(layer) for layer in real(*args)]
-            layers[-1].pop()
-            return layers
+        def short(symbols, m, t_ins, t_del, q):
+            layer = real(symbols, m, t_ins, t_del, q)
+            if m == len(symbols) + t_ins:
+                layer.pop()
+            return layer
 
-        def padded(*args):
-            layers = [set(layer) for layer in real(*args)]
-            layers[0].add((1,) * len(next(iter(layers[0]))))
-            return layers
+        def padded(symbols, m, t_ins, t_del, q):
+            layer = real(symbols, m, t_ins, t_del, q)
+            if m == len(symbols) - t_del:
+                layer.add((1,) * m)
+            return layer
 
         assert decoder_ball_matches_channel(centre, 1, 1)
-        monkeypatch.setattr(verify, "_checked_ball_layers", short)
+        monkeypatch.setattr(verify, "_layer", short)
         assert not decoder_ball_matches_channel(centre, 1, 1)
-        monkeypatch.setattr(verify, "_checked_ball_layers", padded)
+        monkeypatch.setattr(verify, "_layer", padded)
         assert not decoder_ball_matches_channel(centre, 1, 1)
 
     def test_a_widened_ball_is_caught(self, monkeypatch):
-        # a ball with one layer t_ins + t_del + 2 insertions out leaves the
+        # a layer holding one word t_ins + t_del + 2 insertions out leaves the
         # Levenshtein ball of radius t_ins + t_del; the radius swap catches it,
         # so that containment needs no check of its own
-        real_layers = verify._checked_ball_layers
+        real = verify._layer
 
-        def wide_layers(symbols, t_ins, t_del, q, cap):
-            yield from real_layers(symbols, t_ins, t_del, q, cap)
-            yield {symbols + (0,) * (t_ins + t_del + 2)}
+        def wide_layer(symbols, m, t_ins, t_del, q):
+            return real(symbols, m, t_ins, t_del, q) | {symbols + (0,) * (t_ins + t_del + 2)}
 
-        monkeypatch.setattr(verify, "_checked_ball_layers", wide_layers)
+        monkeypatch.setattr(verify, "_layer", wide_layer)
         for t_ins, t_del in [(1, 0), (0, 1)]:
             assert not decoder_ball_matches_channel(word([0, 1], 2), t_ins, t_del)
         number = 1 + [check for _, check in ALL_CRITERIA].index(
@@ -936,6 +1028,18 @@ class TestRadiusSwap:
         result = run_criterion(number)
         assert not result.ok
         assert result.detail == "mismatch at centre=empty, t_ins=0, t_del=0"
+
+    @pytest.mark.parametrize("fault", [None, (1, 1)], ids=["sound", "at-1-1"])
+    def test_agrees_with_the_union_oracle(self, monkeypatch, fault):
+        # comparing length by length is comparing the unions, since both
+        # sides are partitioned by length; so the verdicts agree, also when
+        # the channel side drops the centre at one pair
+        monkeypatch.setattr(verify, "_layer", dropping_the_centre(fault))
+        cases = swap_grid()
+        assert len(cases) == 347
+        verdicts = [decoder_ball_matches_channel(*case) for case in cases]
+        assert verdicts == [union_oracle(*case) for case in cases]
+        assert verdicts.count(False) == {None: 0, (1, 1): 144}[fault]
 
     def test_radii_are_checked(self):
         centre = word([0, 1], 2)

@@ -20,7 +20,6 @@ from insdel_lab.words import (
     AlphabetMismatchError,
     BallSizeError,
     Word,
-    _checked_ball_layers,
     _common_output,
     _layer,
     _least_output,
@@ -616,7 +615,8 @@ class TestCommonOutput:
             q, n, k = rng.randint(2, 3), rng.randint(1, 6), rng.randint(1, 4)
             words = [random_tuple(rng, q, n) for _ in range(k)]
             t_ins, t_del = rng.randint(0, 2), rng.randint(0, min(2, n))
-            balls = (set().union(*_checked_ball_layers(w, t_ins, t_del, q, 10**6)) for w in words)
+            lengths = range(n - t_del, n + t_ins + 1)
+            balls = (set().union(*(_layer(w, m, t_ins, t_del, q) for m in lengths)) for w in words)
             shared = set.intersection(*balls)
             assert shares(words, t_ins, t_del) == bool(shared)
 
