@@ -348,8 +348,11 @@ def hy_list_size(
 
 
 def hy_crossover_root(list_size: int) -> float:
-    """Positive root beta2 of the crossover quadratic in (1 - delta).
+    """Positive root beta2 of the crossover quadratic in (1 - delta),
 
+        2 (3L + 1) beta^2 + (L-1)(L-3) beta - (L-1)^2 = 0
+
+    (14 beta^2 - beta - 1 = 0 at L = 2), that is
     beta2 = (L-1) (-(L-3) + sqrt(L^2 + 18L + 17)) / (4 (3L + 1)).
     """
     _validate_list_size(list_size)
@@ -368,18 +371,10 @@ def hy_crossover_delta(list_size: int) -> float:
     The second argument of the max always dominates: beta2 < (L-1)/(L+1)
     reduces to sqrt(L^2 + 18L + 17) < (L^2 + 10L + 1)/(L+1), that is to
     (L+1)^2 (L^2 + 18L + 17) < (L^2 + 10L + 1)^2, and the gap between the
-    two sides is 16 (3L+1)(L-1) > 0 for L >= 2.
+    two sides is 16 (3L+1)(L-1) > 0 for L >= 2.  The float loses it to
+    cancellation in beta2 from L near 5.4e8 (ROADMAP item 7's exact surd).
     """
     return 1 - hy_crossover_root(list_size)
-
-
-def hy_crossover_delta_closed_form(list_size: int) -> float:
-    """Equivalent closed form of hy_crossover_delta:
-    (L^2 + 8L + 7 - (L-1) sqrt(L^2 + 18L + 17)) / (4 (3L + 1))."""
-    _validate_list_size(list_size)
-    big = list_size
-    root = math.sqrt(big * big + 18 * big + 17)
-    return (big * big + 8 * big + 7 - (big - 1) * root) / (4 * (3 * big + 1))
 
 
 @dataclass(frozen=True)
@@ -436,10 +431,7 @@ def comparison_report(delta: Exact | float, list_size: int) -> ComparisonReport:
     cn, cd = _one_minus_delta(d)
     _validate_list_size(list_size)
     beta2 = hy_crossover_root(list_size)
-    delta1 = 1 - beta2
-    if abs(delta1 - hy_crossover_delta_closed_form(list_size)) > 1e-9:
-        raise AssertionError("crossover delta closed forms disagree")
-    base = ComparisonReport(float(d), list_size, delta1, beta2)
+    base = ComparisonReport(float(d), list_size, 1 - beta2, beta2)
     big = list_size
     first, *rest = insertion_bound_piecewise(d, big).pieces
     # piece r minus quadratic2, times r (L+1) cd (L cn + cd) > 0, is the

@@ -43,7 +43,10 @@ class CodeSizeError(RuntimeError):
 
 
 def _require_codeword(w: Word, q: int, n: int) -> None:
-    """ValueError unless the word w is over q symbols and of length n."""
+    """TypeError unless w is a Word; ValueError unless it is over q symbols
+    and of length n."""
+    if not isinstance(w, Word):
+        raise TypeError(f"codeword {w!r} is a {type(w).__name__}, not a Word")
     if w.q != q or len(w) != n:
         raise ValueError(
             f"codeword {w.to_text()!r} (q={w.q}, n={len(w)}) does not match q={q}, n={n}"

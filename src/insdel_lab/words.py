@@ -77,6 +77,9 @@ class Word:
     q: int
 
     def __post_init__(self) -> None:
+        # a list would leave the word unhashable and unequal to its tuple twin
+        if not isinstance(self.symbols, tuple):
+            raise TypeError(f"symbols must be a tuple, got {type(self.symbols).__name__}")
         _require_int("alphabet size", self.q)
         if self.q < 2:
             raise ValueError(f"alphabet size must be at least 2, got {self.q}")

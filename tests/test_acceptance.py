@@ -330,7 +330,6 @@ _GOLDEN = (27 - math.sqrt(57)) / 28
     "name, fake, detail",
     [
         ("hy_crossover_delta", lambda list_size: 0.5, f"delta1(2) = 0.5 vs {_GOLDEN}"),
-        ("hy_crossover_delta_closed_form", lambda list_size: 0.5, "closed form delta1(2) off"),
         (
             "comparison_report",
             lambda delta, list_size: dataclasses.replace(_REPORT, p2=(0.7, 0.25)),
@@ -354,7 +353,7 @@ _GOLDEN = (27 - math.sqrt(57)) / 28
             f"interval = ({_REPORT.interval[0]}, 0.6)",
         ),
     ],
-    ids=["delta1", "closed-form", "p2", "p1", "no-interval", "interval"],
+    ids=["delta1", "p2", "p1", "no-interval", "interval"],
 )
 def test_hy_golden_catches_a_wrong_landmark(monkeypatch, name, fake, detail):
     # the report's own computation is not patched: the criterion reads the
@@ -500,3 +499,9 @@ class TestRunner:
         assert results[0].skipped == []
         assert lines[1].startswith("[ 2] PASS second (skipped: 2) (")
         assert lines[2] == "2/2 acceptance criteria passed"
+
+    @pytest.mark.parametrize("number", [0, -9, 3, 1.0, True])
+    def test_a_number_outside_the_gate_is_refused(self, monkeypatch, number):
+        self._gate(monkeypatch, _passes)
+        with pytest.raises(ValueError, match=re.escape(f"{number!r} is not an int in 1..2")):
+            run_criterion(number)

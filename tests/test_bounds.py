@@ -22,7 +22,6 @@ from insdel_lab.bounds import (
     as_fraction,
     comparison_report,
     hy_crossover_delta,
-    hy_crossover_delta_closed_form,
     hy_crossover_root,
     hy_list_size,
     hy_quadratic1,
@@ -662,13 +661,33 @@ class TestCrossoverConstants:
     def test_golden_value_for_list_size_two(self):
         golden = (27 - math.sqrt(57)) / 28
         assert abs(hy_crossover_delta(2) - golden) < 1e-9
-        assert abs(hy_crossover_delta_closed_form(2) - golden) < 1e-9
 
-    def test_closed_forms_agree_up_to_fifty(self):
+    def test_root_is_within_four_ulps_up_to_fifty(self):
+        # the crossover quadratic, exact at floats, changes sign across
+        # beta2 +- 4 ulps: a mistyped formula or lost digits both fail
+        def quadratic(big, beta):
+            beta = Fraction(beta)
+            return 2 * (3 * big + 1) * beta * beta + (big - 1) * (big - 3) * beta - (big - 1) ** 2
+
         for list_size in range(2, 51):
-            direct = hy_crossover_delta(list_size)
-            closed = hy_crossover_delta_closed_form(list_size)
-            assert abs(direct - closed) < 1e-9
+            below = above = hy_crossover_root(list_size)
+            for _ in range(4):
+                below, above = math.nextafter(below, 0), math.nextafter(above, 1)
+            assert quadratic(list_size, below) < 0 < quadratic(list_size, above), list_size
+
+    def test_crossover_delta_is_above_the_unique_decoding_radius(self):
+        # the lemma in hy_crossover_delta's docstring: 1 - beta2 > 2/(L+1)
+        for list_size in range(2, 10**4 + 1):
+            assert Fraction(hy_crossover_delta(list_size)) > Fraction(2, list_size + 1), list_size
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="1 - beta2 cancels in floats: 2.48e-9 against 2/(L+1) = 3.73e-9 "
+        "(exact about 7.45e-9); an exact surd for delta1 mends it",
+    )
+    def test_crossover_delta_keeps_the_lemma_at_half_a_billion(self):
+        list_size = 536_877_953
+        assert Fraction(hy_crossover_delta(list_size)) > Fraction(2, list_size + 1)
 
     def test_root_below_breakpoint_slope_ratio(self):
         # why hy_crossover_delta is 1 - beta2, the larger argument of its max
@@ -773,14 +792,9 @@ class TestComparisonReport:
         expected = [decided(comparison_report(*args)) for args in inputs]
         assert any(window is None for window, *_ in expected)
         assert any(window is not None for window, *_ in expected)
-        for name in ("hy_crossover_root", "hy_crossover_delta", "hy_crossover_delta_closed_form"):
+        for name in ("hy_crossover_root", "hy_crossover_delta"):
             monkeypatch.setattr(bounds, name, lambda list_size: 0.5)
         assert [decided(comparison_report(*args)) for args in inputs] == expected
-
-    def test_disagreeing_crossover_closed_forms_are_caught(self, monkeypatch):
-        monkeypatch.setattr(bounds, "hy_crossover_delta_closed_form", lambda list_size: 0.5)
-        with pytest.raises(AssertionError, match="^crossover delta closed forms disagree$"):
-            comparison_report(Fraction(9, 10), 2)
 
     def test_window_iff_beyond_crossover(self):
         for list_size in range(2, 13):

@@ -806,6 +806,11 @@ class TestCodeFiles:
             with pytest.raises(TypeError, match="codewords must be a frozenset"):
                 Code(q=2, n=3, codewords=codewords)
 
+    def test_codewords_must_be_words(self):
+        # a bare tuple used to fail with AttributeError on its missing q
+        with pytest.raises(TypeError, match=r"^codeword \(0, 1\) is a tuple, not a Word$"):
+            Code(q=2, n=2, codewords=frozenset({(0, 1)}))
+
     def test_code_constructor_validation(self):
         with pytest.raises(ValueError, match=r"^codeword '0,1' \(q=2, n=2\) does not match q=2, n=3$"):
             Code(q=2, n=3, codewords=frozenset({word([0, 1], 2)}))

@@ -705,6 +705,13 @@ class TestSerializationAndValidation:
         with pytest.raises(ValueError, match="^alphabet size must be an int, got True$"):
             Word((), True)
 
+    @pytest.mark.parametrize("symbols", [[0, 1, 1], range(3), "011"])
+    def test_symbols_must_be_a_tuple(self, symbols):
+        # a list used to build an unhashable word, unequal to its tuple twin
+        name = type(symbols).__name__
+        with pytest.raises(TypeError, match=f"^symbols must be a tuple, got {name}$"):
+            Word(symbols, 2)
+
     @settings(max_examples=50)
     @given(st.lists(st.integers(0, 2), max_size=8))
     def test_round_trip_property(self, xs):
