@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import chain, repeat
 from math import comb
 from operator import lt, mul
 from typing import Callable
@@ -156,6 +156,18 @@ def criterion_elimination_rows() -> None:
                         raise CriterionFailure(f"(L={L}, r={r}, j={j}): margin {lhs} vs {rhs}")
 
 
+def _least_after_first(runs: list) -> int:
+    """The least value of a kernel's runs after their first point.  A
+    ``range`` is monotone, so its least value is one of its two ends; any
+    other run is scanned in full."""
+    first, *rest = runs
+    return min(
+        min(run[0], run[-1]) if isinstance(run, range) else min(run)
+        for run in (first[1:], *rest)
+        if run
+    )
+
+
 def criterion_bound_consistency() -> None:
     """Max form and piece decomposition agree exactly on dense rational grids,
     and each piece's term is certified to win on the whole piece."""
@@ -200,10 +212,17 @@ def criterion_bound_consistency() -> None:
             base = GRID_STEPS * (GRID_DELTA_DENOMINATOR - i)
             xd = GRID_STEPS * GRID_DELTA_DENOMINATOR
             xns = range(base, base + i * (GRID_STEPS + 1), i)
-            # one shared denominator (`PiecewiseBound._pair`); a different one fails at k = 0
+            # one shared denominator (`PiecewiseBound._pair`); a different one
+            # fails at k = 0.  Runs compare as exact sequences, so equal run
+            # lists are equal values at every point.  Where a crossing falls
+            # on x = 1 the kernels cut their runs there differently, and the
+            # points are compared one by one.
             direct, den = _max_form(cn, cd, L, xns, xd)
             piece, piece_den = pieces._pair(xns, xd)
-            if (direct, den) != (piece, piece_den) or min(islice(direct, 1, None)) <= 0:
+            if (direct, den) != (piece, piece_den):
+                direct, piece = ([list(chain.from_iterable(runs))] for runs in (direct, piece))
+            if (direct, den) != (piece, piece_den) or _least_after_first(direct) <= 0:
+                direct, piece = (chain.from_iterable(runs) for runs in (direct, piece))
                 k, problem = next(
                     (k, "mismatch" if (a, den) != (b, piece_den) else "not positive")
                     for k, (a, b) in enumerate(zip(direct, piece))
@@ -238,8 +257,8 @@ def criterion_hy_golden() -> None:
         for i in range(1, 50):
             c = Fraction(i, 50)  # 1 - delta
             delta, cn, cd = 1 - c, c.numerator, c.denominator
-            phi1, phi1_d = _hy1(cn, cd, xns, 50)
-            phi2, phi2_d = _hy2(cn, cd, L, xns, 50)
+            (phi1,), phi1_d = _hy1(cn, cd, xns, 50)
+            (phi2,), phi2_d = _hy2(cn, cd, L, xns, 50)
             below = list(map(lt, map(mul, phi2, repeat(phi1_d)), map(mul, phi1, repeat(phi2_d))))
             if not all(below):
                 x = Fraction(xns[below.index(False)], 50)

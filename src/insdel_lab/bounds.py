@@ -11,16 +11,22 @@ Two competing bounds are implemented:
 Each exact evaluation is an unchecked integer kernel over an arithmetic
 progression of points x = xn/xd (``xns`` a ``range``, one denominator xd),
 with 1 - delta a (numerator, denominator) pair, reduced or not.  It returns
-one numerator per point over one shared positive denominator, and the work
-per point runs in C.  Over such a grid each linear term is itself an integer
-progression: the max form cuts the grid where neighbouring terms cross, at
-T_r = L(L+1)(1 - delta)/(r(r+1)), and emits one progression per term's run,
-as the pieces do for each piece, and the HY kernels multiply progressions
-point by point.  A public function validates, runs its kernel on a one-point
-progression and returns a ``Fraction``.
+``(runs, den)``: its numerators, one per point in grid order, as a list of
+runs over one shared positive denominator.  Over such a grid each linear
+term is itself an integer progression: the max form cuts the grid where
+neighbouring terms cross, at T_r = L(L+1)(1 - delta)/(r(r+1)), and returns
+one ``range`` per winning term, as the pieces do per piece, so both cost a
+few integer operations per term the grid reaches and nothing per point.
+The max form starts at the first point's winning term, found by one isqrt,
+and both scale by the lcm of the terms the grid reaches, not of 1..L, so a
+one-point grid takes a fixed number of integer operations at any L.  The
+HY kernels multiply progressions point by point, in C, into one list run.
+A public function validates, runs its kernel on a one-point progression
+and returns a ``Fraction``.
 The comparison report decides exactly, by the signs of integer quadratics
-at rational points, and reports float64: the crossover constants and the P1
-root are square roots.  Floats passed as parameters are interpreted via
+at rational points, builds no piece (it bisects over r for the piece that
+closes its window, O(log L) signs), and reports float64: the crossover
+constants and the P1 root are square roots.  Floats passed as parameters are interpreted via
 their shortest decimal representation, so 0.9 means 9/10, not the nearest
 binary double.
 """
@@ -30,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from numbers import Rational
 from operator import add, mul
 from typing import Sequence, Union
@@ -94,9 +100,10 @@ def _in_domain(cn: int, cd: int, x: Exact | float) -> tuple[int, int]:
     return xn, xd
 
 
-def _value(run: tuple[list[int], int]) -> Fraction:
+def _value(run: tuple[list[Sequence[int]], int]) -> Fraction:
     """The value of a kernel run over a one-point progression."""
-    (num,), den = run
+    runs, den = run
+    (num,) = chain.from_iterable(runs)
     return Fraction(num, den)
 
 
@@ -105,7 +112,31 @@ def _progression(first: int, step: int, count: int) -> Sequence[int]:
     return range(first, first + step * count, step) if step else [first] * count
 
 
-def _max_form(cn: int, cd: int, big: int, xns: range, xd: int) -> tuple[list[int], int]:
+def _least_pronic(m: int) -> int:
+    """The least r >= 0 with r (r+1) >= m: one isqrt and a +1 correction."""
+    r = math.isqrt(max(m, 0))
+    return r + (r * (r + 1) < m)
+
+
+def _winner(cn: int, cd: int, big: int, xn: int, xd: int) -> int:
+    """The term that wins at x = xn/xd: the least r with r (r+1) >= L(L+1) c/x,
+    c = cn/cd; L when x <= 0 or no term qualifies."""
+    if xn <= 0:
+        return big
+    return max(1, min(big, _least_pronic(-(-big * (big + 1) * cn * xd // (xn * cd)))))
+
+
+def _reach(cn: int, cd: int, big: int, rising: range, xd: int) -> tuple[int, int]:
+    """The winning term at a rising grid's first point, and the lcm of the
+    terms from the one winning at its last point up to it: each kernel's
+    scale, so the max form and the pieces share one denominator."""
+    if not rising:
+        return big, 1
+    top = _winner(cn, cd, big, rising[0], xd)
+    return top, math.lcm(*range(_winner(cn, cd, big, rising[-1], xd), top + 1))
+
+
+def _max_form(cn: int, cd: int, big: int, xns: range, xd: int) -> tuple[list[range], int]:
     """insertion_bound's kernel over x = xn/xd for xn in xns, with 1 - delta = cn/cd.
 
     It holds, unchecked, for every L = big >= 1, cn >= 0 and progression.
@@ -116,31 +147,35 @@ def _max_form(cn: int, cd: int, big: int, xns: range, xd: int) -> tuple[list[int
     term r is at least term r+1 exactly when x >= T_r = L(L+1) c/(r(r+1)).
     T_r never rises with r, so the terms rise up to the least r with
     x >= T_r (r = L if none) and fall from there: that term is the max.  On
-    a rising grid, walked from r = L down, term r leads up to the first point
-    with x >= T_(r-1): one integer cut, and one C-level ``range`` of the
-    integer (2L-r+1) cd lcm * xn - L (L+1) cn xd lcm/r, its value times
-    (L+1) xd cd lcm(1..L).  A falling grid is walked reversed.
+    a rising grid, walked from the first point's winner down, term r leads
+    up to the first point with x >= T_(r-1): one integer cut, and one
+    ``range`` of the integer (2L-r+1) cd s xn - L (L+1) cn xd s/r, its value
+    times (L+1) xd cd s, where s is the lcm of the terms the grid reaches
+    (`_reach`).  A falling grid is walked reversed, and its runs and their
+    order are reversed back.  The work is a few integer operations per term
+    the grid reaches, and none per point.
     """
-    scale = math.lcm(*range(1, big + 1))
-    shared = big * (big + 1) * cn * xd
     rising = xns if xns.step > 0 else xns[::-1]
     start, step, count = rising.start, rising.step, len(rising)
+    top, scale = _reach(cn, cd, big, rising, xd)
+    shared = big * (big + 1) * cn * xd
     unit = cd * scale
-    nums: list[int] = []
-    for r in range(big, 0, -1):
+    runs: list[range] = []
+    done = 0
+    for r in range(top, 0, -1):
         # points with start + step*k < T_(r-1) xd: k < (shared - start*w) / (step*w)
         w = (r - 1) * r * cd
         end = min(count, (shared - start * w - 1) // (step * w) + 1) if r > 1 else count
-        done = len(nums)
         if end > done:
             b = (2 * big - r + 1) * unit * step
             a = (2 * big - r + 1) * unit * start - shared * (scale // r)
-            nums += range(a + b * done, a + b * end, b)
+            runs.append(range(a + b * done, a + b * end, b))
+            done = end
             if end == count:
                 break
     if xns.step < 0:
-        nums.reverse()
-    return nums, (big + 1) * xd * cd * scale
+        runs = [run[::-1] for run in reversed(runs)]
+    return runs, (big + 1) * xd * cd * scale
 
 
 @dataclass(frozen=True)
@@ -210,19 +245,23 @@ class PiecewiseBound:
         xn, xd = _in_domain(lower.numerator, lower.denominator, x)
         return _value(self._pair(range(xn, xn + 1), xd))
 
-    def _pair(self, xns: range, xd: int) -> tuple[list[int], int]:
-        """evaluate's kernel over x = xn/xd for xn in xns.
+    def _pair(self, xns: range, xd: int) -> tuple[list[Sequence[int]], int]:
+        """evaluate's kernel over x = xn/xd for xn in xns: one run per piece
+        that owns a grid point, left to right along xns.
 
-        Over den, the lcm of (L+1) delta.den lcm(1..L) and every piece's
-        slope.den * intercept.den, each piece is the integer line
-        a*xn + b*xd, with value (a*xn + b*xd) / (den*xd) at x = xn/xd,
-        whatever its slope.  For `insertion_bound_piecewise` piece r's
-        slope.den divides L+1 and its intercept.den divides r delta.den, so
-        den*xd is `_max_form`'s denominator, (L+1) delta.den lcm(1..L) xd.
+        Over den, the lcm of (L+1) delta.den s (s the lcm of the max form's
+        terms that the grid reaches, `_reach`) and the slope.den *
+        intercept.den of every piece that owns a grid point, each such piece
+        is the integer line a*xn + b*xd, with value (a*xn + b*xd) / (den*xd)
+        at x = xn/xd, whatever its slope.  For `insertion_bound_piecewise`
+        piece r's slope.den divides L+1 and its intercept.den divides
+        r delta.den.  Piece r owns a grid point only where term r wins, at
+        x = 1 where term r-1 ties it, or past 1, where a smaller term wins,
+        so r lies between the winners at the grid's ends, and den*xd is
+        `_max_form`'s denominator, (L+1) delta.den s xd.
         """
         big = self.list_size
-        own = (p.slope.denominator * p.intercept.denominator for p in self.pieces)
-        den = math.lcm((big + 1) * self.delta.denominator * math.lcm(*range(1, big + 1)), *own)
+        c = 1 - self.delta
         # Walking x upwards, each piece owns the run of points left of its
         # upper end that no earlier piece owns, so a breakpoint belongs to the
         # piece on its right and the last piece owns x = 1.  The run's values
@@ -232,16 +271,22 @@ class PiecewiseBound:
         # points with start + step*k < un/ud: k < (un*xd - start*ud) / (step*ud)
         cuts = ((u.numerator, u.denominator) for u in self.breakpoints())
         ends = [min(count, max(0, (un * xd - start * ud - 1) // (step * ud) + 1)) for un, ud in cuts]
-        nums: list[int] = []
-        for p, end in zip(self.pieces, ends + [count]):
+        ends.append(count)
+        owners = [
+            (p, done, end) for p, done, end in zip(self.pieces, [0, *ends], ends) if end > done
+        ]
+        _, scale = _reach(c.numerator, c.denominator, big, rising, xd)
+        own = (p.slope.denominator * p.intercept.denominator for p, _, _ in owners)
+        den = math.lcm((big + 1) * self.delta.denominator * scale, *own)
+        runs = []
+        for p, done, end in owners:
             s, i = p.slope, p.intercept
             a = s.numerator * den // s.denominator
             b = i.numerator * den // i.denominator
-            done = len(nums)
-            nums += _progression(a * (start + step * done) + b * xd, a * step, end - done)
+            runs.append(_progression(a * (start + step * done) + b * xd, a * step, end - done))
         if xns.step < 0:
-            nums.reverse()
-        return nums, den * xd
+            runs = [run[::-1] for run in reversed(runs)]
+        return runs, den * xd
 
 
 def insertion_bound_piecewise(delta: Exact | float, list_size: int) -> PiecewiseBound:
@@ -256,7 +301,7 @@ def insertion_bound_piecewise(delta: Exact | float, list_size: int) -> Piecewise
     _validate_list_size(list_size)
     big = list_size
     shared = big * (big + 1) * cn
-    r_min = next(r for r in range(1, big + 1) if shared < r * (r + 1) * cd)
+    r_min = _least_pronic(shared // cd + 1)  # the least r with shared < r (r+1) cd
     # T_r left to right, r = L first (T_L = 1 - delta), then 1: piece r runs
     # between its neighbours in this list, so adjacent pieces share an end
     ends = [*(Fraction(shared, r * (r + 1) * cd) for r in range(big, r_min - 1, -1)), Fraction(1)]
@@ -296,12 +341,12 @@ def hy_quadratic1(delta: Exact | float, x: Exact | float) -> Fraction:
     return _value(_hy1(cn, cd, range(xn, xn + 1), xd))
 
 
-def _hy1(cn: int, cd: int, xns: range, xd: int) -> tuple[list[int], int]:
+def _hy1(cn: int, cd: int, xns: range, xd: int) -> tuple[list[list[int]], int]:
     # over xd^2 cn the numerator is xn (xn cd - xd cn), and the second
-    # factor is a progression over xns
+    # factor is a progression over xns; the values are one list run
     first = xns.start * cd - xd * cn
     factors = _progression(first, xns.step * cd, len(xns))
-    return list(map(mul, xns, factors)), xd * xd * cn
+    return [list(map(mul, xns, factors))], xd * xd * cn
 
 
 def hy_quadratic2(delta: Exact | float, list_size: int, x: Exact | float) -> Fraction:
@@ -316,14 +361,14 @@ def hy_quadratic2(delta: Exact | float, list_size: int, x: Exact | float) -> Fra
     return _value(_hy2(cn, cd, list_size, range(xn, xn + 1), xd))
 
 
-def _hy2(cn: int, cd: int, big: int, xns: range, xd: int) -> tuple[list[int], int]:
+def _hy2(cn: int, cd: int, big: int, xns: range, xd: int) -> tuple[list[list[int]], int]:
     # numerator and denominator both scaled by xd^2 * cd: the numerator is
     # xn (L+1)(xn cd - cn xd) + (cn - cd) xd^2, a progression times xn plus
-    # a constant
+    # a constant; the values are one list run
     first = (big + 1) * (xns.start * cd - cn * xd)
     factors = _progression(first, (big + 1) * xns.step * cd, len(xns))
     constant = (cn - cd) * xd * xd
-    return list(map(add, map(mul, xns, factors), repeat(constant))), xd * xd * (big * cn + cd)
+    return [list(map(add, map(mul, xns, factors), repeat(constant)))], xd * xd * (big * cn + cd)
 
 
 def hy_list_size(
@@ -426,6 +471,31 @@ def comparison_report(delta: Exact | float, list_size: int) -> ComparisonReport:
     over a square, P negative at r = j+2, L = j+2+m, so h > 0 on
     [0, c_(r-1)].  A closing g_r(T_(r-1)) <= 0 thus forces c > c_(r-1) >= c_r'
     for each later piece r': it starts falling and is concave.
+
+    So the gap's sign at a piece's upper end is positive up to the closing
+    piece and not positive from it on: the closing r is found by bisection
+    over r, with T_r in closed form, and no piece is built.  r_min, the
+    last piece's r, is the least r with L(L+1) c < r(r+1), by one isqrt.
+    P2 is (1 - (L+1) c/(L-1), 2c/(L-1)), and p1 takes its value from the
+    max form at one point; the cost is O(log L) integer gap signs.
+
+    The limits as L -> oo, at fixed c and x in [c, 1]:
+    (a) The paper's bound tends to 2(x - sqrt(xc)), from below, strictly
+    for x > c.  With rho = r/L, (r+1)/(L+1) >= rho (equality iff r = L), so
+    term r is at most (2 - rho) x - c/rho = 2x - (rho x + c/rho), which is
+    at most 2x - 2 sqrt(xc) by AM-GM, with equality only at
+    rho = sqrt(c/x) = 1, that is x = c (both sides 0).  Term
+    r = ceil(sqrt(c/x) L) has (r+1)/(L+1) -> sqrt(c/x) and c/rho ->
+    sqrt(xc), so it reaches the limit.  At tau_del = 0 the limit is
+    2(1 - sqrt(1 - delta)), twice the Hamming Johnson radius's form.
+    (b) HY's quadratic tends to (x - c) x/c, the first quadratic: dividing
+    ((L+1)(x^2 - c x) + c - 1) and (L c + 1) by L gives
+    (x^2 - c x)/c in the limit.  So HY's region tends to
+    tau_ins < (x - c) x/c.
+    (c) With s = sqrt(x/c) >= 1, (x - c) x/c = c s^2 (s^2 - 1) and
+    2(x - sqrt(xc)) = 2 c s (s - 1), so for x > c HY's limit is
+    s(s+1)/2 > 1 times the paper's (the ratio tends to 1 as x -> c, where
+    both are 0).  The paper's gain over HY is a finite-L effect.
     """
     d = as_fraction(delta)
     cn, cd = _one_minus_delta(d)
@@ -433,30 +503,48 @@ def comparison_report(delta: Exact | float, list_size: int) -> ComparisonReport:
     beta2 = hy_crossover_root(list_size)
     base = ComparisonReport(float(d), list_size, 1 - beta2, beta2)
     big = list_size
-    first, *rest = insertion_bound_piecewise(d, big).pieces
+    shared = big * (big + 1) * cn
+    r_min = _least_pronic(shared // cd + 1)  # the least r with shared < r (r+1) cd
+
+    def upper(r: int) -> tuple[int, int]:
+        """Piece r's upper end, T_(r-1) or 1, as an unreduced pair."""
+        return (shared, (r - 1) * r * cd) if r > r_min else (1, 1)
+
     # piece r minus quadratic2, times r (L+1) cd (L cn + cd) > 0, is the
-    # integer quadratic -r a x^2 + r b_r x - e_r
+    # integer quadratic -r a x^2 + r b_r x - e_r; its sign at x = xn/xd is
+    # that of the form below, homogeneous in (xn, xd)
     a = (big + 1) ** 2 * cd * cd
 
-    def gap(piece: LinearPiece, x: Fraction) -> int:
-        r, xn, xd = piece.r, x.numerator, x.denominator
+    def gap(r: int, x: tuple[int, int]) -> int:
+        xn, xd = x
         b = cd * ((big * cn + cd) * (2 * big - r + 1) + (big + 1) ** 2 * cn)
         e = (big + 1) * (big * cn * (big * cn + cd) - r * cd * (cd - cn))
         return r * (b * xd - a * xn) * xn - e * xd * xd
 
-    if not rest or gap(rest[0], rest[0].lower) <= 0:
+    # the window opens iff piece L-1 exists and its gap is positive at its
+    # lower end, P2 = T_(L-1) = (L+1)/(L-1) c, where piece L is 2/(L-1) c
+    if r_min == big or gap(big - 1, upper(big)) <= 0:
         return base
-    # the first piece ends at x = (L+1)/(L-1) c, where it is 2/(L-1) c
-    p2 = (float(1 - first.upper), float(first.value(first.upper)))
-    closing = next(p for p in rest if gap(p, p.upper) <= 0)  # Lemma A
+    p2 = ((big - 1) * cd - (big + 1) * cn) / ((big - 1) * cd), 2 * cn / ((big - 1) * cd)
+    # the closing piece: the largest r < L whose gap is not positive at its
+    # upper end; r_min's is negative (Lemma A)
+    low, high = r_min, big - 1
+    while low < high:
+        mid = (low + high + 1) // 2
+        if gap(mid, upper(mid)) <= 0:
+            low = mid
+        else:
+            high = mid - 1
+    r = low
     # the closing piece's gap in floats is -qa x^2 + b2 x + c2; its larger root
     one_minus = float(1 - d)
     denom = big * one_minus + 1
     qa = (big + 1) / denom
-    b2 = float(closing.slope) + (big + 1) * one_minus / denom
-    c2 = float(closing.intercept) - (one_minus - 1) / denom
+    b2 = (2 * big - r + 1) / (big + 1) + (big + 1) * one_minus / denom
+    c2 = -big * cn / (r * cd) - (one_minus - 1) / denom
     right = (b2 + math.sqrt(max(0.0, b2 * b2 + 4 * qa * c2))) / (2 * qa)
-    x1 = min(float(closing.upper), max(float(closing.lower), right))
+    top_n, top_d = upper(r)
+    x1 = min(top_n / top_d, max(shared / (r * (r + 1) * cd), right))
     tau1 = min(1 - x1, p2[0])
     p1 = (tau1, float(insertion_bound(d, big, x1)))
     return replace(base, interval=(tau1, p2[0]), p1=p1, p2=p2)

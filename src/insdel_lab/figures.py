@@ -5,14 +5,17 @@ emitted bytes are identical across runs.  Inputs are validated once per call.
 Each generator walks an arithmetic progression of grid points with one shared
 denominator, so every column is one call of a `bounds` kernel over the whole
 progression, the unique-decoding column too: it is the max form at L = 1.
-A cell is repr(num / den): int / int division is correctly rounded, so this
-is repr(float(Fraction(num, den))) whether or not the pair is reduced.
+A kernel hands back its numerators as runs (one `range` per winning term of
+the max form, one list for a quadratic) over one denominator, and a column
+reads them in order.  A cell is repr(num / den): int / int division is
+correctly rounded, so this is repr(float(Fraction(num, den))) whether or not
+the pair is reduced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import truediv
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -33,10 +36,11 @@ from .words import _require_int
 DEFAULT_POINTS = 512
 
 
-def _cells(run: tuple[Iterable[int], int]) -> Iterator[str]:
-    """One CSV cell per numerator of a kernel run over its shared denominator."""
-    nums, den = run
-    return map(repr, map(truediv, nums, repeat(den)))
+def _cells(run: tuple[Iterable[Iterable[int]], int]) -> Iterator[str]:
+    """One CSV cell per numerator of a kernel's runs, in order, over their
+    shared denominator: one division and one repr per point."""
+    runs, den = run
+    return map(repr, map(truediv, chain.from_iterable(runs), repeat(den)))
 
 
 def _rows(*columns: Iterable[str]) -> list[str]:
@@ -60,7 +64,7 @@ def bound_table_rows(
     den = cd * steps  # tau_d = dn k / den and x = 1 - tau_d
     xns = range(den, den - dn * points, -dn)
     return ["tau_d,rho,phi1,phi2,unique"] + _rows(
-        _cells((range(0, dn * points, dn), den)),
+        _cells(([range(0, dn * points, dn)], den)),
         _cells(_max_form(cn, cd, list_size, xns, den)),
         _cells(_hy1(cn, cd, xns, den)),
         _cells(_hy2(cn, cd, list_size, xns, den)),
@@ -88,7 +92,7 @@ def comparison_rows(
         """Rows at tau_d = tn/td for tn in tns, each ending in an empty label."""
         xns = range(td - tns.start, td - tns.stop, -tns.step)
         return _rows(
-            _cells((tns, td)),
+            _cells(([tns], td)),
             _cells(_max_form(cn, cd, list_size, xns, td)),
             _cells(_hy2(cn, cd, list_size, xns, td)),
             _cells(_max_form(cn, cd, 1, xns, td)),
@@ -132,7 +136,7 @@ def bound_profile_rows(
     xns = range(cn * steps, cn * steps + dn * points, dn)
     header = "x," + ",".join(f"rho_L{L}" for L in list_sizes)
     columns = [_cells(_max_form(cn, cd, L, xns, den)) for L in list_sizes]
-    return [header] + _rows(_cells((xns, den)), *columns)
+    return [header] + _rows(_cells(([xns], den)), *columns)
 
 
 def rate_region_rows(
@@ -163,7 +167,7 @@ def rate_region_rows(
         dn, den = cd - cn, cd * points
         rows += _rows(
             repeat(repr(r.numerator / cd)),
-            _cells((range(0, dn * points, dn), den)),
+            _cells(([range(0, dn * points, dn)], den)),
             _cells(_max_form(cn, cd, list_size, range(den, den - dn * points, -dn), den)),
         )
     return rows

@@ -463,9 +463,9 @@ def bound_region_pairs(
         cn, cd = _one_minus_delta(delta)
         _validate_list_size(list_size)
     # x = k/n for k from n down to the last k/n above 1 - delta = cn/cd
-    nums, den = _max_form(cn, cd, list_size, range(n, cn * n // cd, -1), n)
+    runs, den = _max_form(cn, cd, list_size, range(n, cn * n // cd, -1), n)
     pairs = []
-    for t_del, num in enumerate(nums):
+    for t_del, num in enumerate(itertools.chain.from_iterable(runs)):
         # t_ins / n < num / den exactly when t_ins < ceil(num n / den)
         pairs += ((t_ins, t_del) for t_ins in range(-(-num * n // den)))
     return pairs

@@ -185,9 +185,17 @@ def test_bound_consistency_checks_the_piece_structure(monkeypatch):
 
 
 def _changed(run, xns, xd, points, change):
-    """A kernel run over xns / xd with change applied to its numerators at points."""
-    nums, den = run
-    return [change(num) if Fraction(xn, xd) in points else num for xn, num in zip(xns, nums)], den
+    """A kernel run over xns / xd with change applied to its numerators at
+    points: each of its runs that holds one of them becomes a list run."""
+    runs, den = run
+    changed, k = [], 0
+    for part in runs:
+        xs = [Fraction(xn, xd) for xn in xns[k : k + len(part)]]
+        k += len(part)
+        if any(x in points for x in xs):
+            part = [change(num) if x in points else num for x, num in zip(xs, part)]
+        changed.append(part)
+    return changed, den
 
 
 @pytest.mark.parametrize(
@@ -202,7 +210,8 @@ def _changed(run, xns, xd, points, change):
 )
 def test_bound_grid_catches_a_wrong_value(monkeypatch, both, message):
     # grid point k = 600 of delta = 5/21 at L = 3; points k = 601, 602 are
-    # wrong too, and the message names the first
+    # wrong too, and the message names the first.  The faults come as runs:
+    # the run that holds them turns into a list
     big, delta = 3, Fraction(5, acceptance.GRID_DELTA_DENOMINATOR)
     wrong = [1 - delta + delta * Fraction(k, acceptance.GRID_STEPS) for k in (602, 600, 601)]
     change = (lambda num: -num) if both else (lambda num: num + 1)
@@ -221,7 +230,13 @@ def test_bound_grid_catches_a_wrong_value(monkeypatch, both, message):
         def pair(xns, xd):
             run = bound._pair(xns, xd)
             if (list_size, at_delta) == (big, delta):
-                return _changed(run, xns, xd, wrong, lambda num: -num)
+                runs, den = _changed(run, xns, xd, wrong, lambda num: -num)
+                # one piece at L = 3, so the grid is one run, negative only
+                # in its middle: the criterion finds it by scanning the
+                # list, not by reading a range's two ends
+                (part,) = runs
+                assert type(part) is list and part[1] > 0 and part[-1] > 0
+                return runs, den
             return run
 
         return SimpleNamespace(r_min=bound.r_min, pieces=bound.pieces, _pair=pair)

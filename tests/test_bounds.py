@@ -5,6 +5,7 @@ import random
 import re
 from dataclasses import fields, replace
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -454,8 +455,11 @@ def _scaled(xns, scale):
 
 
 def _values(run, count):
-    nums, den = run
-    assert den > 0 and len(nums) == count
+    """A kernel's runs, flattened in order, as values over its denominator;
+    no run is empty."""
+    runs, den = run
+    nums = list(chain.from_iterable(runs))
+    assert den > 0 and len(nums) == count and all(runs)
     return [Fraction(num, den) for num in nums]
 
 
@@ -515,9 +519,11 @@ class TestKernels:
         assert owners == [_owner(pieces, x) for x in xs]
 
     def test_pieces_share_the_max_forms_denominator(self):
-        # criterion 5 compares the two runs as (numerators, denominator)
-        # pairs, so on the domain they must be equal as pairs, not only as
-        # values; rising, falling and one-point grids in turn
+        # criterion 5 compares the two kernels' (runs, denominator) pairs, so
+        # on the domain the denominators must be equal, not only the values,
+        # and so must the runs unless x = 1 is a grid point where two terms
+        # cross: there the max form takes the next term, and the pieces the
+        # last piece; rising, falling and one-point grids in turn
         rng = random.Random(33)
         for case in range(300):
             dd = rng.randint(2, 60)
@@ -529,7 +535,14 @@ class TestKernels:
             step = rng.randint(1, 3)
             xns = (range(a, b + 1, step), range(b, a - 1, -step), range(a, a + 1))[case % 3]
             pair = insertion_bound_piecewise(delta, big)._pair(xns, xd)
-            assert pair == _max_form(cn, cd, big, xns, xd), (delta, big, xns, xd)
+            direct = _max_form(cn, cd, big, xns, xd)
+            assert pair[1] == direct[1], (delta, big, xns, xd)
+            assert _values(pair, len(xns)) == _values(direct, len(xns))
+            crossing_at_one = xd in xns and any(
+                big * (big + 1) * cn == r * (r + 1) * cd for r in range(1, big)
+            )
+            if not crossing_at_one:
+                assert pair == direct, (delta, big, xns, xd)
 
     def test_a_hand_built_bound_with_foreign_slopes_is_exact(self):
         # slopes 1/7 and 3/11 share no factor with (L+1) delta.den lcm(1..L)
@@ -560,9 +573,19 @@ def _literal_terms(cn, cd, big, xns, xd):
 
 
 def _literal_max_form(cn, cd, big, xns, xd):
-    """The max form as it reads: the max over all L terms at every point."""
+    """The max form as it reads: the max over all L terms at every point,
+    as one list run."""
     terms, den = _literal_terms(cn, cd, big, xns, xd)
-    return list(map(max, *terms)), den
+    return [list(map(max, *terms))], den
+
+
+def _same_values(run):
+    """The max form equals its literal oracle at every point of run's grid,
+    each of its runs a ``range``, one per winning term."""
+    runs, _ = direct = _max_form(*run)
+    assert all(type(part) is range for part in runs)
+    count = len(run[3])
+    return _values(direct, count) == _values(_literal_max_form(*run), count)
 
 
 def _most_passing(cn, cd, big, xns, xd):
@@ -612,7 +635,7 @@ class TestMaxFormEnvelope:
     def test_equals_the_literal_max(self):
         passes = []
         for run in _envelope_runs(17):
-            assert _max_form(*run) == _literal_max_form(*run), run
+            assert _same_values(run), run
             if len(run[3]) <= 12:
                 passes.append(_most_passing(*run))
         # the corpus reaches three or more terms passing the leader at once,
@@ -623,7 +646,7 @@ class TestMaxFormEnvelope:
         # at x = 1/10 term 10 leads; at x = 1 terms 2..9 all pass it, and the
         # leader there is term 3, not the steepest passer, term 2
         run = (1, 10, 10, range(1, 11, 9), 10)
-        assert _max_form(*run) == _literal_max_form(*run)
+        assert _same_values(run)
         assert _most_passing(*run) == 8
 
     def test_list_size_one_is_the_unique_decoding_line(self):
@@ -637,8 +660,7 @@ class TestMaxFormEnvelope:
             step = rng.choice((1, -1)) * rng.randint(1, xd)
             first = rng.randint(-xd, 2 * xd)
             xns = range(first, first + step * rng.randint(1, 50), step)
-            nums, den = _max_form(cn * g, cd * g, 1, xns, xd)
-            assert [Fraction(num, den) for num in nums] == [
+            assert _values(_max_form(cn * g, cd * g, 1, xns, xd), len(xns)) == [
                 Fraction(xn, xd) - Fraction(cn, cd) for xn in xns
             ]
 
@@ -893,3 +915,101 @@ class TestComparisonWindow:
                 signs = [self.gap(1 - delta, big, p.r, p.upper) > 0 for p in pieces]
                 assert signs == sorted(signs, reverse=True)
                 assert (report.interval is not None) == (len(pieces) > 1 and signs[0])
+
+
+def _piece_walk_report(delta, big):
+    """`comparison_report` as the piece walk it replaced: every piece built,
+    and the window closed on the first piece, left to right, whose exact
+    gap over quadratic2 is not positive at its upper end."""
+    beta2 = hy_crossover_root(big)
+    base = ComparisonReport(float(delta), big, 1 - beta2, beta2)
+    first, *rest = insertion_bound_piecewise(delta, big).pieces
+
+    def gap(piece, x):
+        return piece.value(x) - hy_quadratic2(delta, big, x)
+
+    if not rest or gap(rest[0], rest[0].lower) <= 0:
+        return base
+    p2 = (float(1 - first.upper), float(first.value(first.upper)))
+    closing = next(p for p in rest if gap(p, p.upper) <= 0)
+    one_minus = float(1 - delta)
+    denom = big * one_minus + 1
+    qa = (big + 1) / denom
+    b2 = float(closing.slope) + (big + 1) * one_minus / denom
+    c2 = float(closing.intercept) - (one_minus - 1) / denom
+    right = (b2 + math.sqrt(max(0.0, b2 * b2 + 4 * qa * c2))) / (2 * qa)
+    x1 = min(float(closing.upper), max(float(closing.lower), right))
+    tau1 = min(1 - x1, p2[0])
+    p1 = (tau1, float(insertion_bound(delta, big, x1)))
+    return replace(base, interval=(tau1, p2[0]), p1=p1, p2=p2)
+
+
+class TestEveryListSize:
+    """Both bounds at any list size: the bound's limit as L grows, and one
+    point and one report at L = 10^9, where no piece can be built."""
+
+    BILLION = 10**9
+
+    def test_the_bound_rises_with_the_list_size_to_below_its_limit(self):
+        # v < 2(x - sqrt(xc)) exactly when h = x - v/2 > 0 and h^2 > x c;
+        # at x = c both are 0
+        points = 0
+        for b in range(2, 16):
+            for a in range(1, b):
+                delta = Fraction(a, b)
+                c = 1 - delta
+                for x in (Fraction(k, 12) for k in range(13)):
+                    if x < c:
+                        continue
+                    previous = 0
+                    for big in range(2, 41):
+                        value = insertion_bound(delta, big, x)
+                        assert value >= previous, (delta, x, big)
+                        previous = value
+                        half = x - value / 2
+                        if x == c:
+                            assert value == 0
+                        else:
+                            assert half > 0 and half * half > x * c, (delta, x, big)
+                        points += 1
+        assert points == 27_222
+
+    def test_one_point_at_a_billion_is_its_winning_term(self):
+        big, c, x = self.BILLION, Fraction(1, 10), Fraction(1, 2)
+
+        def term(r):
+            return Fraction(2 * big - r + 1, big + 1) * x - Fraction(big, r) * c
+
+        # r* is the least r with r(r+1) >= L(L+1) c / x: a float guess, then
+        # exact steps
+        target = big * (big + 1) * c / x
+        r = int(math.sqrt(target))
+        while r * (r + 1) < target:
+            r += 1
+        while (r - 1) * r >= target:
+            r -= 1
+        assert term(r - 1) < term(r) >= term(r + 1)
+        assert insertion_bound("9/10", big, "1/2") == term(r)
+
+    def test_a_report_at_a_billion_builds_no_piece(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the report built the piece decomposition")
+
+        monkeypatch.setattr(bounds, "insertion_bound_piecewise", refuse)
+        monkeypatch.setattr(bounds.PiecewiseBound, "_pair", refuse)
+        report = comparison_report("9/10", self.BILLION)
+        big, c = self.BILLION, Fraction(1, 10)
+        assert report.p2 == (float(1 - (big + 1) * c / (big - 1)), float(2 * c / (big - 1)))
+        assert report.interval is not None and report.p1 is not None
+        assert 0 < report.interval[0] < report.interval[1] == report.p2[0]
+
+    def test_the_bisected_report_is_the_piece_walks(self):
+        inputs = [(delta, big) for big in range(2, 21) for delta in _coprime_fractions(24)]
+        inputs += [(TestComparisonReport.THIN, 3), (Fraction(26, 41), 12)]
+        inputs += [(Fraction(a, 7), big) for a in range(1, 7) for big in (50, 97, 200)]
+        windows = 0
+        for delta, big in inputs:
+            report = comparison_report(delta, big)
+            assert report == _piece_walk_report(delta, big), (delta, big)
+            windows += report.interval is not None
+        assert 0 < windows < len(inputs)

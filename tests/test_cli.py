@@ -261,6 +261,13 @@ class TestBoundCommands:
         assert payload["interval_tau_d"] is None
         assert payload["p1"] is None and payload["p2"] is None
 
+    def test_compare_at_a_billion(self):
+        # the report bisects over the pieces and builds none of them
+        result = run("bound", "compare", "--delta", "0.9", "--list-size", "1000000000")
+        assert result.exit_code == 0, result.output
+        payload = payload_of(result)
+        assert None not in (payload["p1"], payload["p2"], payload["interval_tau_d"])
+
 
 class TestIdentityCommands:
     def test_covers(self):
